@@ -14,7 +14,6 @@ from .extraction import (
     TreeTooLargeError,
     brute_force_enumerate,
     extract_plans,
-    greedy_diverse_filter,
 )
 from .gridworld import (
     ACTION_NAMES,
@@ -22,7 +21,6 @@ from .gridworld import (
     ExecutionOutcome,
     GridWorld,
     PlanningSimulator,
-    default_policy_action,
     execute_plan,
     generate_instance,
     parse_map,
@@ -35,10 +33,8 @@ from .mcts import (
     SearchConfig,
     Simulator,
     SimulatorError,
-    diverse_ucb1_score,
     rollout,
     run_search,
-    ucb1_score,
 )
 from .metrics import (
     Plan,
@@ -91,13 +87,10 @@ __all__ = [
     "ValueMode",
     "absolute_quality",
     "brute_force_enumerate",
-    "default_policy_action",
     "desk_profile",
-    "diverse_ucb1_score",
     "execute_plan",
     "extract_plans",
     "generate_instance",
-    "greedy_diverse_filter",
     "materialize_plan",
     "min_pairwise_diversity",
     "paper_profile",
@@ -112,5 +105,4 @@ __all__ = [
     "state_set_distance",
     "summarize",
     "two_proportion_z_test",
-    "ucb1_score",
 ]

@@ -66,7 +66,7 @@ class PlannerSpec:
             bad = "top_k requires q=0, d=0"
         elif self.kind is PlannerKind.TOP_QUALITY and self.d != 0.0:
             bad = "top_quality requires d=0"
-        if self.k < 0 or not 0 <= self.q <= 1 or not 0 <= self.d <= 1:
+        if self.k < 1 or not 0 <= self.q <= 1 or not 0 <= self.d <= 1:
             bad = "bounds out of range"
         if bad:
             raise ConfigError(f"invalid planner spec {self}: {bad}")
@@ -107,6 +107,14 @@ class ExperimentConfig:
             raise ConfigError("need at least one risk level and one replication")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.width < 2 or self.height < 2:
+            raise ConfigError(f"grid {self.width}x{self.height} cannot host start and goal")
+        if not all(0.0 <= risk <= 1.0 for risk in self.risk_levels):
+            raise ConfigError(f"risk levels must lie in [0, 1], got {self.risk_levels}")
+        if not 0.0 <= self.rollout_greedy_p <= 1.0:
+            raise ConfigError(f"rollout_greedy_p must lie in [0, 1], got {self.rollout_greedy_p}")
+        if self.detection_radius < 0:
+            raise ConfigError(f"detection_radius must be >= 0, got {self.detection_radius}")
 
     @property
     def instances(self) -> int:
@@ -442,27 +450,6 @@ def render_summary(rows: Sequence[dict]) -> str:
 # Flat UTF-8 `key = value` lines with `#` comments.  Every key can also be
 # given as a CLI flag of the same name.
 
-CONFIG_KEYS = (
-    "profile",
-    "risk_levels",
-    "replications_per_level",
-    "width",
-    "height",
-    "iterations",
-    "max_rollout_steps",
-    "value_mode",
-    "policy",
-    "exploration_c",
-    "diversity_refresh_interval",
-    "diversity_set_size",
-    "master_seed",
-    "detection_radius",
-    "rollout_greedy_p",
-    "workers",
-    "planners",
-    "output_path",
-)
-
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -504,54 +491,56 @@ def parse_planners(text: str) -> tuple[PlannerSpec, ...]:
     return tuple(specs)
 
 
+def _risk_levels(text: str) -> tuple[float, ...]:
+    """Explicit levels when any comma or point appears, else an even count."""
+    if "," in text or "." in text:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return spaced_risk_levels(int(text))
+
+
+# Every setting: the config it overrides a field of (None for the profile,
+# which picks the config the other keys override) and the cast from its
+# string value.  The field is named like the key.
+CONFIG_KEYS: dict[str, tuple[type | None, Callable[[str], object]]] = {
+    "profile": (None, str),
+    "risk_levels": (ExperimentConfig, _risk_levels),
+    "replications_per_level": (ExperimentConfig, int),
+    "width": (ExperimentConfig, int),
+    "height": (ExperimentConfig, int),
+    "iterations": (SearchConfig, int),
+    "max_rollout_steps": (SearchConfig, int),
+    "value_mode": (SearchConfig, ValueMode),
+    "policy": (BanditConfig, Policy),
+    "exploration_c": (BanditConfig, float),
+    "diversity_refresh_interval": (BanditConfig, int),
+    "diversity_set_size": (BanditConfig, int),
+    "master_seed": (ExperimentConfig, int),
+    "detection_radius": (ExperimentConfig, int),
+    "rollout_greedy_p": (ExperimentConfig, float),
+    "workers": (ExperimentConfig, int),
+    "planners": (ExperimentConfig, parse_planners),
+    "output_path": (ExperimentConfig, lambda text: text or None),
+}
+
+
 def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from flat string settings (file or flags)."""
     profile = values.get("profile", "desk")
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r} (choose from {sorted(PROFILES)})")
-    config = PROFILES[profile]()
-    search = config.search
-    bandit = search.bandit
+    fields: dict[type, dict[str, object]] = {ExperimentConfig: {}, SearchConfig: {}, BanditConfig: {}}
     try:
-        if "risk_levels" in values:
-            text = values["risk_levels"]
-            if "," in text or "." in text:
-                levels = tuple(float(tok) for tok in text.replace(",", " ").split())
-            else:
-                levels = spaced_risk_levels(int(text))
-            config = replace(config, risk_levels=levels)
-        for key, cast in (
-            ("replications_per_level", int),
-            ("width", int),
-            ("height", int),
-            ("master_seed", int),
-            ("detection_radius", int),
-            ("workers", int),
-            ("rollout_greedy_p", float),
-        ):
-            if key in values:
-                config = replace(config, **{key: cast(values[key])})
-        if "output_path" in values:
-            config = replace(config, output_path=values["output_path"] or None)
-        if "planners" in values:
-            config = replace(config, planners=parse_planners(values["planners"]))
-        if "exploration_c" in values:
-            bandit = replace(bandit, exploration_c=float(values["exploration_c"]))
-        if "policy" in values:
-            bandit = replace(bandit, policy=Policy(values["policy"]))
-        if "diversity_refresh_interval" in values:
-            bandit = replace(bandit, diversity_refresh_interval=int(values["diversity_refresh_interval"]))
-        if "diversity_set_size" in values:
-            bandit = replace(bandit, diversity_set_size=int(values["diversity_set_size"]))
-        search = replace(search, bandit=bandit)
-        if "iterations" in values:
-            search = replace(search, iterations=int(values["iterations"]))
-        if "max_rollout_steps" in values:
-            search = replace(search, max_rollout_steps=int(values["max_rollout_steps"]))
-        if "value_mode" in values:
-            search = replace(search, value_mode=ValueMode(values["value_mode"]))
+        for key, text in values.items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            target, cast = CONFIG_KEYS[key]
+            if target is not None:
+                fields[target][key] = cast(text)
+        config = PROFILES[profile]()
+        bandit = replace(config.search.bandit, **fields[BanditConfig])
+        search = replace(config.search, bandit=bandit, **fields[SearchConfig])
+        return replace(config, search=search, **fields[ExperimentConfig])
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad config value: {exc}") from exc
-    return replace(config, search=search)

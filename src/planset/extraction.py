@@ -130,22 +130,21 @@ def extract_plans(
             # Quality tie: replace the least diverse minimum-quality
             # incumbent if the candidate is strictly more diverse.
             tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
-
-            def div_of(i: int) -> float:
-                return min_pairwise_diversity(
-                    accepted[i], [p for j, p in enumerate(accepted) if j != i]
-                )
-
-            weakest = min(tied, key=div_of)
-            if min_pairwise_diversity(plan, accepted) > div_of(weakest):
+            weakest = min(tied, key=lambda i: diversity_excluding(accepted, i))
+            if min_pairwise_diversity(plan, accepted) > diversity_excluding(accepted, weakest):
                 old = accepted[weakest]
                 accepted[weakest] = plan
                 # The replace step must not break the set's own pairwise
                 # diversity floor; roll back if it does.
-                if any(div_of(i) < d for i in range(len(accepted))):
+                if any(diversity_excluding(accepted, i) < d for i in range(len(accepted))):
                     accepted[weakest] = old
 
     return PlanSet(plans=accepted, k=k, q=q, d=d, pops=pops)
+
+
+def diversity_excluding(plans: list[Plan], index: int) -> float:
+    """Min pairwise distance of ``plans[index]`` against the other plans."""
+    return min_pairwise_diversity(plans[index], plans[:index] + plans[index + 1 :])
 
 
 def brute_force_enumerate(
@@ -178,15 +177,3 @@ def brute_force_enumerate(
 
     ranked = sorted(paths, key=lambda item: -math.exp(item[1]))
     return [(materialize_plan(tree, path, logq), math.exp(logq)) for path, logq in ranked]
-
-
-def greedy_diverse_filter(plans: list[Plan], d: float, k: float) -> PlanSet:
-    """Scan quality-sorted plans, keeping each one at distance >= d from the
-    kept set, stopping at k.  Oracle for the diverse mode when ties are absent."""
-    kept: list[Plan] = []
-    for plan in plans:
-        if len(kept) >= k:
-            break
-        if min_pairwise_diversity(plan, kept) >= d:
-            kept.append(plan)
-    return PlanSet(plans=kept, k=k, q=0.0, d=d)

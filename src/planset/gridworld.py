@@ -150,7 +150,9 @@ class PlanningSimulator:
         return self._keys[state.position]
 
     def default_action(self, state: DroneState, rng: np.random.Generator) -> int:
-        """Rollout move, goal-greedy with weight ``rollout_greedy_p``."""
+        """Rollout policy: with probability ``rollout_greedy_p`` the legal
+        move that minimises Manhattan distance to the goal (ties to the
+        lowest action index), otherwise a uniform legal move."""
         legal = self._legal[state.position]
         if self.rollout_greedy_p >= 1.0 or rng.random() < self.rollout_greedy_p:
             gx, gy = self.world.goal
@@ -165,22 +167,6 @@ class PlanningSimulator:
                     best = a
             return best
         return legal[int(rng.integers(len(legal)))]
-
-
-def default_policy_action(world: GridWorld, state: DroneState, rng, greedy_p: float = 0.8) -> int:
-    """Rollout policy: with probability ``greedy_p`` the legal move that
-    minimises Manhattan distance to the goal (ties to the lowest action
-    index), otherwise a uniform legal move."""
-    x, y = state.position
-    legal = [
-        a
-        for a, (dx, dy) in enumerate(MOVES)
-        if 0 <= x + dx < world.width and 0 <= y + dy < world.height
-    ]
-    if greedy_p >= 1.0 or rng.random() < greedy_p:
-        gx, gy = world.goal
-        return min(legal, key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy))
-    return legal[int(rng.integers(len(legal)))]
 
 
 def execute_plan(world: GridWorld, actions: Sequence[int]) -> ExecutionOutcome:

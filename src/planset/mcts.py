@@ -17,20 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .extraction import ExtractionConfig, extract_plans
-from .metrics import Plan, PlanSet
+from .metrics import Plan
 from .tree import SearchTree, ValueMode
 
 _TREE_STREAM = 0
 _ROLLOUT_STREAM = 1
-
-
-class NoParentError(ValueError):
-    """Bandit score requested for the root node."""
 
 
 class SimulatorError(RuntimeError):
@@ -96,55 +92,6 @@ class SearchConfig:
             raise ValueError("iterations must be >= 1")
         if self.max_rollout_steps < 1:
             raise ValueError("max_rollout_steps must be >= 1")
-
-
-def ucb1_score(tree: SearchTree, node_id: int, exploration_c: float) -> float:
-    """Value estimate plus exploration bonus shrinking with visits.
-
-    Unvisited nodes score +inf so they are tried before any visited sibling.
-    """
-    rec = tree.node(node_id)
-    if rec.parent is None:
-        raise NoParentError("root has no parent visit count")
-    if rec.visits == 0:
-        return math.inf
-    n_parent = tree.node(rec.parent).visits
-    return tree.q_value(node_id) + exploration_c * math.sqrt(
-        2.0 * math.log(n_parent) / rec.visits
-    )
-
-
-def stem_state_keys(tree: SearchTree, node_id: int) -> frozenset[bytes]:
-    """State keys along the root-to-node stem, root excluded."""
-    keys = []
-    nid = node_id
-    while True:
-        rec = tree.node(nid)
-        if rec.parent is None:
-            break
-        keys.append(rec.state_key)
-        nid = rec.parent
-    return frozenset(keys)
-
-
-def diverse_ucb1_score(
-    tree: SearchTree,
-    node_id: int,
-    exploration_c: float,
-    reference_set: PlanSet | Iterable[Plan],
-) -> float:
-    """UCB1 plus the stem's min pairwise distance from a reference plan set.
-
-    Against an empty reference set (or a stem with no states beyond the
-    root) the bonus is the empty-set convention, 1.0.
-    """
-    base = ucb1_score(tree, node_id, exploration_c)
-    members = list(reference_set.plans if isinstance(reference_set, PlanSet) else reference_set)
-    keys = stem_state_keys(tree, node_id)
-    if not members or not keys:
-        return base + 1.0
-    bonus = min(len(keys - plan.state_keys) / len(keys) for plan in members)
-    return base + bonus
 
 
 def rollout(sim: Simulator, state: Any, rng: np.random.Generator, max_steps: int) -> float:
@@ -274,9 +221,11 @@ def _stem_bonus(
 ) -> float:
     """Diversity bonus of (stem + key) against the reference set.
 
-    Incremental form of :func:`diverse_ucb1_score`'s bonus: overlap counts
-    for the stem so far are maintained during descent, so scoring one
-    candidate child costs O(len(reference)).
+    The bonus is the min, over reference plans, of the fraction of the
+    stem's state keys (root excluded) that the plan never visits; 1.0
+    against an empty reference set.  Overlap counts for the stem so far are
+    maintained during descent, so scoring one candidate child costs
+    O(len(reference)).
     """
     if not reference:
         return 1.0

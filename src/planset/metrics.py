@@ -60,12 +60,6 @@ class PlanSet:
     def min_quality(self) -> float:
         return min(p.relative_quality for p in self.plans)
 
-    def diversity_excluding(self, index: int) -> float:
-        """Min pairwise distance of plans[index] against the rest of the set."""
-        me = self.plans[index]
-        others = [p for i, p in enumerate(self.plans) if i != index]
-        return min_pairwise_diversity(me, others)
-
 
 def step_log_ratio(tree: SearchTree, parent_id: int, child_id: int) -> float:
     """log of (child value / best visited sibling value) for one path step.

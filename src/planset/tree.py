@@ -11,6 +11,7 @@ single-player search, where there is no adversary to punish optimism).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -136,8 +137,14 @@ class SearchTree:
             rec.total_reward += reward
             path.append(rec)
             nid = rec.parent
-        # Refresh max-mode cache bottom-up; only path nodes can have changed.
-        for rec in path:
+        # Only path nodes can have changed.
+        self._refresh_max_values(path)
+
+    def _refresh_max_values(self, records: list[NodeRecord]) -> None:
+        """Recompute the max-mode cache of ``records``, which must all be
+        visited and listed children before parents."""
+        nodes = self.nodes
+        for rec in records:
             best = -1.0
             for cid in rec.children:
                 child = nodes[cid]
@@ -177,15 +184,6 @@ class SearchTree:
             raise LeafError(f"node {node_id} has no visited children")
         return best_id
 
-    def best_path(self) -> list[int]:
-        """Root-to-leaf node sequence following best_child at every step."""
-        path = [self.root]
-        while True:
-            try:
-                path.append(self.best_child(path[-1]))
-            except LeafError:
-                return path
-
     def check_consistency(self, tol: float = 1e-9) -> list[int]:
         """Ids of nodes whose statistics cannot arise from backpropagation.
 
@@ -201,7 +199,9 @@ class SearchTree:
             child_z = sum(nodes[cid].total_reward for cid in rec.children)
             n_self = rec.visits - child_n
             z_self = rec.total_reward - child_z
-            if n_self < 0 or z_self < -tol or z_self > n_self + tol:
+            # Written so that a NaN reward, which fails every comparison,
+            # counts as inconsistent.
+            if n_self < 0 or not -tol <= z_self <= n_self + tol:
                 bad.append(nid)
         return bad
 
@@ -233,6 +233,12 @@ class SearchTree:
 
     @classmethod
     def from_text(cls, text: str) -> "SearchTree":
+        """Load a tree written by :meth:`dump`.
+
+        Raises ``ValueError`` for text no search can have written: a
+        malformed line, a non-finite reward, two edges with the same action
+        out of one node, or statistics that fail :meth:`check_consistency`.
+        """
         mode = ValueMode.AVERAGE
         tree: SearchTree | None = None
         for line in text.splitlines():
@@ -254,10 +260,16 @@ class SearchTree:
                 if tree is None:
                     raise ValueError("node listed before root")
                 parent = int(parent_s)
-                tree.node(parent).children.append(len(tree.nodes))
+                if not 0 <= parent < len(tree.nodes):
+                    raise ValueError(f"node {nid_s}: parent {parent} is not listed before it")
+                action = int(action_s)
+                siblings = tree.nodes[parent].children
+                if any(tree.nodes[cid].action == action for cid in siblings):
+                    raise ValueError(f"node {nid_s}: action {action} repeats an edge out of node {parent}")
+                siblings.append(len(tree.nodes))
                 rec = NodeRecord(
                     parent=parent,
-                    action=int(action_s),
+                    action=action,
                     state_key=key,
                     terminal=terminal,
                 )
@@ -266,24 +278,17 @@ class SearchTree:
                 raise ValueError(f"non-contiguous node id {nid_s}")
             rec.visits = int(visits_s)
             rec.total_reward = float(reward_s)
+            if not math.isfinite(rec.total_reward):
+                raise ValueError(f"node {nid_s}: reward {reward_s} is not finite")
         if tree is None:
             raise ValueError("empty tree text")
-        tree._recompute_max_values()
+        bad = tree.check_consistency()
+        if bad:
+            raise ValueError(f"statistics no backpropagation can produce at nodes {bad[:10]}")
+        # Children always have larger ids than their parent, so the reversed
+        # arena lists children before parents.
+        tree._refresh_max_values([rec for rec in reversed(tree.nodes) if rec.visits])
         return tree
-
-    def _recompute_max_values(self) -> None:
-        # Children always have larger ids than their parent, so one reverse
-        # sweep is a valid post-order.
-        nodes = self.nodes
-        for rec in reversed(nodes):
-            if not rec.visits:
-                continue
-            best = -1.0
-            for cid in rec.children:
-                child = nodes[cid]
-                if child.visits and child.max_value > best:
-                    best = child.max_value
-            rec.max_value = best if best >= 0.0 else rec.total_reward / rec.visits
 
     def iter_visited(self) -> Iterator[int]:
         """Ids of visited nodes, in id order."""

@@ -1,8 +1,12 @@
-"""Shared builders for randomized tree tests."""
+"""Shared builders for randomized tree tests, and the reference oracles
+the library's optimized code is checked against."""
+
+import math
 
 import numpy as np
 
-from planset.tree import SearchTree, ValueMode
+from planset.metrics import Plan, PlanSet, min_pairwise_diversity
+from planset.tree import LeafError, SearchTree, ValueMode
 
 
 def random_backprop_tree(
@@ -111,8 +115,6 @@ def assert_matches_oracle(extracted, oracle, k, tol=1e-12):
     plans must match as sets inside each exact-tie group (the cut-off group
     may legitimately contribute any subset of its members).
     """
-    import math
-
     expected = oracle[: None if k == math.inf else int(k)]
     assert len(extracted) == len(expected), (
         f"got {len(extracted)} plans, oracle says {len(expected)}"
@@ -135,3 +137,73 @@ def assert_matches_oracle(extracted, oracle, k, tol=1e-12):
         # any subset of an exact-tie group is legitimate at the k boundary;
         # combined with the size check this forces equality off the boundary
         assert mine <= full_ref[quality], "extracted a plan the oracle does not rank here"
+
+
+def best_path(tree: SearchTree) -> list[int]:
+    """Root-to-leaf node sequence following best_child at every step."""
+    path = [tree.root]
+    while True:
+        try:
+            path.append(tree.best_child(path[-1]))
+        except LeafError:
+            return path
+
+
+def greedy_diverse_filter(plans: list[Plan], d: float, k: float) -> PlanSet:
+    """Scan quality-sorted plans, keeping each one at distance >= d from the
+    kept set, stopping at k.  Oracle for the diverse mode when ties are absent."""
+    kept: list[Plan] = []
+    for plan in plans:
+        if len(kept) >= k:
+            break
+        if min_pairwise_diversity(plan, kept) >= d:
+            kept.append(plan)
+    return PlanSet(plans=kept, k=k, q=0.0, d=d)
+
+
+# -- reference bandit scorer -------------------------------------------------
+#
+# Set-based, node-at-a-time restatement of the score that run_search's
+# selection loop computes inline (with an incremental diversity bonus).
+
+
+def ucb1_reference(tree: SearchTree, node_id: int, exploration_c: float) -> float:
+    """Value estimate plus exploration bonus shrinking with visits.
+
+    Unvisited nodes score +inf so they are tried before any visited sibling.
+    """
+    rec = tree.node(node_id)
+    if rec.parent is None:
+        raise ValueError("root has no parent visit count")
+    if rec.visits == 0:
+        return math.inf
+    n_parent = tree.node(rec.parent).visits
+    return tree.q_value(node_id) + exploration_c * math.sqrt(
+        2.0 * math.log(n_parent) / rec.visits
+    )
+
+
+def stem_state_keys(tree: SearchTree, node_id: int) -> frozenset[bytes]:
+    """State keys along the root-to-node stem, root excluded."""
+    keys = []
+    rec = tree.node(node_id)
+    while rec.parent is not None:
+        keys.append(rec.state_key)
+        rec = tree.node(rec.parent)
+    return frozenset(keys)
+
+
+def diversity_bonus_reference(keys: frozenset[bytes], reference: list[Plan]) -> float:
+    """Min fraction of ``keys`` that a reference plan never visits; 1.0
+    against an empty reference set or an empty stem."""
+    if not reference or not keys:
+        return 1.0
+    return min(len(keys - plan.state_keys) / len(keys) for plan in reference)
+
+
+def diverse_ucb1_reference(
+    tree: SearchTree, node_id: int, exploration_c: float, reference: list[Plan]
+) -> float:
+    """UCB1 plus the stem's diversity bonus against a reference plan set."""
+    bonus = diversity_bonus_reference(stem_state_keys(tree, node_id), reference)
+    return ucb1_reference(tree, node_id, exploration_c) + bonus

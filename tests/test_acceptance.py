@@ -12,7 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_matches_oracle, random_backprop_tree, random_root_path, tree_depth
+from conftest import (
+    assert_matches_oracle,
+    best_path,
+    random_backprop_tree,
+    random_root_path,
+    tree_depth,
+)
 from planset.experiment import (
     PlannerKind,
     desk_profile,
@@ -114,7 +120,7 @@ def test_criterion_3_optimal_plan_identity(tree_corpus):
         for tree in tree_corpus:
             top = extract_plans(tree, ExtractionConfig(k=1)).plans[0]
             assert abs(top.relative_quality - 1.0) <= QUALITY_TOL
-            assert list(top.nodes) == tree.best_path()
+            assert list(top.nodes) == best_path(tree)
 
     _criterion(3, "first plan has quality 1.0 and is best-child descent", body)
 

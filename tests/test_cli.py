@@ -107,6 +107,20 @@ def test_bad_usage_returns_one(tmp_path, capsys):
     assert main(["extract", "--tree", str(tmp_path / "nope.txt")]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+    # Bad values are refused before any search runs or the CSV is opened.
+    out_csv = tmp_path / "never.csv"
+    small = ["--replications_per_level", "1", "--iterations", "20", "--out", str(out_csv)]
+    for flags in (
+        ["--planners", "top_k:0"],
+        ["--planners", "random:0"],
+        ["--width", "1"],
+        ["--risk_levels", "1.5"],
+        ["--rollout_greedy_p", "1.5"],
+        ["--detection_radius", "-1"],
+    ):
+        assert main(["experiment", *flags, *small]) == 1, flags
+        assert capsys.readouterr().err.startswith("error:"), flags
+        assert not out_csv.exists(), flags
 
 
 def test_runtime_fault_returns_two(tmp_path, capsys):

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_backprop_tree, tree_depth
+from conftest import best_path, greedy_diverse_filter, random_backprop_tree, tree_depth
 from planset.extraction import (
     EmptyTreeError,
     ExtractionConfig,
     TreeTooLargeError,
     brute_force_enumerate,
+    diversity_excluding,
     extract_plans,
-    greedy_diverse_filter,
 )
 from planset.metrics import min_pairwise_diversity, relative_plan_quality
 from planset.tree import SearchTree
@@ -76,7 +76,7 @@ def test_k1_is_best_child_descent():
         rng = np.random.default_rng(seed)
         tree = random_backprop_tree(rng)
         plan = extract_plans(tree, ExtractionConfig(k=1)).plans[0]
-        assert list(plan.nodes) == tree.best_path()
+        assert list(plan.nodes) == best_path(tree)
         assert plan.relative_quality == pytest.approx(1.0, abs=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_diverse_replacement_rolls_back_when_set_breaks():
     }
     # the set still satisfies its own diversity floor
     for i in range(len(result.plans)):
-        assert result.diversity_excluding(i) >= 0.5
+        assert diversity_excluding(result.plans, i) >= 0.5
 
 
 def test_planset_invariants_hold_after_extraction():

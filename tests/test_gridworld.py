@@ -10,7 +10,6 @@ from planset.gridworld import (
     InvalidGeometryError,
     InvalidPlanError,
     PlanningSimulator,
-    default_policy_action,
     execute_plan,
     generate_instance,
     parse_map,
@@ -132,12 +131,17 @@ def test_state_key_is_cell_only():
     assert sim.state_key(DroneState((3, 2), 4, False)) != sim.state_key(a)
 
 
+def rollout_policy(world):
+    return PlanningSimulator(world, rollout_greedy_p=0.8).default_action
+
+
 def test_default_policy_greedy_branch():
     world = generate_instance(8, 8, 0.0, rng=0)
+    policy = rollout_policy(world)
     left_of_goal = DroneState((world.goal[0] - 1, world.goal[1]), 0, False)
-    assert default_policy_action(world, left_of_goal, ScriptedRng(uniforms=[0.79])) == E
+    assert policy(left_of_goal, ScriptedRng(uniforms=[0.79])) == E
     above_goal = DroneState((world.goal[0], world.goal[1] - 1), 0, False)
-    assert default_policy_action(world, above_goal, ScriptedRng(uniforms=[0.0])) == S
+    assert policy(above_goal, ScriptedRng(uniforms=[0.0])) == S
 
 
 def test_default_policy_greedy_tie_breaks_low_index():
@@ -145,28 +149,15 @@ def test_default_policy_greedy_tie_breaks_low_index():
     # From a corner equidistant diagonally, E (index 1) beats S (index 2).
     world = GridWorld(5, 5, (0, 0), (2, 2), frozenset(), 0.0)
     corner = DroneState((0, 0), 0, False)
-    assert default_policy_action(world, corner, ScriptedRng(uniforms=[0.5])) == E
+    assert rollout_policy(world)(corner, ScriptedRng(uniforms=[0.5])) == E
 
 
 def test_default_policy_uniform_branch():
     world = generate_instance(8, 8, 0.0, rng=0)
+    policy = rollout_policy(world)
     center = DroneState((4, 4), 0, False)
     for idx, expected in enumerate((N, E, S, W)):
-        assert default_policy_action(world, center, ScriptedRng(uniforms=[0.9], integers=[idx])) == expected
-
-
-def test_simulator_default_action_agrees_with_free_function():
-    world = generate_instance(9, 7, 0.0, rng=3)
-    sim = PlanningSimulator(world, rollout_greedy_p=0.8)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        x = int(rng.integers(world.width))
-        y = int(rng.integers(world.height))
-        state = DroneState((x, y), 0, False)
-        draws = rng.random(2)
-        scripted_a = ScriptedRng(uniforms=[draws[0]], integers=[int(draws[1] * 12)])
-        scripted_b = ScriptedRng(uniforms=[draws[0]], integers=[int(draws[1] * 12)])
-        assert sim.default_action(state, scripted_a) == default_policy_action(world, state, scripted_b)
+        assert policy(center, ScriptedRng(uniforms=[0.9], integers=[idx])) == expected
 
 
 def test_execute_plan_shot_down_on_enemy_cell():

@@ -3,23 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    diverse_ucb1_reference,
+    diversity_bonus_reference,
+    stem_state_keys,
+    ucb1_reference,
+)
 from planset.extraction import ExtractionConfig, extract_plans
 from planset.gridworld import DroneState, PlanningSimulator, generate_instance
 from planset.mcts import (
     BanditConfig,
-    NoParentError,
     Policy,
     SearchConfig,
     Simulator,
     SimulatorError,
-    diverse_ucb1_score,
+    _stem_bonus,
     rollout,
     run_search,
-    stem_state_keys,
-    ucb1_score,
 )
 from planset.metrics import Plan
-from planset.tree import SearchTree
+from planset.tree import SearchTree, ValueMode
 
 
 class TwoArmBandit:
@@ -58,7 +61,7 @@ def scored_tree():
 
 def test_ucb1_zero_exploration_is_q():
     tree, child = scored_tree()
-    assert ucb1_score(tree, child, 0.0) == pytest.approx(tree.q_value(child))
+    assert ucb1_reference(tree, child, 0.0) == pytest.approx(tree.q_value(child))
 
 
 def test_ucb1_hand_value():
@@ -66,7 +69,7 @@ def test_ucb1_hand_value():
     # 0.5 + sqrt(2*ln(7)/2) = 0.5 + sqrt(ln 7)
     tree, child = scored_tree()
     expected = 0.5 + math.sqrt(math.log(7.0))
-    assert ucb1_score(tree, child, 1.0) == pytest.approx(expected, abs=1e-12)
+    assert ucb1_reference(tree, child, 1.0) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(1.8949588341794583, abs=1e-12)
 
 
@@ -74,13 +77,13 @@ def test_ucb1_unvisited_is_infinite():
     tree = SearchTree(b"s0", root_actions=[0])
     child = tree.add_child(tree.root, 0, b"s1")
     tree.backpropagate(tree.root, 0.5)
-    assert ucb1_score(tree, child, 1.0) == math.inf
+    assert ucb1_reference(tree, child, 1.0) == math.inf
 
 
 def test_ucb1_root_rejected():
     tree = SearchTree(b"s0")
-    with pytest.raises(NoParentError):
-        ucb1_score(tree, tree.root, 1.0)
+    with pytest.raises(ValueError):
+        ucb1_reference(tree, tree.root, 1.0)
 
 
 def stem_plan(keys):
@@ -89,16 +92,16 @@ def stem_plan(keys):
 
 def test_diverse_score_empty_reference():
     tree, child = scored_tree()
-    base = ucb1_score(tree, child, 1.0)
-    assert diverse_ucb1_score(tree, child, 1.0, []) == pytest.approx(base + 1.0)
+    base = ucb1_reference(tree, child, 1.0)
+    assert diverse_ucb1_reference(tree, child, 1.0, []) == pytest.approx(base + 1.0)
 
 
 def test_diverse_score_self_reference_is_zero_bonus():
     tree, child = scored_tree()
-    base = ucb1_score(tree, child, 1.0)
+    base = ucb1_reference(tree, child, 1.0)
     own = stem_plan(["s1"])
     assert stem_state_keys(tree, child) == own.state_keys
-    assert diverse_ucb1_score(tree, child, 1.0, [own]) == pytest.approx(base)
+    assert diverse_ucb1_reference(tree, child, 1.0, [own]) == pytest.approx(base)
 
 
 def test_diverse_score_partial_overlap():
@@ -109,8 +112,103 @@ def test_diverse_score_partial_overlap():
         nid = tree.add_child(nid, 0, b"k%d" % i, untried_actions=[0])
         tree.backpropagate(nid, 0.5)
     ref = stem_plan(["k0", "k1", "x", "y"])
-    base = ucb1_score(tree, nid, 1.0)
-    assert diverse_ucb1_score(tree, nid, 1.0, [ref]) == pytest.approx(base + 0.5)
+    base = ucb1_reference(tree, nid, 1.0)
+    assert diverse_ucb1_reference(tree, nid, 1.0, [ref]) == pytest.approx(base + 0.5)
+
+
+def visits_rose(before: SearchTree, after: SearchTree) -> list[int]:
+    """Ids whose visit count grew from ``before`` to ``after``, root first
+    (a child's id is always above its parent's)."""
+    old = [rec.visits for rec in before.nodes]
+    return [
+        nid
+        for nid, rec in enumerate(after.nodes)
+        if rec.visits > (old[nid] if nid < len(old) else 0)
+    ]
+
+
+def reference_descent(tree: SearchTree, score) -> list[int]:
+    """Selection as the reference states it: from the root, while the node
+    is fully expanded, move to the child of highest score, ties to the
+    lowest id."""
+    path = [tree.root]
+    rec = tree.node(tree.root)
+    while not rec.terminal and not rec.untried_actions and rec.children:
+        path.append(max(rec.children, key=lambda cid: (score(cid), -cid)))
+        rec = tree.node(path[-1])
+    return path
+
+
+@pytest.mark.parametrize(
+    "mode,policy",
+    [
+        (ValueMode.AVERAGE, Policy.UCB1),
+        (ValueMode.MAX, Policy.UCB1),
+        (ValueMode.MAX, Policy.DIVERSE_UCB1),
+    ],
+)
+def test_search_selects_the_reference_argmax(mode, policy):
+    # Iteration n of an (n+1)-iteration search runs on the n-iteration tree;
+    # its selection path is where visits rose, minus a node it expanded.
+    world = generate_instance(5, 5, 0.1, rng=4)
+    c = 0.05
+    bandit = BanditConfig(
+        exploration_c=c, policy=policy, diversity_refresh_interval=20, diversity_set_size=3
+    )
+
+    def grow(iterations):
+        config = SearchConfig(
+            iterations=iterations, max_rollout_steps=40, value_mode=mode, bandit=bandit, seed=6
+        )
+        return run_search(PlanningSimulator(world), config)
+
+    ends = set()
+    for n in range(1, 300, 7):
+        before, after = grow(n), grow(n + 1)
+        reference = []
+        last_refresh = n - n % bandit.diversity_refresh_interval
+        if policy is Policy.DIVERSE_UCB1 and last_refresh:
+            reference = extract_plans(
+                grow(last_refresh), ExtractionConfig(k=bandit.diversity_set_size)
+            ).plans
+
+        def score(cid):
+            if policy is Policy.DIVERSE_UCB1:
+                return diverse_ucb1_reference(before, cid, c, reference)
+            return ucb1_reference(before, cid, c)
+
+        path = reference_descent(before, score)
+        rose = visits_rose(before, after)
+        assert rose in (path, path + [len(before)]), n
+        ends.add((len(rose) > len(path), len(path) > 2))
+    # expansions and revisits both occur, and some descents go below depth 1
+    assert {end for end, _ in ends} == {False, True}
+    assert any(deep for _, deep in ends)
+
+
+def test_stem_bonus_matches_set_reference():
+    rng = np.random.default_rng(17)
+    universe = [b"k%d" % i for i in range(12)]
+
+    def random_keys(low, high, replace):
+        picks = rng.choice(len(universe), size=int(rng.integers(low, high)), replace=replace)
+        return [universe[int(i)] for i in picks]
+
+    for _ in range(300):
+        reference = [
+            Plan((0,), (), frozenset(random_keys(1, 9, False)), 1.0, 1.0)
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        stem_keys: set[bytes] = set()
+        overlaps = [0] * len(reference)
+        for key in random_keys(1, 12, True):  # repeats revisit a state
+            want = diversity_bonus_reference(frozenset(stem_keys | {key}), reference)
+            assert _stem_bonus(key, stem_keys, overlaps, reference) == want
+            # extend the stem the way the selection loop does
+            if key not in stem_keys:
+                stem_keys.add(key)
+                for j, plan in enumerate(reference):
+                    overlaps[j] += key in plan.state_keys
 
 
 def test_two_arm_bandit_converges():

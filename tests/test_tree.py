@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,45 @@ def test_serialization_reward_precision():
     tree.backpropagate(tree.root, 0.2)
     clone = SearchTree.from_text(tree.to_text())
     assert clone.node(0).total_reward == tree.node(0).total_reward
+
+
+def test_consistency_flags_nan_reward():
+    tree = SearchTree(b"root")
+    tree.backpropagate(tree.root, 0.3)
+    tree.node(tree.root).total_reward = math.nan
+    assert tree.check_consistency() == [tree.root]
+
+
+def tree_text(*rows):
+    return "# planset-tree v1 mode=average\n" + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("parent", ["-3", "1", "7"])
+def test_load_rejects_parent_not_listed_before(parent):
+    with pytest.raises(ValueError, match="not listed before"):
+        SearchTree.from_text(tree_text("0 -1 -1 1 0.5 0 -", f"1 {parent} 0 0 0 1 61"))
+
+
+def test_load_rejects_repeated_action():
+    # Statistics are consistent; only the two action-1 edges are wrong.
+    text = tree_text("0 -1 -1 2 1 0 -", "1 0 1 1 0.5 1 61", "2 0 1 1 0.5 1 62")
+    with pytest.raises(ValueError, match="action 1"):
+        SearchTree.from_text(text)
+
+
+@pytest.mark.parametrize("reward", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_reward(reward):
+    with pytest.raises(ValueError, match="not finite"):
+        SearchTree.from_text(tree_text(f"0 -1 -1 1 {reward} 0 -"))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ("0 -1 -1 5 9 0 -",),  # reward 9 over 5 visits
+        ("0 -1 -1 1 0.5 0 -", "1 0 0 2 0.5 1 61"),  # child visited more than its parent
+    ],
+)
+def test_load_rejects_inconsistent_statistics(rows):
+    with pytest.raises(ValueError, match="statistics"):
+        SearchTree.from_text(tree_text(*rows))
