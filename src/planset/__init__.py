@@ -10,7 +10,6 @@ tree, so different bounds can be re-applied without searching again.
 from .extraction import (
     EmptyTreeError,
     ExtractionConfig,
-    PlanStem,
     TreeTooLargeError,
     brute_force_enumerate,
     extract_plans,
@@ -73,7 +72,6 @@ __all__ = [
     "NodeRecord",
     "Plan",
     "PlanSet",
-    "PlanStem",
     "PlannerKind",
     "PlannerSpec",
     "PlanningSimulator",

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -54,11 +54,15 @@ class PlannerSpec:
     """One planner configuration: which bounds apply and their values."""
 
     kind: PlannerKind
-    k: int = 1
+    k: float = 1
     q: float = 0.0
     d: float = 0.0
 
     def __post_init__(self):
+        try:
+            self.extraction_config()  # the one validator of k, q and d
+        except ValueError as exc:
+            raise ConfigError(f"invalid planner spec {self}: {exc}") from exc
         bad = None
         if self.kind is PlannerKind.SINGLE and (self.k, self.q, self.d) != (1, 0.0, 0.0):
             bad = "single requires k=1, q=0, d=0"
@@ -66,8 +70,6 @@ class PlannerSpec:
             bad = "top_k requires q=0, d=0"
         elif self.kind is PlannerKind.TOP_QUALITY and self.d != 0.0:
             bad = "top_quality requires d=0"
-        if self.k < 1 or not 0 <= self.q <= 1 or not 0 <= self.d <= 1:
-            bad = "bounds out of range"
         if bad:
             raise ConfigError(f"invalid planner spec {self}: {bad}")
 
@@ -128,15 +130,15 @@ def spaced_risk_levels(count: int, top: float = 0.9) -> tuple[float, ...]:
     return tuple(round(top * (i + 1) / count, 6) for i in range(count))
 
 
-def desk_profile(**overrides) -> ExperimentConfig:
-    """CI-friendly scale: 20 risk levels x 10 replications, 5,000 iterations."""
+def _profile(levels: int, replications: int, iterations: int, overrides: dict) -> ExperimentConfig:
+    """The 20x20 MAX-value study at one scale; ``overrides`` replace fields."""
     base = dict(
-        risk_levels=spaced_risk_levels(20),
-        replications_per_level=10,
+        risk_levels=spaced_risk_levels(levels),
+        replications_per_level=replications,
         width=20,
         height=20,
         search=SearchConfig(
-            iterations=5000,
+            iterations=iterations,
             max_rollout_steps=60,
             value_mode=ValueMode.MAX,
             bandit=BanditConfig(exploration_c=0.02),
@@ -144,24 +146,16 @@ def desk_profile(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def desk_profile(**overrides) -> ExperimentConfig:
+    """CI-friendly scale: 20 risk levels x 10 replications, 5,000 iterations."""
+    return _profile(20, 10, 5000, overrides)
 
 
 def paper_profile(**overrides) -> ExperimentConfig:
     """Full-scale settings: 100 risk levels x 20 replications, 20,000 iterations."""
-    base = dict(
-        risk_levels=spaced_risk_levels(100),
-        replications_per_level=20,
-        width=20,
-        height=20,
-        search=SearchConfig(
-            iterations=20000,
-            max_rollout_steps=60,
-            value_mode=ValueMode.MAX,
-            bandit=BanditConfig(exploration_c=0.02),
-        ),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return _profile(100, 20, 20000, overrides)
 
 
 PROFILES = {"desk": desk_profile, "paper": paper_profile}
@@ -197,14 +191,7 @@ def run_random_baseline(tree: SearchTree, k: int, rng: np.random.Generator) -> P
         return PlanSet(plans=[], k=k)
     leaves = [nid for nid in tree.iter_visited() if not tree.visited_children(nid)]
     picked = rng.choice(len(leaves), size=min(k, len(leaves)), replace=False)
-    plans = []
-    for idx in picked:
-        path = []
-        nid = leaves[int(idx)]
-        while nid is not None:
-            path.append(nid)
-            nid = tree.node(nid).parent
-        plans.append(materialize_plan(tree, list(reversed(path))))
+    plans = [materialize_plan(tree, tree.path_to(leaves[int(idx)])) for idx in picked]
     return PlanSet(plans=plans, k=k)
 
 
@@ -299,7 +286,7 @@ def run_experiment(
             tick = clock or time.perf_counter
             consume(_instance_records(config, i, tick) for i in range(config.instances))
         else:
-            with get_context("fork").Pool(config.workers) as pool:
+            with multiprocessing.Pool(config.workers) as pool:
                 consume(
                     pool.imap(
                         _instance_records_default_clock,
@@ -470,6 +457,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _planner_k(text: str) -> float:
+    """An int when whole, else a float: ``inf``, or 2.5 for PlannerSpec to refuse."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def parse_planners(text: str) -> tuple[PlannerSpec, ...]:
     """Parse ``kind[:k[:q[:d]]]`` entries separated by commas or whitespace."""
     specs = []
@@ -480,7 +473,7 @@ def parse_planners(text: str) -> tuple[PlannerSpec, ...]:
         except ValueError as exc:
             raise ConfigError(f"unknown planner kind {parts[0]!r}") from exc
         try:
-            k = int(parts[1]) if len(parts) > 1 else (1 if kind is PlannerKind.SINGLE else 5)
+            k = _planner_k(parts[1]) if len(parts) > 1 else (1 if kind is PlannerKind.SINGLE else 5)
             q = float(parts[2]) if len(parts) > 2 else 0.0
             d = float(parts[3]) if len(parts) > 3 else 0.0
         except ValueError as exc:

@@ -1,11 +1,12 @@
 """Best-first extraction of bounded plan sets from a finished search tree.
 
 Plans are pulled out of the tree by growing *plan stems* (root-anchored
-partial paths) in a max-priority queue keyed on relative quality.  Because a
-stem's quality never increases as it grows, the first k complete plans off
-the queue are the k best in the tree; a quality floor q prunes stems early,
-and a diversity floor d filters complete plans against the accepted set,
-with equal-quality ties broken in favour of the more diverse candidate.
+partial paths) in a max-priority queue keyed on relative quality.  Tree paths
+are unique, so a stem is named by its last node.  Because a stem's quality
+never increases as it grows, the first k complete plans off the queue are
+the k best in the tree; a quality floor q prunes stems early, and a
+diversity floor d filters complete plans against the accepted set, with
+equal-quality ties broken in favour of the more diverse candidate.
 
 :func:`brute_force_enumerate` walks every root-to-leaf path instead and is
 the testing oracle the queue-based extractor is checked against.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from .metrics import (
     Plan,
     PlanSet,
+    best_sibling_value,
     materialize_plan,
     min_pairwise_diversity,
     step_log_ratio,
@@ -58,18 +60,6 @@ class ExtractionConfig:
             raise ValueError(f"d must lie in [0, 1], got {self.d}")
 
 
-@dataclass(frozen=True)
-class PlanStem:
-    """Root-anchored partial path; quality is kept in log space."""
-
-    nodes: tuple[int, ...]
-    log_quality: float
-
-    @property
-    def quality(self) -> float:
-        return math.exp(self.log_quality)
-
-
 def extract_plans(
     tree: SearchTree,
     config: ExtractionConfig,
@@ -88,32 +78,33 @@ def extract_plans(
         raise EmptyTreeError("root has never been visited")
 
     accepted: list[Plan] = []
-    # Heap entries: (-log quality, insertion seq, stem).  The seq makes ties
-    # pop FIFO and keeps stems from being compared.
-    heap: list[tuple[float, int, PlanStem]] = [(-0.0, 0, PlanStem((tree.root,), 0.0))]
+    # Heap entries: (-log quality, insertion seq, last node of the stem).  The
+    # seq pops ties FIFO, which fixes who wins exact ties and the pop count.
+    heap: list[tuple[float, int, int]] = [(-0.0, 0, tree.root)]
     seq = 1
     pops = 0
 
     while heap:
-        neg_logq, _, stem = heapq.heappop(heap)
+        neg_logq, _, last = heapq.heappop(heap)
+        logq = -neg_logq
         pops += 1
         if pop_log is not None:
-            pop_log.append(math.exp(-neg_logq))
-        last = stem.nodes[-1]
+            pop_log.append(math.exp(logq))
+        best = best_sibling_value(tree, last)
         expanded = False
         for cid in nodes[last].children:
             if not nodes[cid].visits:
                 continue
-            child_logq = stem.log_quality + step_log_ratio(tree, last, cid)
+            child_logq = logq + step_log_ratio(tree, cid, best)
             if math.exp(child_logq) >= q - QUALITY_TOL:
-                heapq.heappush(heap, (-child_logq, seq, PlanStem(stem.nodes + (cid,), child_logq)))
+                heapq.heappush(heap, (-child_logq, seq, cid))
                 seq += 1
                 expanded = True
         if expanded:
             continue
 
         # Stem reached a leaf: a complete plan.
-        plan = materialize_plan(tree, stem.nodes, stem.log_quality)
+        plan = materialize_plan(tree, tree.path_to(last), logq)
         if min_pairwise_diversity(plan, accepted) < d:
             continue
         if len(accepted) < k:
@@ -172,8 +163,9 @@ def brute_force_enumerate(
             if len(paths) > max_paths:
                 raise TreeTooLargeError(f"more than {max_paths} leaf paths")
             continue
+        best = best_sibling_value(tree, last)
         for cid in reversed(kids):
-            stack.append((path + (cid,), logq + step_log_ratio(tree, last, cid)))
+            stack.append((path + (cid,), logq + step_log_ratio(tree, cid, best)))
 
     ranked = sorted(paths, key=lambda item: -math.exp(item[1]))
     return [(materialize_plan(tree, path, logq), math.exp(logq)) for path, logq in ranked]

@@ -61,20 +61,21 @@ class PlanSet:
         return min(p.relative_quality for p in self.plans)
 
 
-def step_log_ratio(tree: SearchTree, parent_id: int, child_id: int) -> float:
+def best_sibling_value(tree: SearchTree, parent_id: int) -> float:
+    """Best value among the visited children of ``parent_id``; 0.0 if none."""
+    nodes = tree.nodes
+    return max((tree.q_value(cid) for cid in nodes[parent_id].children if nodes[cid].visits), default=0.0)
+
+
+def step_log_ratio(tree: SearchTree, child_id: int, best: float) -> float:
     """log of (child value / best visited sibling value) for one path step.
 
-    Returns 0.0 (ratio 1) when every visited sibling has value 0 -- no regret
-    is measurable when all options are worthless -- and -inf when the chosen
+    ``best`` comes from :func:`best_sibling_value` of the child's parent, so
+    a parent's children share one scan of their siblings.  Returns 0.0
+    (ratio 1) when every visited sibling has value 0 -- no regret is
+    measurable when all options are worthless -- and -inf when the chosen
     child alone has value 0.
     """
-    best = 0.0
-    nodes = tree.nodes
-    for cid in nodes[parent_id].children:
-        if nodes[cid].visits:
-            q = tree.q_value(cid)
-            if q > best:
-                best = q
     if best <= 0.0:
         return 0.0
     chosen = tree.q_value(child_id)
@@ -95,7 +96,7 @@ def path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
     for parent_id, child_id in zip(nodes, nodes[1:]):
         if tree.node(child_id).parent != parent_id:
             raise InvalidPlanError(f"{child_id} is not a child of {parent_id}")
-        total += step_log_ratio(tree, parent_id, child_id)
+        total += step_log_ratio(tree, child_id, best_sibling_value(tree, parent_id))
     return total
 
 

@@ -152,6 +152,13 @@ class SearchTree:
                     best = child.max_value
             rec.max_value = best if best >= 0.0 else rec.total_reward / rec.visits
 
+    def path_to(self, node_id: int) -> list[int]:
+        """Node ids from the root down to ``node_id``."""
+        path = [node_id]
+        while (parent := self.node(path[-1]).parent) is not None:
+            path.append(parent)
+        return path[::-1]
+
     def visited_children(self, node_id: int) -> list[int]:
         nodes = self.nodes
         return [cid for cid in self.node(node_id).children if nodes[cid].visits]
@@ -192,13 +199,18 @@ class SearchTree:
         ``n_self >= 0`` and ``0 <= z_self <= n_self`` (rewards lie in [0, 1]).
         When ``n_self = 0`` this is exactly the visit-weighted child average.
         """
-        bad = []
         nodes = self.nodes
+        child_n = [0] * len(nodes)
+        child_z = [0.0] * len(nodes)
+        # Children are listed in id order, so one pass over the non-root
+        # nodes adds each parent's children in child-list order.
+        for rec in nodes[1:]:
+            child_n[rec.parent] += rec.visits
+            child_z[rec.parent] += rec.total_reward
+        bad = []
         for nid, rec in enumerate(nodes):
-            child_n = sum(nodes[cid].visits for cid in rec.children)
-            child_z = sum(nodes[cid].total_reward for cid in rec.children)
-            n_self = rec.visits - child_n
-            z_self = rec.total_reward - child_z
+            n_self = rec.visits - child_n[nid]
+            z_self = rec.total_reward - child_z[nid]
             # Written so that a NaN reward, which fails every comparison,
             # counts as inconsistent.
             if n_self < 0 or not -tol <= z_self <= n_self + tol:

@@ -113,6 +113,7 @@ def test_bad_usage_returns_one(tmp_path, capsys):
     for flags in (
         ["--planners", "top_k:0"],
         ["--planners", "random:0"],
+        ["--planners", "top_k:2.5"],
         ["--width", "1"],
         ["--risk_levels", "1.5"],
         ["--rollout_greedy_p", "1.5"],

@@ -1,6 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import planset
 from conftest import random_backprop_tree
 from planset.experiment import (
     CSV_HEADER,
@@ -171,8 +179,12 @@ def test_parse_planners():
     ]
     assert specs[2].k == 3
     assert specs[4].d == 0.5
+    (pure,) = parse_planners("top_quality:inf:0.8")
+    assert (pure.kind, pure.k, pure.q) == (PlannerKind.TOP_QUALITY, math.inf, 0.8)
     with pytest.raises(ConfigError):
         parse_planners("warp_drive:3")
+    with pytest.raises(ConfigError):
+        parse_planners("top_k:2.5")
 
 
 def test_config_file_round_trip(tmp_path):
@@ -292,6 +304,52 @@ def test_worker_fanout_matches_serial(tmp_path):
     # timings differ across processes; compare everything else
     strip = lambda text: [",".join(line.split(",")[:7]) for line in text.splitlines()]
     assert strip(out_serial.read_text()) == strip(out_fan.read_text())
+
+
+SPAWN_SWEEP = textwrap.dedent(
+    """
+    import multiprocessing
+    from dataclasses import replace
+
+    from planset.experiment import ExperimentConfig, run_experiment
+    from planset.mcts import BanditConfig, SearchConfig
+    from planset.tree import ValueMode
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        config = ExperimentConfig(
+            risk_levels=(0.1, 0.4),
+            replications_per_level=2,
+            width=6,
+            height=6,
+            search=SearchConfig(
+                iterations=150,
+                max_rollout_steps=24,
+                value_mode=ValueMode.MAX,
+                bandit=BanditConfig(exploration_c=0.02),
+            ),
+            master_seed=11,
+        )
+        untimed = lambda records: [
+            replace(r, tree_build_seconds=0.0, extraction_seconds=0.0) for r in records
+        ]
+        serial = untimed(run_experiment(config))
+        assert serial and untimed(run_experiment(replace(config, workers=2))) == serial
+        print("same records")
+    """
+)
+
+
+def test_worker_fanout_matches_serial_under_spawn():
+    # The pool uses the platform's start method.  Under spawn, the default
+    # off Linux, each worker re-imports planset and must give the same rows.
+    src = str(Path(planset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWN_SWEEP], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "same records"
 
 
 def test_custom_clock_requires_single_worker():

@@ -191,6 +191,17 @@ def test_pop_order_monotone_and_bounded(seed):
         assert result.pops <= k * max(tree_depth(tree), 1) + 1
 
 
+def test_exact_ties_pop_first_in_first_out():
+    # Every plan ties at quality 1.0.  FIFO pops expand all of the root's
+    # children before any grandchild, so the one-step branch (0, 3) is the
+    # first complete plan; breaking ties by node id would finish (0, 1, 2)
+    # first, in 4 pops.
+    tree = chain_fan_tree({0: ["a", "b"], 1: ["c"], 2: ["d", "e", "f"]})
+    result = extract_plans(tree, ExtractionConfig(k=2))
+    assert [p.nodes for p in result.plans] == [(0, 3), (0, 1, 2)]
+    assert result.pops == 5
+
+
 def test_diverse_replacement_prefers_more_diverse_tie():
     # Three branches, all plans exactly quality 1.0: {a,b}, {a,c}, then
     # candidate {d,e} which is more diverse than the weakest incumbent.

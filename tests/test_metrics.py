@@ -13,7 +13,7 @@ from planset.metrics import (
     relative_plan_quality,
     state_set_distance,
 )
-from planset.tree import SearchTree, ValueMode
+from planset.tree import SearchTree, UndefinedValueError, ValueMode
 
 
 def two_arm_tree(q_left=0.8, q_right=0.6, mode=ValueMode.AVERAGE):
@@ -83,6 +83,22 @@ def test_zero_denominator_contributes_no_regret():
     tree.backpropagate(b, 0.0)
     assert relative_plan_quality(tree, [tree.root, a]) == 1.0
     assert relative_plan_quality(tree, [tree.root, b]) == 1.0
+
+
+def test_path_through_unvisited_child():
+    # An unvisited child has no value to set against a visited sibling's;
+    # when every visited sibling is worth 0 there is no regret to measure.
+    tree = SearchTree(b"s0", root_actions=[0, 1])
+    visited = tree.add_child(tree.root, 0, b"v")
+    unvisited = tree.add_child(tree.root, 1, b"u")
+    tree.backpropagate(visited, 0.7)
+    with pytest.raises(UndefinedValueError):
+        relative_plan_quality(tree, [tree.root, unvisited])
+    worthless = SearchTree(b"s0", root_actions=[0, 1])
+    visited = worthless.add_child(worthless.root, 0, b"v")
+    unvisited = worthless.add_child(worthless.root, 1, b"u")
+    worthless.backpropagate(visited, 0.0)
+    assert relative_plan_quality(worthless, [worthless.root, unvisited]) == 1.0
 
 
 def test_zero_numerator_gives_zero_quality():

@@ -65,6 +65,18 @@ def test_children_keep_insertion_order():
     assert a.node(a.root).children == [1, 2, 3]
 
 
+def test_path_to_runs_from_the_root():
+    tree = SearchTree(b"s0", root_actions=[0, 1])
+    a = tree.add_child(tree.root, 0, b"a", untried_actions=[0])
+    b = tree.add_child(tree.root, 1, b"b")
+    aa = tree.add_child(a, 0, b"aa")
+    assert tree.path_to(aa) == [tree.root, a, aa]
+    assert tree.path_to(b) == [tree.root, b]
+    assert tree.path_to(tree.root) == [tree.root]
+    with pytest.raises(InvalidNodeError):
+        tree.path_to(99)
+
+
 def test_unknown_node_rejected():
     tree = SearchTree(b"root")
     with pytest.raises(InvalidNodeError):
