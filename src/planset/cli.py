@@ -108,16 +108,19 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_plan(args) -> int:
     try:
+        config = SearchConfig(
+            iterations=args.iterations,
+            max_rollout_steps=60,
+            value_mode=ValueMode(args.value_mode),
+            bandit=BanditConfig(exploration_c=args.exploration_c),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
         world = parse_map(Path(args.world).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read world file {args.world}: {exc}") from exc
-    config = SearchConfig(
-        iterations=args.iterations,
-        max_rollout_steps=60,
-        value_mode=ValueMode(args.value_mode),
-        bandit=BanditConfig(exploration_c=args.exploration_c),
-        seed=args.seed,
-    )
     tree = run_search(PlanningSimulator(world), config)
     plan = extract_plans(tree, ExtractionConfig(k=1)).plans[0]
     moves = "".join(ACTION_NAMES[a] for a in plan.actions)
@@ -128,8 +131,12 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    try:
+        config = ExtractionConfig(k=args.k, q=args.q, d=args.d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tree = _load_tree(args.tree, args.mode)
-    result = extract_plans(tree, ExtractionConfig(k=args.k, q=args.q, d=args.d))
+    result = extract_plans(tree, config)
     print("\n".join(_plan_lines((p, p.relative_quality) for p in result.plans)))
     return 0
 

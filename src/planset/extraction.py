@@ -8,6 +8,12 @@ the k best in the tree; a quality floor q prunes stems early, and a
 diversity floor d filters complete plans against the accepted set, with
 equal-quality ties broken in favour of the more diverse candidate.
 
+Cost of the diversity floor: at d = 0 there is no diversity work at all, so
+top-k and top-quality extraction build one Plan per returned plan.  At
+d > 0 each complete candidate gets one state-key-set test against the at
+most k incumbents, and a Plan is built only for a candidate that is
+accepted or swapped in on a tie.
+
 :func:`brute_force_enumerate` walks every root-to-leaf path instead and is
 the testing oracle the queue-based extractor is checked against.
 """
@@ -52,7 +58,7 @@ class ExtractionConfig:
     d: float = 0.0
 
     def __post_init__(self):
-        if self.k != math.inf and (self.k < 1 or int(self.k) != self.k):
+        if self.k != math.inf and not (self.k >= 1 and int(self.k) == self.k):
             raise ValueError(f"k must be a positive integer or inf, got {self.k}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
@@ -103,28 +109,31 @@ def extract_plans(
         if expanded:
             continue
 
-        # Stem reached a leaf: a complete plan.
-        plan = materialize_plan(tree, tree.path_to(last), logq)
-        if min_pairwise_diversity(plan, accepted) < d:
-            continue
+        # Stem reached a leaf: a complete plan.  Its state keys are tested
+        # against the incumbents before any Plan is built for it.
+        path = tree.path_to(last)
+        if d:
+            diversity = min_pairwise_diversity(frozenset(nodes[nid].state_key for nid in path[1:]), accepted)
+            if diversity < d:
+                continue
         if len(accepted) < k:
-            accepted.append(plan)
+            accepted.append(materialize_plan(tree, path, logq))
             if d == 0 and len(accepted) >= k:
                 # With no diversity bound nothing can displace an accepted
                 # plan, so stop at the k-th acceptance.  This keeps pops
-                # within k*depth + 1.
+                # within k*depth + 1, and leaves the branch below to d > 0.
                 break
         else:
             q_min = min(p.relative_quality for p in accepted)
-            if d == 0 or plan.relative_quality < q_min - QUALITY_TOL:
+            if math.exp(logq) < q_min - QUALITY_TOL:
                 break
             # Quality tie: replace the least diverse minimum-quality
             # incumbent if the candidate is strictly more diverse.
             tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
             weakest = min(tied, key=lambda i: diversity_excluding(accepted, i))
-            if min_pairwise_diversity(plan, accepted) > diversity_excluding(accepted, weakest):
+            if diversity > diversity_excluding(accepted, weakest):
                 old = accepted[weakest]
-                accepted[weakest] = plan
+                accepted[weakest] = materialize_plan(tree, path, logq)
                 # The replace step must not break the set's own pairwise
                 # diversity floor; roll back if it does.
                 if any(diversity_excluding(accepted, i) < d for i in range(len(accepted))):

@@ -128,19 +128,28 @@ def materialize_plan(tree: SearchTree, nodes: Sequence[int], log_quality: float 
     )
 
 
+def _key_set_distance(keys_a: frozenset[bytes], keys_b: frozenset[bytes]) -> float:
+    if not keys_a:
+        raise DegeneratePlanError("plan has an empty state set")
+    return len(keys_a - keys_b) / len(keys_a)
+
+
 def state_set_distance(plan_a: Plan, plan_b: Plan) -> float:
     """Fraction of plan_a's states that plan_b never visits.
 
     One-way set difference over |plan_a|; not symmetric in general.
     """
-    if not plan_a.state_keys:
-        raise DegeneratePlanError("plan has an empty state set")
-    return len(plan_a.state_keys - plan_b.state_keys) / len(plan_a.state_keys)
+    return _key_set_distance(plan_a.state_keys, plan_b.state_keys)
 
 
-def min_pairwise_diversity(plan: Plan, plans: "PlanSet | Iterable[Plan]") -> float:
-    """Min distance from ``plan`` to any member; 1.0 for an empty collection."""
+def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: "PlanSet | Iterable[Plan]") -> float:
+    """Min distance from ``plan`` to any member; 1.0 for an empty collection.
+
+    ``plan`` may be a bare state-key set, so a candidate can be tested
+    before a :class:`Plan` is built for it.
+    """
+    keys = plan.state_keys if isinstance(plan, Plan) else plan
     members = plans.plans if isinstance(plans, PlanSet) else list(plans)
     if not members:
         return 1.0
-    return min(state_set_distance(plan, other) for other in members)
+    return min(_key_set_distance(keys, other.state_keys) for other in members)

@@ -102,7 +102,7 @@ def test_flag_overrides_config(tmp_path):
     assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 2
 
 
-def test_bad_usage_returns_one(tmp_path, capsys):
+def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "nope.conf")]) == 1
     assert main(["extract", "--tree", str(tmp_path / "nope.txt")]) == 1
     assert main(["frobnicate"]) == 1
@@ -122,6 +122,26 @@ def test_bad_usage_returns_one(tmp_path, capsys):
         assert main(["experiment", *flags, *small]) == 1, flags
         assert capsys.readouterr().err.startswith("error:"), flags
         assert not out_csv.exists(), flags
+    # extract and plan check their bounds before reading any tree or map:
+    # the mangled tree would be a runtime fault (exit 2) if it were loaded.
+    _, tree_path = tree_file
+    mangled = tmp_path / "mangled.txt"
+    mangled.write_text("# planset-tree v1 mode=average\n0 -1 -1 not_a_number 0 0 -\n", encoding="utf-8")
+    world_file = tmp_path / "map.txt"
+    world_file.write_text(render_map(generate_instance(8, 8, 0.0, rng=5)), encoding="utf-8")
+    for argv in (
+        ["extract", "--tree", str(mangled), "--k", "0"],
+        ["extract", "--tree", str(tree_path), "--k", "2.5"],
+        ["extract", "--tree", str(tree_path), "--k", "0"],
+        ["extract", "--tree", str(tree_path), "--k", "nan"],
+        ["extract", "--tree", str(tree_path), "--q", "1.5"],
+        ["extract", "--tree", str(tree_path), "--q", "nan"],
+        ["extract", "--tree", str(tree_path), "--d", "-1"],
+        ["plan", "--world", str(world_file), "--iterations", "0"],
+        ["plan", "--world", str(world_file), "--exploration_c", "-1"],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_runtime_fault_returns_two(tmp_path, capsys):

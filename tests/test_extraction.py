@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import best_path, greedy_diverse_filter, random_backprop_tree, tree_depth
+from planset import extraction
 from planset.extraction import (
     EmptyTreeError,
     ExtractionConfig,
@@ -273,3 +274,90 @@ def test_topk_vs_topquality_reduction():
         assert [p.nodes for p in top_k] == [p.nodes for p in top_quality[:k]]
     else:
         assert [p.nodes for p in top_k] == [p.nodes for p in top_quality]
+
+
+def _has_exact_tie(ranked) -> bool:
+    qualities = [quality for _, quality in ranked]
+    return any(abs(a - b) <= 1e-12 for a, b in zip(qualities, qualities[1:]))
+
+
+# Seeds whose oracle ranking has no exact-quality tie, so the diverse mode
+# never reaches its tie-swap branch and must equal the greedy filter.
+TIE_FREE_SEEDS = [
+    seed for seed in range(40)
+    if not _has_exact_tie(brute_force_enumerate(random_backprop_tree(np.random.default_rng(seed))))
+]
+
+
+def test_enough_tie_free_seeds():
+    assert len(TIE_FREE_SEEDS) >= 20
+
+
+@pytest.mark.parametrize("seed", TIE_FREE_SEEDS)
+@pytest.mark.parametrize("k", [3, math.inf])
+@pytest.mark.parametrize("d", [0.25, 0.5])
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_diverse_matches_greedy_filter_without_ties(seed, k, d, q):
+    tree = random_backprop_tree(np.random.default_rng(seed))
+    got = extract_plans(tree, ExtractionConfig(k=k, q=q, d=d)).plans
+    ranked = [plan for plan, quality in brute_force_enumerate(tree) if quality >= q - 1e-12]
+    want = greedy_diverse_filter(ranked, d, k).plans
+    assert [p.nodes for p in got] == [p.nodes for p in want]
+    assert [p.relative_quality for p in got] == pytest.approx([p.relative_quality for p in want], abs=1e-12)
+
+
+class _CallCounter:
+    """Wraps a function and counts its calls; keeps each call's first argument."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.firsts = []
+
+    def __call__(self, *args, **kwargs):
+        self.firsts.append(args[0])
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count extraction's calls to materialize_plan and min_pairwise_diversity."""
+    counters = {}
+    for name in ("materialize_plan", "min_pairwise_diversity"):
+        counters[name] = _CallCounter(getattr(extraction, name))
+        monkeypatch.setattr(extraction, name, counters[name])
+    return counters
+
+
+WIDE_FAN = {action: [f"b{action}-{i}" for i in range(1 + action % 3)] for action in range(40)}
+
+
+@pytest.mark.parametrize("k", [1, 5, math.inf])
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_no_diversity_work_without_a_diversity_bound(counted, k, q):
+    trees = [random_backprop_tree(np.random.default_rng(seed)) for seed in range(10)]
+    trees.append(chain_fan_tree(WIDE_FAN))
+    for tree in trees:
+        counted["materialize_plan"].firsts.clear()
+        result = extract_plans(tree, ExtractionConfig(k=k, q=q))
+        assert not counted["min_pairwise_diversity"].firsts
+        assert len(counted["materialize_plan"].firsts) == len(result)
+
+
+@pytest.mark.parametrize("seed", TIE_FREE_SEEDS[:10])
+def test_diverse_mode_tests_each_candidate_once_and_builds_only_accepted_plans(counted, seed):
+    tree = random_backprop_tree(np.random.default_rng(seed))
+    leaves = sum(1 for nid in tree.iter_visited() if not tree.visited_children(nid))
+    for d in (0.25, 0.5):
+        counted["min_pairwise_diversity"].firsts.clear()
+        counted["materialize_plan"].firsts.clear()
+        result = extract_plans(tree, ExtractionConfig(k=3, d=d))
+        tested = [frozenset(keys) for keys in counted["min_pairwise_diversity"].firsts]
+        assert len(tested) == len(set(tested)) <= leaves
+        assert len(counted["materialize_plan"].firsts) == len(result)
+
+
+@pytest.mark.parametrize("field", ["k", "q", "d"])
+def test_nan_bounds_are_rejected_with_their_own_message(field):
+    message = {"k": "k must be a positive integer or inf", "q": "q must lie in", "d": "d must lie in"}[field]
+    with pytest.raises(ValueError, match=message):
+        ExtractionConfig(**{field: math.nan})
