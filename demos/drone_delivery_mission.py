@@ -10,6 +10,8 @@ situation diverse planning exists for.
 Run:  python3 demos/drone_delivery_mission.py
 """
 
+import sys
+
 from planset import (
     ACTION_NAMES,
     BanditConfig,
@@ -54,13 +56,19 @@ planners = {
     "random baseline": run_random_baseline(tree, 5, np.random.default_rng(SEED)),
 }
 
+delivered = {}
 for name, plan_set in planners.items():
     outcomes = [execute_plan(world, plan.actions) for plan in plan_set]
     landed = [o for o in outcomes if o.reached_goal]
-    verdict = f"DELIVERED in {min(o.path_length for o in landed)} steps" if landed else "all drones lost"
+    delivered[name] = min((o.path_length for o in landed), default=None)
+    verdict = f"DELIVERED in {delivered[name]} steps" if landed else "all drones lost"
     print(f"{name:24s} {len(plan_set.plans)} plan(s) -> {verdict}")
     for plan, outcome in zip(plan_set, outcomes):
         moves = "".join(ACTION_NAMES[a] for a in plan.actions)
         status = "goal" if outcome.reached_goal else ("shot down" if outcome.shot_down else "ran out of plan")
         print(f"    q={plan.relative_quality:.3f}  {moves:14s} {status} after {outcome.path_length} steps")
     print()
+
+if delivered["single"] is not None or delivered["diverse (q=0.8, d=0.5)"] != 7:
+    sys.exit(f"check failed: expected single to lose every drone and diverse to deliver in 7 steps, got {delivered}")
+print("checked: single loses every drone, diverse (q=0.8, d=0.5) delivers in 7 steps")

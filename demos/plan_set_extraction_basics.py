@@ -2,12 +2,14 @@
 
 Builds the tree with explicit backpropagated playouts, then pulls out the
 single best plan, the top-k set, a quality-bounded set, and a diverse set,
-cross-checking everything against exhaustive enumeration.
+and checks each against exhaustive enumeration; a failed check exits
+non-zero.
 
 Run:  python3 demos/plan_set_extraction_basics.py
 """
 
 import math
+import sys
 
 from planset import (
     ExtractionConfig,
@@ -15,8 +17,15 @@ from planset import (
     ValueMode,
     brute_force_enumerate,
     extract_plans,
+    min_pairwise_diversity,
     relative_plan_quality,
 )
+
+
+def check(ok: bool, claim: str) -> None:
+    if not ok:
+        sys.exit(f"check failed: {claim}")
+
 
 # ---------------------------------------------------------------------------
 # A tree with four routes of different value.  Rewards land in [0, 1]; node
@@ -59,8 +68,9 @@ for path, name in [
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration is the ground truth the extractor is tested against.
+ranking = brute_force_enumerate(tree)
 print("\nexhaustive ranking:")
-for plan, quality in brute_force_enumerate(tree):
+for plan, quality in ranking:
     print(f"  quality={quality:.4f}  nodes={plan.nodes}  states={sorted(plan.state_keys)}")
 
 # ---------------------------------------------------------------------------
@@ -74,9 +84,27 @@ print("top-2 qualities:", [round(p.relative_quality, 4) for p in top2.plans])
 quality_bound = extract_plans(tree, ExtractionConfig(k=math.inf, q=0.8))
 print("all plans with quality >= 0.8:", [p.nodes for p in quality_bound.plans])
 
+
+def as_ranked(plans):
+    return [(plan.nodes, plan.relative_quality) for plan in plans]
+
+
+# The two plans tied at 0.667 come out in the same order from both.
+check(as_ranked(single.plans) == as_ranked(p for p, _ in ranking[:1]), "single plan is the best ranked")
+check(as_ranked(top2.plans) == as_ranked(p for p, _ in ranking[:2]), "top-2 is the ranking's first two")
+check(
+    as_ranked(quality_bound.plans) == as_ranked(p for p, q in ranking if q >= 0.8),
+    "quality-bounded set is the ranking filtered at q >= 0.8",
+)
+
 # Diversity: fraction of a candidate's states the accepted set never visits.
 # With d = 0.9 the second-best plan must be nearly disjoint from the first.
 diverse = extract_plans(tree, ExtractionConfig(k=2, d=0.9))
 print("diverse top-2 (d=0.9):")
 for plan in diverse.plans:
     print(f"  quality={plan.relative_quality:.4f}  states={sorted(plan.state_keys)}")
+check(len(diverse.plans) == 2, "two plans at d = 0.9")
+for i, plan in enumerate(diverse.plans):
+    others = diverse.plans[:i] + diverse.plans[i + 1 :]
+    check(min_pairwise_diversity(plan, others) >= 0.9, "diverse plans are at least 0.9 apart")
+print("\nall checks passed")

@@ -4,14 +4,18 @@ Each instance draws a fresh enemy layout at its risk level and builds one
 tree on the enemy-free map; every planner extracts from that same tree, and
 success means at least one plan in the set reached the goal.  The block at
 the bottom pools the riskier half and runs the one-sided two-proportion
-z-test the full harness uses.
+z-test the full harness uses, and checks the pooled counts (diverse 13/30
+against single 7/30 at ``master_seed=2024``); a different outcome exits
+non-zero.
 
 The full desk/paper profiles run through the CLI instead:
 
     planset experiment --profile desk --out records.csv
 
-Run:  python3 demos/risk_sweep_quickstart.py     (about a minute)
+Run:  python3 demos/risk_sweep_quickstart.py     (about 10 s)
 """
+
+import sys
 
 from planset import (
     BanditConfig,
@@ -48,10 +52,11 @@ print(render_summary(summarize(records)))
 risky = [r for r in records if r.risk >= 0.25]
 diverse = [r for r in risky if r.planner == "diverse"]
 single = [r for r in risky if r.planner == "single"]
-z, p = two_proportion_z_test(
-    sum(r.success for r in diverse), len(diverse), sum(r.success for r in single), len(single)
-)
+counts = (sum(r.success for r in diverse), len(diverse), sum(r.success for r in single), len(single))
+z, p = two_proportion_z_test(*counts)
 print()
-print(f"riskier half, diverse {sum(r.success for r in diverse)}/{len(diverse)} vs "
-      f"single {sum(r.success for r in single)}/{len(single)}: one-sided z={z:.2f}, p={p:.3f}")
+print(f"riskier half, diverse {counts[0]}/{counts[1]} vs single {counts[2]}/{counts[3]}: "
+      f"one-sided z={z:.2f}, p={p:.3f}")
 print("(plan sets share one tree per instance, so re-extracting with new bounds is nearly free)")
+if counts != (13, 30, 7, 30):
+    sys.exit(f"check failed: expected diverse 13/30 against single 7/30, got {counts}")

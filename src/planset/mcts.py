@@ -7,9 +7,14 @@ and backpropagates the accumulated reward.  The simulator is any object
 satisfying :class:`Simulator`: deterministic transitions, stable action
 ordering, rewards that sum into [0, 1].
 
+Expanded nodes keep their state and reward from the root, so an iteration
+costs one ``step`` per expansion plus its rollout's steps, and none to
+revisit a terminal node.
+
 Randomness is reproducible by construction: the tree builder and every
-rollout draw from their own generator, derived from the master seed by
-fixed offsets, so replaying a seed replays the tree bit for bit.
+rollout draw from their own generator (built on the rollout's first draw),
+derived from the master seed by fixed offsets, so replaying a seed replays
+the tree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ class Simulator(Protocol):
 
     Transitions must be deterministic (same state and action, same
     successor) and ``legal_actions`` must return the same ordering for a
-    given state.  An empty action list marks a terminal state.  Domains may
+    given state.  An empty action list marks a terminal state.  The search
+    keeps every expanded node's state and steps each edge once, so ``step``
+    must leave its ``state`` argument unmodified.  Domains may
     additionally expose ``default_action(state, rng)`` to drive rollouts;
     without it, rollouts pick uniformly among legal actions.
     """
@@ -146,6 +153,10 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     max_mode = config.value_mode is ValueMode.MAX
     tree_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TREE_STREAM)))
     reference: list[Plan] = []
+    # Per node id: the simulator state after the node's edge, and the reward
+    # summed from the root along the same additions a replay would make.
+    states = [root_state]
+    prefix = [0.0]
 
     for iteration in range(config.iterations):
         if diverse and iteration and iteration % bandit.diversity_refresh_interval == 0:
@@ -155,8 +166,6 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
 
         node_id = tree.root
         rec = nodes[node_id]
-        state = root_state
-        acc = 0.0
         stem_keys: set[bytes] = set()
         overlaps = [0] * len(reference)
 
@@ -181,8 +190,6 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             if best_id < 0:
                 break
             child = nodes[best_id]
-            state, reward, _ = sim.step(state, child.action)
-            acc += reward
             if diverse and child.state_key not in stem_keys:
                 stem_keys.add(child.state_key)
                 for j, plan in enumerate(reference):
@@ -190,6 +197,8 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
                         overlaps[j] += 1
             node_id = best_id
             rec = child
+        state = states[node_id]
+        acc = prefix[node_id]
 
         # Expansion: one seeded-uniform untried action, then a rollout.
         if not rec.terminal and rec.untried_actions:
@@ -203,14 +212,28 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
                 terminal=done,
                 untried_actions=() if done else sim.legal_actions(state),
             )
+            states.append(state)
+            prefix.append(acc)
             if not done:
-                rollout_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=(seed, _ROLLOUT_STREAM, iteration))
-                )
+                rollout_rng = _LazyGenerator((seed, _ROLLOUT_STREAM, iteration))
                 acc += rollout(sim, state, rollout_rng, config.max_rollout_steps)
 
         tree.backpropagate(node_id, min(max(acc, 0.0), 1.0))
     return tree
+
+
+class _LazyGenerator:
+    """``default_rng(SeedSequence(entropy))``, built on its first use."""
+
+    __slots__ = ("_entropy", "_rng")
+
+    def __init__(self, entropy: tuple[int, ...]):
+        self._entropy, self._rng = entropy, None
+
+    def __getattr__(self, name: str) -> Any:
+        if self._rng is None:
+            self._rng = np.random.default_rng(np.random.SeedSequence(entropy=self._entropy))
+        return getattr(self._rng, name)
 
 
 def _stem_bonus(

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .tree import SearchTree
 
 
-class InvalidPlanError(ValueError):
+class InvalidPathError(ValueError):
     """Node sequence is not a root-anchored parent/child path."""
 
 
@@ -91,11 +91,11 @@ def path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
     factor is an explicit -inf sentinel rather than a floored float.
     """
     if not nodes or nodes[0] != tree.root:
-        raise InvalidPlanError("path must start at the tree root")
+        raise InvalidPathError("path must start at the tree root")
     total = 0.0
     for parent_id, child_id in zip(nodes, nodes[1:]):
         if tree.node(child_id).parent != parent_id:
-            raise InvalidPlanError(f"{child_id} is not a child of {parent_id}")
+            raise InvalidPathError(f"{child_id} is not a child of {parent_id}")
         total += step_log_ratio(tree, child_id, best_sibling_value(tree, parent_id))
     return total
 

@@ -129,28 +129,31 @@ class SearchTree:
             raise ValueError(f"reward {reward!r} outside [0, 1]")
         self.node(leaf)
         nodes = self.nodes
-        path: list[NodeRecord] = []
+        refresh = True
         nid: Optional[int] = leaf
         while nid is not None:
             rec = nodes[nid]
             rec.visits += 1
             rec.total_reward += reward
-            path.append(rec)
+            # A parent's max value depends only on its visited children's: it
+            # can change only if this node's did or this is its first visit.
+            if refresh:
+                refresh = self._refresh_max_value(rec) or rec.visits == 1
             nid = rec.parent
-        # Only path nodes can have changed.
-        self._refresh_max_values(path)
 
-    def _refresh_max_values(self, records: list[NodeRecord]) -> None:
-        """Recompute the max-mode cache of ``records``, which must all be
-        visited and listed children before parents."""
+    def _refresh_max_value(self, rec: NodeRecord) -> bool:
+        """Recompute the max-mode cache of the visited node ``rec`` from its
+        children's caches; return whether it changed."""
+        best = -1.0
         nodes = self.nodes
-        for rec in records:
-            best = -1.0
-            for cid in rec.children:
-                child = nodes[cid]
-                if child.visits and child.max_value > best:
-                    best = child.max_value
-            rec.max_value = best if best >= 0.0 else rec.total_reward / rec.visits
+        for cid in rec.children:
+            child = nodes[cid]
+            if child.visits and child.max_value > best:
+                best = child.max_value
+        value = best if best >= 0.0 else rec.total_reward / rec.visits
+        changed = value != rec.max_value
+        rec.max_value = value
+        return changed
 
     def path_to(self, node_id: int) -> list[int]:
         """Node ids from the root down to ``node_id``."""
@@ -299,7 +302,9 @@ class SearchTree:
             raise ValueError(f"statistics no backpropagation can produce at nodes {bad[:10]}")
         # Children always have larger ids than their parent, so the reversed
         # arena lists children before parents.
-        tree._refresh_max_values([rec for rec in reversed(tree.nodes) if rec.visits])
+        for rec in reversed(tree.nodes):
+            if rec.visits:
+                tree._refresh_max_value(rec)
         return tree
 
     def iter_visited(self) -> Iterator[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -323,3 +324,175 @@ def test_rollout_timeout_pays_zero():
 def test_simulator_protocol_match():
     assert isinstance(PlanningSimulator(generate_instance(4, 4, 0.0, rng=0)), Simulator)
     assert isinstance(TwoArmBandit(), Simulator)
+
+
+# -- pinned trees --------------------------------------------------------------
+#
+# SHA-256 (first 16 hex digits) of ``run_search(...).to_text()`` on
+# ``generate_instance(12, 12, 0.2, seed)`` for seeds 0-3, 1,500 iterations,
+# rollouts of at most 60 steps and a diversity refresh every 200 iterations.
+# Keyed by (exploration_c, value mode, policy, rollout_greedy_p): c = 0.7
+# expands on almost every iteration, c = 0.02 converges and spends most
+# iterations revisiting terminal nodes.
+
+GOLDEN_TREES = {
+    (0.7, ValueMode.AVERAGE, Policy.UCB1, 1.0): ('9dc59cbe3fdaf2ac', '09dd30e7e7ff27fc', '7ab55f69f2d64e84', '1b96f0fd859ecac4'),
+    (0.7, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('c62db86190cd7906', 'd34287d628b4e4b5', 'ffd6df79bf7a3b11', '5f272bea46eb209d'),
+    (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 1.0): ('cd75506836cdf0a5', '876c93414aa82a72', '8c47576151d26dfd', 'e5cc73c5886f3272'),
+    (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('70e20c96c1f4038e', '5e290d1c08a39c1d', '154f4a5742574180', '0f45e17c1d0be83f'),
+    (0.7, ValueMode.MAX, Policy.UCB1, 1.0): ('84bb6170896d3f70', '08f9a701d02c4385', 'cd60d87c42c4d981', '605d28053d6b595f'),
+    (0.7, ValueMode.MAX, Policy.UCB1, 0.8): ('d9eab18ada4fa246', '11635ca659371180', 'c7c0fd07fcdf509e', '691dadb477458bb2'),
+    (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 1.0): ('ece74a0ec9a78dd7', '5ba5be5c75aba937', 'aee75c64248fa884', 'f478b42f0e4878b5'),
+    (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('fda7a5f078f98813', '97967f0ac475bb6c', 'a5ebf9542c3d5184', 'fb5f30827e627e62'),
+    (0.02, ValueMode.AVERAGE, Policy.UCB1, 1.0): ('969980a74b4e3932', 'c7a24bee544a559a', 'd2961df1bec29411', '76ee9358de897f7f'),
+    (0.02, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('c62b8dcf2d3c22ff', '8551d37cf155c1f2', '078d2a977878188b', '77913a3167250c47'),
+    (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 1.0): ('ac5247353b5840e9', 'c2824668e94e5254', '89c24c183933a20d', '74aaff1a1556f9d0'),
+    (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('8d3f86ca54a161f2', '68fc5994ad292a6f', '549af4d0d71cca63', '1112e854ce93e920'),
+    (0.02, ValueMode.MAX, Policy.UCB1, 1.0): ('168e8b40faf14769', '4076929dc9a5cd9c', '78a7ef85d4c510f4', 'b14fd6d1c0742133'),
+    (0.02, ValueMode.MAX, Policy.UCB1, 0.8): ('0db450e5302c4181', 'c1aafb957df5617e', '2e230bd014719f40', '10e6926b5b77735c'),
+    (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 1.0): ('20033a5ded44680d', '321467247761f0d2', 'e92aace8f260f205', '3ff9bb282a5382fe'),
+    (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('f08e33450b332062', 'a6f26555052dc657', 'a0a9b9d1dd56e209', '33ea21befaa45128'),
+}
+
+
+def golden_search(seed, c, mode, policy, greedy_p):
+    sim = PlanningSimulator(generate_instance(12, 12, 0.2, seed), rollout_greedy_p=greedy_p)
+    bandit = BanditConfig(exploration_c=c, policy=policy, diversity_refresh_interval=200)
+    config = SearchConfig(iterations=1500, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=seed)
+    return run_search(sim, config)
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_TREES), ids=lambda key: "-".join(map(str, key)))
+def test_trees_match_the_pinned_hashes(key):
+    """The hashes were computed by the search that re-stepped every
+    descent from the root state, before node states were cached; caching
+    states, building rollout generators lazily and stopping the max
+    refresh early must leave every tree byte-identical."""
+    got = tuple(
+        hashlib.sha256(golden_search(seed, *key).to_text().encode()).hexdigest()[:16]
+        for seed in range(4)
+    )
+    assert got == GOLDEN_TREES[key]
+
+
+class DenseChain:
+    """Six moves of three actions in which every move pays, so a node's
+    reward from the root is a sum of several non-zero floats."""
+
+    def initial_state(self):
+        return ()
+
+    def legal_actions(self, state):
+        return (0, 1, 2) if len(state) < 6 else ()
+
+    def step(self, state, action):
+        nxt = state + (action,)
+        return nxt, (action + 1) / 30 + 0.01 * (len(nxt) % 3), len(nxt) == 6
+
+    def state_key(self, state):
+        return bytes(state)
+
+
+DENSE_GOLDEN_TREES = {
+    (ValueMode.AVERAGE, Policy.UCB1): "3a4cad0d2e551ad5",
+    (ValueMode.AVERAGE, Policy.DIVERSE_UCB1): "34e33c58dd9fe0e2",
+    (ValueMode.MAX, Policy.UCB1): "dc65d63a28bea7e2",
+    (ValueMode.MAX, Policy.DIVERSE_UCB1): "ecc5d573fa38494a",
+}
+
+
+def dense_config(mode=ValueMode.MAX, policy=Policy.UCB1):
+    bandit = BanditConfig(exploration_c=0.3, policy=policy, diversity_refresh_interval=100)
+    return SearchConfig(iterations=600, max_rollout_steps=10, value_mode=mode, bandit=bandit, seed=3)
+
+
+@pytest.mark.parametrize("key", list(DENSE_GOLDEN_TREES), ids=lambda key: f"{key[0].name}-{key[1].name}")
+def test_dense_reward_trees_match_the_pinned_hashes(key):
+    """Pinned, like ``GOLDEN_TREES``, before node states were cached; every
+    edge pays, so the reward summed along a cached path is checked too."""
+    text = run_search(DenseChain(), dense_config(*key)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DENSE_GOLDEN_TREES[key]
+
+
+# -- cost contract -------------------------------------------------------------
+
+
+class CountingSim:
+    """Delegates to ``sim``, counting ``step`` calls made inside rollouts
+    (while ``in_rollout`` is set) and outside them separately."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.in_rollout = False
+        self.steps = {False: 0, True: 0}
+
+    def __getattr__(self, name):
+        return getattr(self.sim, name)
+
+    def step(self, state, action):
+        self.steps[self.in_rollout] += 1
+        return self.sim.step(state, action)
+
+
+@pytest.mark.parametrize(
+    "sim,config",
+    [
+        (TwoArmBandit(), SearchConfig(iterations=100, bandit=BanditConfig(exploration_c=1.0), seed=5)),
+        (
+            PlanningSimulator(generate_instance(12, 12, 0.2, 0)),
+            SearchConfig(
+                iterations=1500, max_rollout_steps=60, value_mode=ValueMode.MAX, bandit=BanditConfig(exploration_c=0.02)
+            ),
+        ),
+        (DenseChain(), dense_config()),
+    ],
+    ids=["bandit", "gridworld", "dense"],
+)
+def test_search_steps_each_tree_edge_once(monkeypatch, sim, config):
+    counted = CountingSim(sim)
+    real_rollout = rollout
+
+    def counted_rollout(sim, *args):
+        sim.in_rollout = True
+        try:
+            return real_rollout(sim, *args)
+        finally:
+            sim.in_rollout = False
+
+    monkeypatch.setattr("planset.mcts.rollout", counted_rollout)
+    tree = run_search(counted, config)
+    # Some iterations revisit a terminal node, which costs no step at all.
+    assert len(tree) < config.iterations
+    assert counted.steps[False] == len(tree) - 1
+    assert counted.steps[True] > 0 or isinstance(sim, TwoArmBandit)
+
+
+def count_generators(monkeypatch):
+    built = []
+    real = np.random.default_rng
+
+    def default_rng(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("planset.mcts.np.random.default_rng", default_rng)
+    return built
+
+
+def test_greedy_rollouts_build_no_generator(monkeypatch):
+    sim = PlanningSimulator(generate_instance(20, 20, 0.2, 3))
+    config = SearchConfig(
+        iterations=2000, max_rollout_steps=60, value_mode=ValueMode.MAX, bandit=BanditConfig(exploration_c=0.02)
+    )
+    built = count_generators(monkeypatch)
+    tree = run_search(sim, config)
+    assert len(tree) > 100
+    assert len(built) == 1  # the tree's own generator
+
+
+def test_drawing_rollouts_build_their_generator_on_first_draw(monkeypatch):
+    key = (0.02, ValueMode.MAX, Policy.UCB1, 0.8)
+    built = count_generators(monkeypatch)
+    tree = golden_search(0, *key)
+    assert 1 < len(built) < len(tree)
+    assert hashlib.sha256(tree.to_text().encode()).hexdigest()[:16] == GOLDEN_TREES[key][0]

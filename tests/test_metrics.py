@@ -4,7 +4,7 @@ import pytest
 from conftest import random_backprop_tree, random_root_path
 from planset.metrics import (
     DegeneratePlanError,
-    InvalidPlanError,
+    InvalidPathError,
     Plan,
     PlanSet,
     absolute_quality,
@@ -69,9 +69,9 @@ def test_single_node_path_is_empty_product():
 
 def test_non_path_rejected():
     tree, left, right = two_arm_tree()
-    with pytest.raises(InvalidPlanError):
+    with pytest.raises(InvalidPathError):
         relative_plan_quality(tree, [tree.root, left, right])
-    with pytest.raises(InvalidPlanError):
+    with pytest.raises(InvalidPathError):
         relative_plan_quality(tree, [left])
 
 

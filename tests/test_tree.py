@@ -267,3 +267,49 @@ def test_load_rejects_non_finite_reward(reward):
 def test_load_rejects_inconsistent_statistics(rows):
     with pytest.raises(ValueError, match="statistics"):
         SearchTree.from_text(tree_text(*rows))
+
+
+def assert_max_values_fresh(tree):
+    """Every visited node's cached max value equals the one ``from_text``
+    recomputes from scratch (``.17g`` round-trips doubles, so ``==``)."""
+    fresh = SearchTree.from_text(tree.to_text())
+    for nid in tree.iter_visited():
+        assert tree.nodes[nid].max_value == fresh.nodes[nid].max_value, nid
+
+
+@pytest.mark.parametrize("mode", list(ValueMode))
+@pytest.mark.parametrize("seed", range(10))
+def test_backpropagate_refresh_matches_a_full_recompute(monkeypatch, mode, seed):
+    real = SearchTree.backpropagate
+    calls = []
+
+    def checked(self, leaf, reward):
+        real(self, leaf, reward)
+        calls.append(leaf)
+        assert_max_values_fresh(self)
+
+    monkeypatch.setattr(SearchTree, "backpropagate", checked)
+    random_backprop_tree(np.random.default_rng(seed), value_mode=mode, extra_playouts=40)
+    assert len(calls) > 40
+
+
+def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
+    tree = SearchTree(b"s0", ValueMode.MAX, root_actions=[0, 1])
+    mid = tree.add_child(tree.root, 0, b"mid", untried_actions=[0])
+    leaf = tree.add_child(mid, 0, b"leaf", terminal=True)
+    averages = set()
+    for _ in range(6):
+        # Identical rewards, yet the running average moves by an ulp.
+        tree.backpropagate(leaf, 0.1)
+        averages.add(tree.q_value(leaf))
+        assert tree.q_value(tree.root) == tree.q_value(leaf)
+        assert_max_values_fresh(tree)
+    assert len(averages) > 1
+    # A first visit at reward 0 leaves the new node's cached value at 0.0,
+    # but makes it the only visited child of a parent valued at 0.5.
+    other = tree.add_child(tree.root, 1, b"other", untried_actions=[0])
+    tree.backpropagate(other, 0.5)
+    below = tree.add_child(other, 0, b"below")
+    tree.backpropagate(below, 0.0)
+    assert tree.q_value(other) == 0.0
+    assert_max_values_fresh(tree)
