@@ -56,7 +56,7 @@ from .experiment import (
     summarize,
     two_proportion_z_test,
 )
-from .tree import NodeRecord, SearchTree, ValueMode
+from .tree import SearchTree, ValueMode
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "ExperimentConfig",
     "ExtractionConfig",
     "GridWorld",
-    "NodeRecord",
     "Plan",
     "PlanSet",
     "PlannerKind",

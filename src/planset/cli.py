@@ -59,23 +59,19 @@ def _build_parser() -> _Parser:
     ext.add_argument("--k", type=float, default=float("inf"))
     ext.add_argument("--q", type=float, default=0.0)
     ext.add_argument("--d", type=float, default=0.0)
-    ext.add_argument("--mode", choices=("average", "max"), help="override the tree's value mode")
 
     orc = sub.add_parser("oracle", help="exhaustively enumerate a serialized tree")
     orc.add_argument("--tree", required=True, help="serialized tree file")
-    orc.add_argument("--mode", choices=("average", "max"), help="override the tree's value mode")
     return parser
 
 
-def _load_tree(path: str, mode: str | None) -> SearchTree:
+def _load_tree(path: str) -> SearchTree:
+    """The tree in ``path``, in the value mode its header names."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read tree file {path}: {exc}") from exc
-    tree = SearchTree.from_text(text)
-    if mode:
-        tree.value_mode = ValueMode(mode)
-    return tree
+    return SearchTree.from_text(text)
 
 
 def _plan_lines(plans) -> list[str]:
@@ -135,14 +131,14 @@ def _cmd_extract(args) -> int:
         config = ExtractionConfig(k=args.k, q=args.q, d=args.d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tree = _load_tree(args.tree, args.mode)
+    tree = _load_tree(args.tree)
     result = extract_plans(tree, config)
     print("\n".join(_plan_lines((p, p.relative_quality) for p in result.plans)))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    tree = _load_tree(args.tree, args.mode)
+    tree = _load_tree(args.tree)
     print("\n".join(_plan_lines(brute_force_enumerate(tree))))
     return 0
 

@@ -11,7 +11,7 @@ instance order as they complete.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import multiprocessing
 import time
@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"rollout_greedy_p must lie in [0, 1], got {self.rollout_greedy_p}")
         if self.detection_radius < 0:
             raise ConfigError(f"detection_radius must be >= 0, got {self.detection_radius}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @property
     def instances(self) -> int:
@@ -188,11 +190,11 @@ def run_random_baseline(tree: SearchTree, k: int, rng: np.random.Generator) -> P
     if tree.node(tree.root).visits == 0:
         raise ValueError("tree root has never been visited")
     if k <= 0:
-        return PlanSet(plans=[], k=k)
+        return PlanSet(plans=[])
     leaves = [nid for nid in tree.iter_visited() if not tree.visited_children(nid)]
     picked = rng.choice(len(leaves), size=min(k, len(leaves)), replace=False)
     plans = [materialize_plan(tree, tree.path_to(leaves[int(idx)])) for idx in picked]
-    return PlanSet(plans=plans, k=k)
+    return PlanSet(plans=plans)
 
 
 def _instance_records(
@@ -246,11 +248,6 @@ def _instance_records(
     return records
 
 
-def _instance_records_default_clock(args: tuple[ExperimentConfig, int]) -> list[ResultRecord]:
-    config, instance_id = args
-    return _instance_records(config, instance_id, time.perf_counter)
-
-
 def run_experiment(
     config: ExperimentConfig, clock: Callable[[], float] | None = None
 ) -> list[ResultRecord]:
@@ -281,42 +278,16 @@ def run_experiment(
                     sink.write(record.csv_row() + "\n")
                 sink.flush()
 
+    work = functools.partial(_instance_records, config, clock=clock or time.perf_counter)
     try:
         if config.workers == 1:
-            tick = clock or time.perf_counter
-            consume(_instance_records(config, i, tick) for i in range(config.instances))
+            consume(map(work, range(config.instances)))
         else:
             with multiprocessing.Pool(config.workers) as pool:
-                consume(
-                    pool.imap(
-                        _instance_records_default_clock,
-                        ((config, i) for i in range(config.instances)),
-                    )
-                )
+                consume(pool.imap(work, range(config.instances)))
     finally:
         if sink:
             sink.close()
-    return records
-
-
-def read_records(path: str | Path) -> list[ResultRecord]:
-    records = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            records.append(
-                ResultRecord(
-                    instance_id=int(row["instance_id"]),
-                    risk=float(row["risk"]),
-                    planner=row["planner"],
-                    success=row["success"] == "true",
-                    plans_emitted=int(row["plans_emitted"]),
-                    best_path_len=int(row["best_path_len"]) if row["best_path_len"] else None,
-                    shortest_path=int(row["shortest_path"]),
-                    tree_build_seconds=float(row["build_s"]),
-                    extraction_seconds=float(row["extract_s"]),
-                )
-            )
     return records
 
 

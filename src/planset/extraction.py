@@ -66,17 +66,12 @@ class ExtractionConfig:
             raise ValueError(f"d must lie in [0, 1], got {self.d}")
 
 
-def extract_plans(
-    tree: SearchTree,
-    config: ExtractionConfig,
-    pop_log: list[float] | None = None,
-) -> PlanSet:
+def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     """Extract the bounded plan set defined by ``config`` from ``tree``.
 
     Complete plans leave the queue in non-increasing quality order, so the
     set is sound (nothing better exists outside it) and complete (every
-    qualifying plan is found).  ``pop_log``, if given, receives the quality
-    of every popped stem, for order/complexity assertions in tests.
+    qualifying plan is found).
     """
     k, q, d = config.k, config.q, config.d
     nodes = tree.nodes
@@ -94,8 +89,6 @@ def extract_plans(
         neg_logq, _, last = heapq.heappop(heap)
         logq = -neg_logq
         pops += 1
-        if pop_log is not None:
-            pop_log.append(math.exp(logq))
         best = best_sibling_value(tree, last)
         expanded = False
         for cid in nodes[last].children:
@@ -139,7 +132,7 @@ def extract_plans(
                 if any(diversity_excluding(accepted, i) < d for i in range(len(accepted))):
                     accepted[weakest] = old
 
-    return PlanSet(plans=accepted, k=k, q=q, d=d, pops=pops)
+    return PlanSet(plans=accepted, pops=pops)
 
 
 def diversity_excluding(plans: list[Plan], index: int) -> float:

@@ -99,6 +99,8 @@ class SearchConfig:
             raise ValueError("iterations must be >= 1")
         if self.max_rollout_steps < 1:
             raise ValueError("max_rollout_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def rollout(sim: Simulator, state: Any, rng: np.random.Generator, max_steps: int) -> float:

@@ -43,12 +43,9 @@ class Plan:
 
 @dataclass
 class PlanSet:
-    """Plans in acceptance order plus the bounds they were extracted under."""
+    """Plans in acceptance order."""
 
     plans: list[Plan] = field(default_factory=list)
-    k: float = math.inf
-    q: float = 0.0
-    d: float = 0.0
     pops: int = 0  # priority-queue pops spent extracting this set
 
     def __len__(self) -> int:
@@ -56,9 +53,6 @@ class PlanSet:
 
     def __iter__(self):
         return iter(self.plans)
-
-    def min_quality(self) -> float:
-        return min(p.relative_quality for p in self.plans)
 
 
 def best_sibling_value(tree: SearchTree, parent_id: int) -> float:
@@ -84,7 +78,7 @@ def step_log_ratio(tree: SearchTree, child_id: int, best: float) -> float:
     return math.log(chosen) - math.log(best)
 
 
-def path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
+def _path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
     """Log-space relative quality of a root-anchored path.
 
     Products of many sub-1 ratios underflow; summing logs does not.  A zero
@@ -105,7 +99,7 @@ def relative_plan_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
 
     The single-node path is the empty product, 1.0.
     """
-    return math.exp(path_log_quality(tree, nodes))
+    return math.exp(_path_log_quality(tree, nodes))
 
 
 def absolute_quality(tree: SearchTree, relative_quality: float) -> float:
@@ -116,7 +110,7 @@ def absolute_quality(tree: SearchTree, relative_quality: float) -> float:
 def materialize_plan(tree: SearchTree, nodes: Sequence[int], log_quality: float | None = None) -> Plan:
     """Build a :class:`Plan` (actions, state keys, qualities) from a node path."""
     if log_quality is None:
-        log_quality = path_log_quality(tree, nodes)
+        log_quality = _path_log_quality(tree, nodes)
     relative = math.exp(log_quality)
     records = [tree.node(nid) for nid in nodes]
     return Plan(
@@ -142,14 +136,14 @@ def state_set_distance(plan_a: Plan, plan_b: Plan) -> float:
     return _key_set_distance(plan_a.state_keys, plan_b.state_keys)
 
 
-def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: "PlanSet | Iterable[Plan]") -> float:
+def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:
     """Min distance from ``plan`` to any member; 1.0 for an empty collection.
 
     ``plan`` may be a bare state-key set, so a candidate can be tested
     before a :class:`Plan` is built for it.
     """
     keys = plan.state_keys if isinstance(plan, Plan) else plan
-    members = plans.plans if isinstance(plans, PlanSet) else list(plans)
+    members = list(plans)
     if not members:
         return 1.0
     return min(_key_set_distance(keys, other.state_keys) for other in members)

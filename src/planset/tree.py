@@ -6,6 +6,7 @@ stay valid for the lifetime of the tree (no deletion).  Node values come in
 two flavours selected per tree: the running average of backpropagated
 rewards, or the maximum value among visited children (the usual choice for
 single-player search, where there is no adversary to punish optimism).
+A tree is read only in the mode it was built or loaded with.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class UndefinedValueError(ValueError):
     """Value requested for a node that has never been visited."""
 
 
-class LeafError(ValueError):
-    """Child-dependent operation applied to a node with no visited children."""
-
-
 class ValueMode(Enum):
     AVERAGE = "average"
     MAX = "max"
@@ -43,9 +40,10 @@ class NodeRecord:
     """Statistics and links for one tree node.
 
     ``visits`` and ``total_reward`` are only ever touched by
-    ``backpropagate``; ``max_value`` caches the max-mode value (falls back to
-    the node's own average while it has no visited children) and is refreshed
-    bottom-up along each backpropagated path.
+    ``backpropagate``.  ``max_value`` is kept only in MAX trees (it stays 0.0
+    in AVERAGE trees): it caches the node's max-mode value (its own average
+    while it has no visited children) and is refreshed bottom-up along each
+    backpropagated path.
     """
 
     parent: Optional[int]
@@ -69,7 +67,7 @@ class SearchTree:
         root_actions: Iterable[int] = (),
         root_terminal: bool = False,
     ):
-        self.value_mode = value_mode
+        self._value_mode = value_mode
         self.nodes: list[NodeRecord] = [
             NodeRecord(
                 parent=None,
@@ -80,6 +78,11 @@ class SearchTree:
             )
         ]
         self.root = 0
+
+    @property
+    def value_mode(self) -> ValueMode:
+        """Fixed for the tree's life: an AVERAGE tree keeps no max values."""
+        return self._value_mode
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -129,7 +132,7 @@ class SearchTree:
             raise ValueError(f"reward {reward!r} outside [0, 1]")
         self.node(leaf)
         nodes = self.nodes
-        refresh = True
+        refresh = self._value_mode is ValueMode.MAX
         nid: Optional[int] = leaf
         while nid is not None:
             rec = nodes[nid]
@@ -166,8 +169,9 @@ class SearchTree:
         nodes = self.nodes
         return [cid for cid in self.node(node_id).children if nodes[cid].visits]
 
-    def q_value(self, node_id: int, mode: ValueMode | None = None) -> float:
-        """Node value estimate: mean backpropagated reward, or max child value.
+    def q_value(self, node_id: int) -> float:
+        """Node value in the tree's mode: mean backpropagated reward, or max
+        child value.
 
         Unvisited nodes carry no estimate and raise
         :class:`UndefinedValueError`.
@@ -175,24 +179,9 @@ class SearchTree:
         rec = self.node(node_id)
         if rec.visits == 0:
             raise UndefinedValueError(f"node {node_id} has no visits")
-        if (mode or self.value_mode) is ValueMode.MAX:
+        if self._value_mode is ValueMode.MAX:
             return rec.max_value
         return rec.total_reward / rec.visits
-
-    def best_child(self, node_id: int) -> int:
-        """Visited child with the highest value; ties go to the lowest id."""
-        best_id = -1
-        best_q = -1.0
-        nodes = self.nodes
-        for cid in self.node(node_id).children:
-            if nodes[cid].visits:
-                q = self.q_value(cid)
-                if q > best_q:
-                    best_q = q
-                    best_id = cid
-        if best_id < 0:
-            raise LeafError(f"node {node_id} has no visited children")
-        return best_id
 
     def check_consistency(self, tol: float = 1e-9) -> list[int]:
         """Ids of nodes whose statistics cannot arise from backpropagation.
@@ -250,9 +239,11 @@ class SearchTree:
     def from_text(cls, text: str) -> "SearchTree":
         """Load a tree written by :meth:`dump`.
 
-        Raises ``ValueError`` for text no search can have written: a
-        malformed line, a non-finite reward, two edges with the same action
-        out of one node, or statistics that fail :meth:`check_consistency`.
+        The tree is read in the value mode its header names.  Raises
+        ``ValueError`` for text no search can have written: a malformed
+        line, a second root, a non-finite reward, a child of a terminal node,
+        two edges with the same action out of one node, or statistics that
+        fail :meth:`check_consistency`.
         """
         mode = ValueMode.AVERAGE
         tree: SearchTree | None = None
@@ -269,6 +260,8 @@ class SearchTree:
             key = b"" if key_s == "-" else bytes.fromhex(key_s)
             terminal = bool(int(term_s))
             if parent_s == "-1":
+                if tree is not None:
+                    raise ValueError(f"node {nid_s}: a second root")
                 tree = cls(root_state_key=key, value_mode=mode, root_terminal=terminal)
                 rec = tree.nodes[0]
             else:
@@ -277,6 +270,8 @@ class SearchTree:
                 parent = int(parent_s)
                 if not 0 <= parent < len(tree.nodes):
                     raise ValueError(f"node {nid_s}: parent {parent} is not listed before it")
+                if tree.nodes[parent].terminal:
+                    raise ValueError(f"node {nid_s}: parent {parent} is terminal")
                 action = int(action_s)
                 siblings = tree.nodes[parent].children
                 if any(tree.nodes[cid].action == action for cid in siblings):
@@ -302,9 +297,10 @@ class SearchTree:
             raise ValueError(f"statistics no backpropagation can produce at nodes {bad[:10]}")
         # Children always have larger ids than their parent, so the reversed
         # arena lists children before parents.
-        for rec in reversed(tree.nodes):
-            if rec.visits:
-                tree._refresh_max_value(rec)
+        if tree.value_mode is ValueMode.MAX:
+            for rec in reversed(tree.nodes):
+                if rec.visits:
+                    tree._refresh_max_value(rec)
         return tree
 
     def iter_visited(self) -> Iterator[int]:

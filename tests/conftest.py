@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from planset.metrics import Plan, PlanSet, min_pairwise_diversity
-from planset.tree import LeafError, SearchTree, ValueMode
+from planset.tree import SearchTree, ValueMode
 
 
 def random_backprop_tree(
@@ -53,13 +53,15 @@ def leaf_deposit_tree(
     max_nodes: int = 40,
     max_actions: int = 3,
     playouts: int = 60,
+    value_mode: ValueMode | None = None,
 ) -> SearchTree:
     """Grow the structure first, then deposit playouts only at leaves.
 
     Internal nodes carry no self-terminated mass, so their averages are
     exact visit-weighted child averages.
     """
-    value_mode = ValueMode.MAX if rng.random() < 0.5 else ValueMode.AVERAGE
+    if value_mode is None:
+        value_mode = ValueMode.MAX if rng.random() < 0.5 else ValueMode.AVERAGE
     n_actions = int(rng.integers(1, max_actions + 1))
     tree = SearchTree(b"s0", value_mode, root_actions=range(n_actions))
     target = int(rng.integers(1, max_nodes + 1))
@@ -139,12 +141,30 @@ def assert_matches_oracle(extracted, oracle, k, tol=1e-12):
         assert mine <= full_ref[quality], "extracted a plan the oracle does not rank here"
 
 
+class LeafError(ValueError):
+    """Child-dependent operation applied to a node with no visited children."""
+
+
+def best_child(tree: SearchTree, node_id: int) -> int:
+    """Visited child with the highest value; ties go to the lowest id."""
+    best_id = -1
+    best_q = -1.0
+    for cid in tree.visited_children(node_id):
+        q = tree.q_value(cid)
+        if q > best_q:
+            best_q = q
+            best_id = cid
+    if best_id < 0:
+        raise LeafError(f"node {node_id} has no visited children")
+    return best_id
+
+
 def best_path(tree: SearchTree) -> list[int]:
     """Root-to-leaf node sequence following best_child at every step."""
     path = [tree.root]
     while True:
         try:
-            path.append(tree.best_child(path[-1]))
+            path.append(best_child(tree, path[-1]))
         except LeafError:
             return path
 
@@ -158,7 +178,7 @@ def greedy_diverse_filter(plans: list[Plan], d: float, k: float) -> PlanSet:
             break
         if min_pairwise_diversity(plan, kept) >= d:
             kept.append(plan)
-    return PlanSet(plans=kept, k=k, q=0.0, d=d)
+    return PlanSet(plans=kept)
 
 
 # -- reference bandit scorer -------------------------------------------------

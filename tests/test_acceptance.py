@@ -134,7 +134,7 @@ def test_criterion_4_pareto_front():
             for d in (0.25, 0.5):
                 chosen = extract_plans(tree, ExtractionConfig(k=4, d=d))
                 inside = {p.nodes for p in chosen.plans}
-                floor = chosen.min_quality()
+                floor = min(p.relative_quality for p in chosen)
                 for plan, quality in ranked:
                     if plan.nodes in inside or not plan.state_keys:
                         continue

@@ -118,6 +118,7 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         ["--risk_levels", "1.5"],
         ["--rollout_greedy_p", "1.5"],
         ["--detection_radius", "-1"],
+        ["--master_seed", "-1"],
     ):
         assert main(["experiment", *flags, *small]) == 1, flags
         assert capsys.readouterr().err.startswith("error:"), flags
@@ -139,13 +140,24 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         ["extract", "--tree", str(tree_path), "--d", "-1"],
         ["plan", "--world", str(world_file), "--iterations", "0"],
         ["plan", "--world", str(world_file), "--exploration_c", "-1"],
+        ["plan", "--world", str(world_file), "--seed", "-1"],
+        # Trees are read in the mode their header names.
+        ["extract", "--tree", str(tree_path), "--mode", "max"],
+        ["oracle", "--tree", str(tree_path), "--mode", "average"],
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_runtime_fault_returns_two(tmp_path, capsys):
+    # Tree text no search can write is a runtime fault.
     bad_tree = tmp_path / "mangled.txt"
-    bad_tree.write_text("# planset-tree v1 mode=average\n0 -1 -1 not_a_number 0 0 -\n", encoding="utf-8")
-    assert main(["oracle", "--tree", str(bad_tree)]) == 2
-    capsys.readouterr()
+    for rows in (
+        ("0 -1 -1 not_a_number 0 0 -",),
+        ("0 -1 -1 1 0.5 0 -", "1 0 0 1 0.5 1 61", "0 -1 -1 3 0.9 0 -"),  # a second root
+        ("0 -1 -1 1 0.5 1 -", "1 0 0 1 0.5 0 61"),  # a child of a terminal node
+    ):
+        bad_tree.write_text("# planset-tree v1 mode=average\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        for command in ("oracle", "extract"):
+            assert main([command, "--tree", str(bad_tree)]) == 2, (command, rows)
+            assert capsys.readouterr().err.startswith("fault:"), (command, rows)

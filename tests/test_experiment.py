@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from planset.experiment import (
     ExperimentConfig,
     PlannerKind,
     PlannerSpec,
+    ResultRecord,
     config_from_mapping,
     desk_profile,
     mean_ci,
@@ -23,7 +25,6 @@ from planset.experiment import (
     parse_config_file,
     parse_planners,
     proportion_ci,
-    read_records,
     run_experiment,
     run_random_baseline,
     spaced_risk_levels,
@@ -32,6 +33,25 @@ from planset.experiment import (
 )
 from planset.mcts import BanditConfig, SearchConfig
 from planset.tree import SearchTree, ValueMode
+
+
+def read_records(path):
+    """Records back from a CSV that ``run_experiment`` wrote."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return [
+            ResultRecord(
+                instance_id=int(row["instance_id"]),
+                risk=float(row["risk"]),
+                planner=row["planner"],
+                success=row["success"] == "true",
+                plans_emitted=int(row["plans_emitted"]),
+                best_path_len=int(row["best_path_len"]) if row["best_path_len"] else None,
+                shortest_path=int(row["shortest_path"]),
+                tree_build_seconds=float(row["build_s"]),
+                extraction_seconds=float(row["extract_s"]),
+            )
+            for row in csv.DictReader(handle)
+        ]
 
 
 class CountingClock:
@@ -433,8 +453,6 @@ def test_ordering_emerges_at_measurable_geometry():
 
 
 def test_summarize_small_groups_excluded():
-    from planset.experiment import ResultRecord
-
     records = [
         ResultRecord(0, 0.1, "single", True, 1, 7, 7, 0.1, 0.001),
         ResultRecord(1, 0.1, "single", False, 1, None, 7, 0.1, 0.001),

@@ -1,4 +1,6 @@
+import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,12 +183,20 @@ def _tie_equal(got, oracle):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_pop_order_monotone_and_bounded(seed):
+def test_pop_order_monotone_and_bounded(monkeypatch, seed):
+    pop_log = []
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        pop_log.append(math.exp(-entry[0]))  # entries lead with -log quality
+        return entry
+
+    monkeypatch.setattr(extraction, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
     rng = np.random.default_rng(seed)
     tree = random_backprop_tree(rng)
     for k in (1, 3, 10):
-        pop_log = []
-        result = extract_plans(tree, ExtractionConfig(k=k), pop_log=pop_log)
+        pop_log.clear()
+        result = extract_plans(tree, ExtractionConfig(k=k))
         assert result.pops == len(pop_log)
         assert all(a >= b - 1e-12 for a, b in zip(pop_log, pop_log[1:]))
         assert result.pops <= k * max(tree_depth(tree), 1) + 1

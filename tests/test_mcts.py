@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    best_child,
     diverse_ucb1_reference,
     diversity_bonus_reference,
     stem_state_keys,
@@ -214,7 +215,7 @@ def test_stem_bonus_matches_set_reference():
 
 def test_two_arm_bandit_converges():
     tree = run_search(TwoArmBandit(), SearchConfig(iterations=100, bandit=BanditConfig(exploration_c=1.0), seed=5))
-    best = tree.best_child(tree.root)
+    best = best_child(tree, tree.root)
     assert tree.node(best).action == 0
     assert tree.node(tree.root).visits == 100
 

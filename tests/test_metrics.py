@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_backprop_tree, random_root_path
+from conftest import best_child, random_backprop_tree, random_root_path
 from planset.metrics import (
     DegeneratePlanError,
     InvalidPathError,
@@ -201,7 +201,7 @@ def test_best_child_extension_preserves_quality(seed):
         path = random_root_path(rng, tree)
         if not tree.visited_children(path[-1]):
             continue
-        extended = path + [tree.best_child(path[-1])]
+        extended = path + [best_child(tree, path[-1])]
         assert relative_plan_quality(tree, extended) == pytest.approx(
             relative_plan_quality(tree, path), abs=1e-12
         )

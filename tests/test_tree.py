@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import leaf_deposit_tree, random_backprop_tree
+from conftest import LeafError, best_child, leaf_deposit_tree, random_backprop_tree
+from planset.gridworld import PlanningSimulator, generate_instance
+from planset.mcts import SearchConfig, run_search
 from planset.tree import (
     DuplicateEdgeError,
     InvalidNodeError,
-    LeafError,
     SearchTree,
     UndefinedValueError,
     ValueMode,
 )
+
+
+def mean_reward(tree, nid):
+    rec = tree.node(nid)
+    return rec.total_reward / rec.visits
 
 
 def chain_tree(rewards_per_node):
@@ -123,7 +129,13 @@ def test_q_value_max_mode_takes_best_child():
     tree.backpropagate(a, 0.2)
     tree.backpropagate(b, 0.9)
     assert tree.q_value(tree.root) == 0.9
-    assert tree.q_value(tree.root, ValueMode.AVERAGE) == pytest.approx(0.55)
+    assert mean_reward(tree, tree.root) == pytest.approx(0.55)
+
+
+def test_value_mode_is_fixed():
+    tree = SearchTree(b"root", ValueMode.AVERAGE)
+    with pytest.raises(AttributeError):
+        tree.value_mode = ValueMode.MAX
 
 
 def test_q_value_max_mode_falls_back_to_average_at_frontier():
@@ -145,21 +157,21 @@ def test_best_child_argmax_and_ties():
     kids = [tree.add_child(tree.root, a, b"s%d" % a) for a in range(3)]
     for kid, q in zip(kids, (0.4, 0.9, 0.7)):
         tree.backpropagate(kid, q)
-    assert tree.best_child(tree.root) == kids[1]
+    assert best_child(tree, tree.root) == kids[1]
 
     tie = SearchTree(b"root", root_actions=[0, 1])
     t0 = tie.add_child(tie.root, 0, b"a")
     t1 = tie.add_child(tie.root, 1, b"b")
     tie.backpropagate(t0, 0.5)
     tie.backpropagate(t1, 0.5)
-    assert tie.best_child(tie.root) == t0
+    assert best_child(tie, tie.root) == t0
 
 
 def test_best_child_on_leaf():
     tree = SearchTree(b"root")
     tree.backpropagate(tree.root, 0.5)
     with pytest.raises(LeafError):
-        tree.best_child(tree.root)
+        best_child(tree, tree.root)
 
 
 def test_consistency_clean_and_corrupted():
@@ -189,8 +201,7 @@ def test_random_tree_invariants(seed):
         child_visits = sum(tree.node(c).visits for c in rec.children)
         assert rec.visits >= child_visits
         if rec.visits:
-            avg = tree.q_value(nid, ValueMode.AVERAGE)
-            assert 0.0 <= avg <= 1.0
+            assert 0.0 <= mean_reward(tree, nid) <= 1.0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -199,24 +210,22 @@ def test_max_mode_dominates_average(seed):
     # exactly its children's mass; playouts that end at an internal node add
     # self mass its children never see and break the comparison.
     rng = np.random.default_rng(seed)
-    tree = leaf_deposit_tree(rng)
+    tree = leaf_deposit_tree(rng, value_mode=ValueMode.MAX)
     assert tree.check_consistency() == []
     for nid in tree.iter_visited():
         if tree.visited_children(nid):
-            avg = tree.q_value(nid, ValueMode.AVERAGE)
-            assert tree.q_value(nid, ValueMode.MAX) >= avg - 1e-12
+            assert tree.q_value(nid) >= mean_reward(tree, nid) - 1e-12
 
 
 def test_serialization_round_trip():
-    rng = np.random.default_rng(11)
-    tree = random_backprop_tree(rng)
-    text = tree.to_text()
-    clone = SearchTree.from_text(text)
-    assert clone.to_text() == text
-    assert clone.value_mode == tree.value_mode
-    for nid in tree.iter_visited():
-        assert clone.q_value(nid) == tree.q_value(nid)
-        assert clone.q_value(nid, ValueMode.MAX) == tree.q_value(nid, ValueMode.MAX)
+    for mode in ValueMode:
+        tree = random_backprop_tree(np.random.default_rng(11), value_mode=mode)
+        text = tree.to_text()
+        clone = SearchTree.from_text(text)
+        assert clone.to_text() == text
+        assert clone.value_mode is mode
+        for nid in tree.iter_visited():
+            assert clone.q_value(nid) == tree.q_value(nid)
 
 
 def test_serialization_reward_precision():
@@ -242,6 +251,19 @@ def tree_text(*rows):
 def test_load_rejects_parent_not_listed_before(parent):
     with pytest.raises(ValueError, match="not listed before"):
         SearchTree.from_text(tree_text("0 -1 -1 1 0.5 0 -", f"1 {parent} 0 0 0 1 61"))
+
+
+def test_load_rejects_second_root():
+    # A valid 2-node tree plus a second root line: no search writes two roots.
+    text = tree_text("0 -1 -1 1 0.5 0 -", "1 0 0 1 0.5 1 61", "0 -1 -1 3 0.9 0 -")
+    with pytest.raises(ValueError, match="second root"):
+        SearchTree.from_text(text)
+
+
+def test_load_rejects_child_of_terminal_node():
+    text = tree_text("0 -1 -1 1 0.5 1 -", "1 0 0 1 0.5 0 61")
+    with pytest.raises(ValueError, match="terminal"):
+        SearchTree.from_text(text)
 
 
 def test_load_rejects_repeated_action():
@@ -277,11 +299,25 @@ def assert_max_values_fresh(tree):
         assert tree.nodes[nid].max_value == fresh.nodes[nid].max_value, nid
 
 
+def count_refreshes(monkeypatch) -> list:
+    """Records every node ``_refresh_max_value`` is called on from now on."""
+    real = SearchTree._refresh_max_value
+    calls = []
+
+    def counted(self, rec):
+        calls.append(rec)
+        return real(self, rec)
+
+    monkeypatch.setattr(SearchTree, "_refresh_max_value", counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode", list(ValueMode))
 @pytest.mark.parametrize("seed", range(10))
 def test_backpropagate_refresh_matches_a_full_recompute(monkeypatch, mode, seed):
     real = SearchTree.backpropagate
     calls = []
+    refreshes = count_refreshes(monkeypatch)
 
     def checked(self, leaf, reward):
         real(self, leaf, reward)
@@ -291,6 +327,24 @@ def test_backpropagate_refresh_matches_a_full_recompute(monkeypatch, mode, seed)
     monkeypatch.setattr(SearchTree, "backpropagate", checked)
     random_backprop_tree(np.random.default_rng(seed), value_mode=mode, extra_playouts=40)
     assert len(calls) > 40
+    # An AVERAGE tree keeps no max cache: neither its backpropagate nor its
+    # from_text refreshes one.
+    assert bool(refreshes) == (mode is ValueMode.MAX)
+
+
+@pytest.mark.parametrize("mode", list(ValueMode))
+def test_only_max_trees_refresh_max_values(monkeypatch, mode):
+    calls = count_refreshes(monkeypatch)
+    sim = PlanningSimulator(generate_instance(6, 6, 0.2, rng=3))
+    tree = run_search(sim, SearchConfig(iterations=200, max_rollout_steps=20, value_mode=mode, seed=1))
+    searched = len(calls)
+    SearchTree.from_text(tree.to_text())
+    loaded = len(calls) - searched
+    if mode is ValueMode.MAX:
+        assert searched > 0 and loaded > 0
+    else:
+        assert (searched, loaded) == (0, 0)
+        assert all(rec.max_value == 0.0 for rec in tree.nodes)
 
 
 def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
