@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 from types import SimpleNamespace
@@ -15,8 +16,11 @@ from planset.extraction import (
     diversity_excluding,
     extract_plans,
 )
+from planset.experiment import run_random_baseline
+from planset.gridworld import PlanningSimulator, generate_instance
+from planset.mcts import BanditConfig, SearchConfig, run_search
 from planset.metrics import min_pairwise_diversity, relative_plan_quality
-from planset.tree import SearchTree
+from planset.tree import SearchTree, ValueMode
 
 
 def two_leaf_tree(q_a=0.9, q_b=0.6):
@@ -371,3 +375,76 @@ def test_nan_bounds_are_rejected_with_their_own_message(field):
     message = {"k": "k must be a positive integer or inf", "q": "q must lie in", "d": "d must lie in"}[field]
     with pytest.raises(ValueError, match=message):
         ExtractionConfig(**{field: math.nan})
+
+
+# -- pinned extraction output -----------------------------------------------------
+#
+# SHA-256 (first 16 hex digits) of each plan set extracted from a searched
+# desk-like tree: every plan's nodes, actions, sorted state keys and
+# ``repr`` of both qualities, then the set's pop count.  One digest per bound
+# of the re-planning grid below, the random baseline last (its generator
+# seeded with the tree's seed).  Trees are ``run_search`` on
+# ``generate_instance(12, 12, 0.2, seed)``, 1,500 iterations, rollouts of at
+# most 60 steps, UCB1; keyed by (exploration_c, value mode, seed).  The same
+# digests must come out of the tree as searched and out of its
+# ``from_text(to_text())`` reload.
+
+GOLDEN_BOUNDS = (
+    ExtractionConfig(k=1),
+    ExtractionConfig(k=5),
+    ExtractionConfig(k=50),
+    ExtractionConfig(k=5, q=0.8),
+    ExtractionConfig(k=math.inf, q=0.8),
+    ExtractionConfig(k=5, q=0.8, d=0.5),
+    ExtractionConfig(k=10, q=0.8, d=0.3),
+    None,  # random:5
+)
+
+GOLDEN_PLAN_SETS = {
+    (0.7, ValueMode.AVERAGE, 0): ('3720594b163ae63b', 'daa526dc43d1a560', '6d38204dfb4853c4', 'daa526dc43d1a560', 'a325181a8de95529', '18773c04937405c7', '9dad1d7db76ab066', 'd3f3d421478f3e4a'),
+    (0.7, ValueMode.AVERAGE, 1): ('b77a80516516ce08', 'daf1dfe89e14842d', 'cf8fb0dd955a1f0a', 'daf1dfe89e14842d', '7faf0472dd549a70', 'deacf137d3b9fbe6', '9d147476473deb11', '7621518592ca2de8'),
+    (0.7, ValueMode.AVERAGE, 2): ('848765f123e04ae7', 'b10f0c140151ce3d', '0950c5b05b458edd', 'b10f0c140151ce3d', '007ac96e0a1b9bea', '933c7d1bc0691658', '1b8dbbdde0cf37a0', '07f29f01c2858a2a'),
+    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '32825315a547a7c2', '538cd691a0ec40e4', 'f1e246a631520d80'),
+    (0.7, ValueMode.MAX, 1): ('91712854cab38c1d', 'ba2c53a5e32ab595', '532c47be50cdcf79', 'ba2c53a5e32ab595', '1b03c8119d9b0186', '34c25ebdec990e9d', 'e2b9ddadcea6e0d1', 'c6b18a08be7a5b3e'),
+    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', '4c1dd03a7841bfa8', 'b46f9c8cf0ad5951', '25f946e29cdbc56a'),
+    (0.02, ValueMode.AVERAGE, 0): ('156021d471af6818', 'f331190a9d0683b2', '1eecd6129f076708', 'f331190a9d0683b2', '3016e2614fcf803a', 'efb88d9d6199ddae', 'cecde2020572bcf7', '9e6831a58fc4aa95'),
+    (0.02, ValueMode.AVERAGE, 1): ('8af0b382526c5fdf', '37c2bde64262ff99', 'a22acef07b21c66b', '37c2bde64262ff99', '94ebd5d2a961a721', '07093774a65fb5b7', 'f2b80e4a7efa803b', '9b91477c9260c3f1'),
+    (0.02, ValueMode.AVERAGE, 2): ('635c3f1fbd24abee', 'd3068394b0858f7e', 'fdd1776e4c0189a0', 'd3068394b0858f7e', '2b4f698c01d59d47', 'da6da84090da8ae8', '58e29fa680f8cd6a', 'e339c0cd2fa6286e'),
+    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', 'c2183d9f2e368afa', '9265df51bd919449', 'e83599ddd93e232c'),
+    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', '50e7718ac3e74ded', 'c89e988d254b8efd', 'b7991209361247a0'),
+    (0.02, ValueMode.MAX, 2): ('f7594a203c58cf18', '71cf76c3bf8858c3', '4ff380524738151e', '71cf76c3bf8858c3', '2a386d4530b0cac3', '327679d6ff49f313', '3a9cb436e5471731', 'b4ee1410c71553d7'),
+}
+
+
+def golden_plan_tree(c, mode, seed):
+    sim = PlanningSimulator(generate_instance(12, 12, 0.2, seed))
+    config = SearchConfig(
+        iterations=1500, max_rollout_steps=60, value_mode=mode,
+        bandit=BanditConfig(exploration_c=c), seed=seed,
+    )
+    return run_search(sim, config)
+
+
+def plan_set_digests(tree, seed):
+    digests = []
+    for bounds in GOLDEN_BOUNDS:
+        if bounds is None:
+            plan_set = run_random_baseline(tree, 5, np.random.default_rng(seed))
+        else:
+            plan_set = extract_plans(tree, bounds)
+        lines = [
+            f"{p.nodes} {p.actions} {sorted(p.state_keys)} {p.relative_quality!r} {p.absolute_quality!r}"
+            for p in plan_set
+        ]
+        lines.append(f"pops {plan_set.pops}")
+        digests.append(hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["searched", "loaded"])
+@pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
+def test_plan_sets_match_the_pinned_hashes(key, loaded):
+    tree = golden_plan_tree(*key)
+    if loaded:
+        tree = SearchTree.from_text(tree.to_text())
+    assert plan_set_digests(tree, key[2]) == GOLDEN_PLAN_SETS[key]

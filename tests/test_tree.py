@@ -291,6 +291,46 @@ def test_load_rejects_inconsistent_statistics(rows):
         SearchTree.from_text(tree_text(*rows))
 
 
+# Every other refusal, with the message it gives today.  Faults are checked
+# line by line in file order and, within a line, in the order of the cases
+# marked "first" below.
+LOADER_REFUSALS = {
+    "six fields": (tree_text("0 -1 -1 1 0.5 0"), "not enough values to unpack (expected 7, got 6)"),
+    "eight fields": (tree_text("0 -1 -1 1 0.5 0 - 9"), "too many values to unpack (expected 7)"),
+    "id gap": (tree_text("0 -1 -1 2 1 0 -", "2 0 0 1 0.5 1 61"), "non-contiguous node id 2"),
+    "root id": (tree_text("1 -1 -1 1 0.5 0 -"), "non-contiguous node id 1"),
+    "id not a number": (tree_text("x -1 -1 1 0.5 0 -"), "invalid literal for int() with base 10: 'x'"),
+    "before root": (tree_text("1 0 0 1 0.5 1 61", "0 -1 -1 1 0.5 0 -"), "node listed before root"),
+    "empty": ("", "empty tree text"),
+    "header only": ("# planset-tree v1 mode=max\n\n", "empty tree text"),
+    "bad hex key": (tree_text("0 -1 -1 1 0.5 0 zz"), "non-hexadecimal number found in fromhex() arg at position 0"),
+    "odd hex key": (tree_text("0 -1 -1 1 0.5 0 616"), "non-hexadecimal number found in fromhex() arg at position 3"),
+    "unknown mode": ("# planset-tree v1 mode=median\n0 -1 -1 1 0.5 0 -\n", "'median' is not a valid ValueMode"),
+    "terminal not a number": (tree_text("0 -1 -1 1 0.5 t -"), "invalid literal for int() with base 10: 't'"),
+    "action not a number": (tree_text("0 -1 -1 1 0.5 0 -", "1 0 a 1 0.5 1 61"), "invalid literal for int() with base 10: 'a'"),
+    "visits not a number": (tree_text("0 -1 -1 v 0.5 0 -"), "invalid literal for int() with base 10: 'v'"),
+    "reward not a number": (tree_text("0 -1 -1 1 r 0 -"), "could not convert string to float: 'r'"),
+    "first: field count before key": (tree_text("0 -1 -1 1 0.5 zz"), "not enough values to unpack (expected 7, got 6)"),
+    "first: key before terminal": (tree_text("0 -1 -1 1 0.5 t zz"), "non-hexadecimal number found in fromhex() arg at position 0"),
+    "first: terminal before parent": (tree_text("0 -1 -1 1 0.5 0 -", "1 9 0 1 0.5 t 61"), "invalid literal for int() with base 10: 't'"),
+    "first: parent before action": (tree_text("0 -1 -1 1 0.5 0 -", "1 9 a 1 0.5 1 61"), "node 1: parent 9 is not listed before it"),
+    "first: action before id": (tree_text("0 -1 -1 1 0.5 0 -", "5 0 a 1 0.5 1 61"), "invalid literal for int() with base 10: 'a'"),
+    "first: second root before id": (tree_text("0 -1 -1 1 0.5 0 -", "5 -1 -1 1 0.5 0 -"), "node 5: a second root"),
+    "first: id before visits": (tree_text("0 -1 -1 1 0.5 0 -", "5 0 0 v 0.5 1 61"), "non-contiguous node id 5"),
+    "first: visits before reward": (tree_text("0 -1 -1 v nan 0 -"), "invalid literal for int() with base 10: 'v'"),
+    "first: earlier line first": (tree_text("0 -1 -1 1 nan 0 -", "1 0 0 1 0.5 1 zz"), "node 0: reward nan is not finite"),
+    "first: lines before statistics": (tree_text("0 -1 -1 5 9 0 -", "1 0 0 1 0.5 1 zz"), "non-hexadecimal number found in fromhex() arg at position 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOADER_REFUSALS))
+def test_load_refusals_keep_their_messages(case):
+    text, message = LOADER_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        SearchTree.from_text(text)
+    assert str(info.value) == message
+
+
 def assert_max_values_fresh(tree):
     """Every visited node's cached max value equals the one ``from_text``
     recomputes from scratch (``.17g`` round-trips doubles, so ``==``)."""
