@@ -184,15 +184,17 @@ class ResultRecord:
         )
 
 
-def run_random_baseline(tree: SearchTree, k: int, rng: np.random.Generator) -> PlanSet:
+def run_random_baseline(tree: SearchTree, k: float, rng: np.random.Generator) -> PlanSet:
     """k root-to-leaf paths drawn uniformly over the visited tree's leaves,
-    without replacement while enough leaves exist."""
+    without replacement while enough leaves exist (every leaf at k=inf)."""
     if tree.node(tree.root).visits == 0:
         raise ValueError("tree root has never been visited")
     if k <= 0:
         return PlanSet(plans=[])
-    leaves = [nid for nid in tree.iter_visited() if not tree.visited_children(nid)]
-    picked = rng.choice(len(leaves), size=min(k, len(leaves)), replace=False)
+    # Visited nodes without a visited child, in id order.
+    parents = {rec.parent for rec in tree.nodes if rec.visits}
+    leaves = [nid for nid, rec in enumerate(tree.nodes) if rec.visits and nid not in parents]
+    picked = rng.choice(len(leaves), size=int(min(k, len(leaves))), replace=False)
     plans = [materialize_plan(tree, tree.path_to(leaves[int(idx)])) for idx in picked]
     return PlanSet(plans=plans)
 

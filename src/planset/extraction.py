@@ -8,6 +8,10 @@ the k best in the tree; a quality floor q prunes stems early, and a
 diversity floor d filters complete plans against the accepted set, with
 equal-quality ties broken in favour of the more diverse candidate.
 
+Each pop reads its stem's children's values once, from the tree as it
+stands (nothing is cached between pops or calls), and a complete plan is
+rebuilt by one walk up its parents.
+
 Cost of the diversity floor: at d = 0 there is no diversity work at all, so
 top-k and top-quality extraction build one Plan per returned plan.  At
 d > 0 each complete candidate gets one state-key-set test against the at
@@ -27,10 +31,9 @@ from dataclasses import dataclass
 from .metrics import (
     Plan,
     PlanSet,
-    best_sibling_value,
+    child_log_ratios,
     materialize_plan,
     min_pairwise_diversity,
-    step_log_ratio,
 )
 from .tree import SearchTree
 
@@ -84,18 +87,17 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     heap: list[tuple[float, int, int]] = [(-0.0, 0, tree.root)]
     seq = 1
     pops = 0
+    exp = math.exp
+    floor = q - QUALITY_TOL
 
     while heap:
         neg_logq, _, last = heapq.heappop(heap)
         logq = -neg_logq
         pops += 1
-        best = best_sibling_value(tree, last)
         expanded = False
-        for cid in nodes[last].children:
-            if not nodes[cid].visits:
-                continue
-            child_logq = logq + step_log_ratio(tree, cid, best)
-            if math.exp(child_logq) >= q - QUALITY_TOL:
+        for cid, ratio in child_log_ratios(tree, last).items():
+            child_logq = logq + ratio
+            if exp(child_logq) >= floor:
                 heapq.heappush(heap, (-child_logq, seq, cid))
                 seq += 1
                 expanded = True
@@ -158,16 +160,14 @@ def brute_force_enumerate(
     stack: list[tuple[tuple[int, ...], float]] = [((tree.root,), 0.0)]
     while stack:
         path, logq = stack.pop()
-        last = path[-1]
-        kids = [cid for cid in nodes[last].children if nodes[cid].visits]
-        if not kids:
+        ratios = child_log_ratios(tree, path[-1])
+        if not ratios:
             paths.append((path, logq))
             if len(paths) > max_paths:
                 raise TreeTooLargeError(f"more than {max_paths} leaf paths")
             continue
-        best = best_sibling_value(tree, last)
-        for cid in reversed(kids):
-            stack.append((path + (cid,), logq + step_log_ratio(tree, cid, best)))
+        for cid, ratio in reversed(ratios.items()):
+            stack.append((path + (cid,), logq + ratio))
 
     ranked = sorted(paths, key=lambda item: -math.exp(item[1]))
     return [(materialize_plan(tree, path, logq), math.exp(logq)) for path, logq in ranked]

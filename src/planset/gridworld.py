@@ -113,15 +113,23 @@ class PlanningSimulator:
         self.rollout_greedy_p = rollout_greedy_p
         self.horizon = 4 * (world.width + world.height)
         w, h = world.width, world.height
+        gx, gy = world.goal
         self._legal: dict[Cell, tuple[int, ...]] = {}
         self._keys: dict[Cell, bytes] = {}
+        # The legal move that minimises Manhattan distance to the goal, ties
+        # to the lowest action index.
+        self._greedy: dict[Cell, int] = {}
         for y in range(h):
             for x in range(w):
                 cell = (x, y)
-                self._legal[cell] = tuple(
+                legal = tuple(
                     a for a, (dx, dy) in enumerate(MOVES) if 0 <= x + dx < w and 0 <= y + dy < h
                 )
+                self._legal[cell] = legal
                 self._keys[cell] = f"{x},{y}".encode()
+                self._greedy[cell] = min(
+                    legal, key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy)
+                )
 
     def initial_state(self) -> DroneState:
         return DroneState(self.world.start, 0, False)
@@ -153,19 +161,9 @@ class PlanningSimulator:
         """Rollout policy: with probability ``rollout_greedy_p`` the legal
         move that minimises Manhattan distance to the goal (ties to the
         lowest action index), otherwise a uniform legal move."""
-        legal = self._legal[state.position]
         if self.rollout_greedy_p >= 1.0 or rng.random() < self.rollout_greedy_p:
-            gx, gy = self.world.goal
-            x, y = state.position
-            best = legal[0]
-            best_dist = 1 << 30
-            for a in legal:
-                dx, dy = MOVES[a]
-                dist = abs(x + dx - gx) + abs(y + dy - gy)
-                if dist < best_dist:
-                    best_dist = dist
-                    best = a
-            return best
+            return self._greedy[state.position]
+        legal = self._legal[state.position]
         return legal[int(rng.integers(len(legal)))]
 
 

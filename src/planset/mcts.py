@@ -20,6 +20,7 @@ the tree bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Protocol, Sequence, runtime_checkable
@@ -65,6 +66,16 @@ class Policy(Enum):
     DIVERSE_UCB1 = "diverse_ucb1"
 
 
+def _require_integers(config: Any, *names: str) -> None:
+    """Refuse a field that is not an integer (a bool or numpy integer is one)."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BanditConfig:
     """Tree-policy settings: exploration constant and selection rule.
@@ -82,6 +93,7 @@ class BanditConfig:
     def __post_init__(self):
         if not math.isfinite(self.exploration_c) or self.exploration_c < 0:
             raise ValueError(f"exploration_c must be finite and >= 0, got {self.exploration_c}")
+        _require_integers(self, "diversity_refresh_interval", "diversity_set_size")
         if self.diversity_refresh_interval < 1 or self.diversity_set_size < 1:
             raise ValueError("diversity refresh interval and set size must be >= 1")
 
@@ -95,6 +107,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "iterations", "max_rollout_steps", "seed")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.max_rollout_steps < 1:

@@ -5,6 +5,7 @@ quality* is the product, over every step, of the chosen child's value
 divided by the best sibling's value -- 1.0 exactly when the path picks the
 best child everywhere, and shrinking with every regretful choice.
 Multiplying by the root value turns it into an *absolute* expected return.
+One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
 Diversity between plans is the fraction of one plan's visited states that
 the other plan never touches (one-way, and deliberately asymmetric).
 """
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .tree import SearchTree
+from .tree import SearchTree, ValueMode
 
 
 class InvalidPathError(ValueError):
@@ -55,27 +56,33 @@ class PlanSet:
         return iter(self.plans)
 
 
-def best_sibling_value(tree: SearchTree, parent_id: int) -> float:
-    """Best value among the visited children of ``parent_id``; 0.0 if none."""
-    nodes = tree.nodes
-    return max((tree.q_value(cid) for cid in nodes[parent_id].children if nodes[cid].visits), default=0.0)
+def child_log_ratios(tree: SearchTree, parent_id: int) -> dict[int, float]:
+    """log of (child value / best visited sibling value) for every visited
+    child of ``parent_id``, in child order.
 
-
-def step_log_ratio(tree: SearchTree, child_id: int, best: float) -> float:
-    """log of (child value / best visited sibling value) for one path step.
-
-    ``best`` comes from :func:`best_sibling_value` of the child's parent, so
-    a parent's children share one scan of their siblings.  Returns 0.0
+    Values are read in the tree's own mode, once per child.  A ratio is 0.0
     (ratio 1) when every visited sibling has value 0 -- no regret is
-    measurable when all options are worthless -- and -inf when the chosen
-    child alone has value 0.
+    measurable when all options are worthless -- and -inf when the child
+    alone has value 0.
     """
+    nodes = tree.nodes
+    children = nodes[parent_id].children
+    if not children:
+        return {}
+    max_mode = tree.value_mode is ValueMode.MAX
+    ratios = {}  # child values first, turned into log ratios in place below
+    for cid in children:
+        rec = nodes[cid]
+        if rec.visits:
+            ratios[cid] = rec.max_value if max_mode else rec.total_reward / rec.visits
+    best = max(ratios.values(), default=0.0)
     if best <= 0.0:
-        return 0.0
-    chosen = tree.q_value(child_id)
-    if chosen <= 0.0:
-        return -math.inf
-    return math.log(chosen) - math.log(best)
+        return dict.fromkeys(ratios, 0.0)
+    log = math.log
+    log_best = log(best)
+    for cid, value in ratios.items():
+        ratios[cid] = log(value) - log_best if value > 0.0 else -math.inf
+    return ratios
 
 
 def _path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
@@ -90,7 +97,12 @@ def _path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
     for parent_id, child_id in zip(nodes, nodes[1:]):
         if tree.node(child_id).parent != parent_id:
             raise InvalidPathError(f"{child_id} is not a child of {parent_id}")
-        total += step_log_ratio(tree, child_id, best_sibling_value(tree, parent_id))
+        ratios = child_log_ratios(tree, parent_id)
+        # An unvisited child has no value, so its step is ratio 1 only when
+        # every visited sibling is worthless; otherwise this raises.
+        if child_id not in ratios and any(tree.q_value(cid) > 0.0 for cid in ratios):
+            tree.q_value(child_id)
+        total += ratios.get(child_id, 0.0)
     return total
 
 
@@ -112,14 +124,17 @@ def materialize_plan(tree: SearchTree, nodes: Sequence[int], log_quality: float 
     if log_quality is None:
         log_quality = _path_log_quality(tree, nodes)
     relative = math.exp(log_quality)
-    records = [tree.node(nid) for nid in nodes]
-    return Plan(
-        nodes=tuple(nodes),
-        actions=tuple(rec.action for rec in records[1:]),
-        state_keys=frozenset(rec.state_key for rec in records[1:]),
-        relative_quality=relative,
-        absolute_quality=absolute_quality(tree, relative),
-    )
+    records = tree.nodes
+    if nodes and (min(nodes) < 0 or max(nodes) >= len(records)):
+        for nid in nodes:
+            tree.node(nid)  # raises InvalidNodeError at the first id outside the tree
+    actions = []
+    keys = []
+    for nid in nodes[1:]:
+        rec = records[nid]
+        actions.append(rec.action)
+        keys.append(rec.state_key)
+    return Plan(tuple(nodes), tuple(actions), frozenset(keys), relative, absolute_quality(tree, relative))
 
 
 def _key_set_distance(keys_a: frozenset[bytes], keys_b: frozenset[bytes]) -> float:

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class InvalidNodeError(IndexError):
@@ -160,14 +160,14 @@ class SearchTree:
 
     def path_to(self, node_id: int) -> list[int]:
         """Node ids from the root down to ``node_id``."""
-        path = [node_id]
-        while (parent := self.node(path[-1]).parent) is not None:
-            path.append(parent)
-        return path[::-1]
-
-    def visited_children(self, node_id: int) -> list[int]:
         nodes = self.nodes
-        return [cid for cid in self.node(node_id).children if nodes[cid].visits]
+        path = [node_id]
+        parent = self.node(node_id).parent
+        while parent is not None:
+            path.append(parent)
+            parent = nodes[parent].parent
+        path.reverse()
+        return path
 
     def q_value(self, node_id: int) -> float:
         """Node value in the tree's mode: mean backpropagated reward, or max
@@ -247,44 +247,42 @@ class SearchTree:
         """
         mode = ValueMode.AVERAGE
         tree: SearchTree | None = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        records: list[NodeRecord] = []
+        for fields in map(str.split, text.splitlines()):
+            if not fields:
                 continue
-            if line.startswith("#"):
-                for tok in line.split():
+            if fields[0].startswith("#"):
+                for tok in fields:
                     if tok.startswith("mode="):
                         mode = ValueMode(tok[5:])
                 continue
-            nid_s, parent_s, action_s, visits_s, reward_s, term_s, key_s = line.split()
+            nid_s, parent_s, action_s, visits_s, reward_s, term_s, key_s = fields
             key = b"" if key_s == "-" else bytes.fromhex(key_s)
             terminal = bool(int(term_s))
             if parent_s == "-1":
                 if tree is not None:
                     raise ValueError(f"node {nid_s}: a second root")
                 tree = cls(root_state_key=key, value_mode=mode, root_terminal=terminal)
-                rec = tree.nodes[0]
+                records = tree.nodes
+                rec = records[0]
             else:
                 if tree is None:
                     raise ValueError("node listed before root")
                 parent = int(parent_s)
-                if not 0 <= parent < len(tree.nodes):
+                if not 0 <= parent < len(records):
                     raise ValueError(f"node {nid_s}: parent {parent} is not listed before it")
-                if tree.nodes[parent].terminal:
+                if records[parent].terminal:
                     raise ValueError(f"node {nid_s}: parent {parent} is terminal")
                 action = int(action_s)
-                siblings = tree.nodes[parent].children
-                if any(tree.nodes[cid].action == action for cid in siblings):
-                    raise ValueError(f"node {nid_s}: action {action} repeats an edge out of node {parent}")
-                siblings.append(len(tree.nodes))
-                rec = NodeRecord(
-                    parent=parent,
-                    action=action,
-                    state_key=key,
-                    terminal=terminal,
-                )
-                tree.nodes.append(rec)
-            if int(nid_s) != len(tree.nodes) - 1:
+                siblings = records[parent].children
+                for cid in siblings:
+                    if records[cid].action == action:
+                        raise ValueError(f"node {nid_s}: action {action} repeats an edge out of node {parent}")
+                siblings.append(len(records))
+                # Positional, with fresh child and untried-action lists.
+                rec = NodeRecord(parent, action, key, terminal, [], [])
+                records.append(rec)
+            if int(nid_s) != len(records) - 1:
                 raise ValueError(f"non-contiguous node id {nid_s}")
             rec.visits = int(visits_s)
             rec.total_reward = float(reward_s)
@@ -302,9 +300,3 @@ class SearchTree:
                 if rec.visits:
                     tree._refresh_max_value(rec)
         return tree
-
-    def iter_visited(self) -> Iterator[int]:
-        """Ids of visited nodes, in id order."""
-        for nid, rec in enumerate(self.nodes):
-            if rec.visits:
-                yield nid

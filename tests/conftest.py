@@ -9,6 +9,16 @@ from planset.metrics import Plan, PlanSet, min_pairwise_diversity
 from planset.tree import SearchTree, ValueMode
 
 
+def visited_children(tree: SearchTree, node_id: int) -> list[int]:
+    """Ids of the visited children of ``node_id``, in child order."""
+    return [cid for cid in tree.node(node_id).children if tree.nodes[cid].visits]
+
+
+def iter_visited(tree: SearchTree) -> list[int]:
+    """Ids of visited nodes, in id order."""
+    return [nid for nid, rec in enumerate(tree.nodes) if rec.visits]
+
+
 def random_backprop_tree(
     rng: np.random.Generator,
     max_nodes: int = 60,
@@ -89,7 +99,7 @@ def random_root_path(rng: np.random.Generator, tree: SearchTree) -> list[int]:
     """A random root-to-somewhere path over visited children."""
     path = [tree.root]
     while True:
-        kids = tree.visited_children(path[-1])
+        kids = visited_children(tree, path[-1])
         if not kids or rng.random() < 0.2:
             return path
         path.append(kids[int(rng.integers(len(kids)))])
@@ -99,7 +109,7 @@ def tree_depth(tree: SearchTree) -> int:
     """Max root-to-leaf edge count over visited nodes."""
     depth = {tree.root: 0}
     best = 0
-    for nid in tree.iter_visited():
+    for nid in iter_visited(tree):
         if nid == tree.root:
             continue
         parent = tree.node(nid).parent
@@ -149,7 +159,7 @@ def best_child(tree: SearchTree, node_id: int) -> int:
     """Visited child with the highest value; ties go to the lowest id."""
     best_id = -1
     best_q = -1.0
-    for cid in tree.visited_children(node_id):
+    for cid in visited_children(tree, node_id):
         q = tree.q_value(cid)
         if q > best_q:
             best_q = q

@@ -15,9 +15,11 @@ import pytest
 from conftest import (
     assert_matches_oracle,
     best_path,
+    iter_visited,
     random_backprop_tree,
     random_root_path,
     tree_depth,
+    visited_children,
 )
 from planset.experiment import (
     PlannerKind,
@@ -54,7 +56,7 @@ def tree_corpus():
         tree = random_backprop_tree(
             rng, max_nodes=max_nodes, max_actions=max_actions, extra_playouts=15
         )
-        leaves = sum(1 for nid in tree.iter_visited() if not tree.visited_children(nid))
+        leaves = sum(1 for nid in iter_visited(tree) if not visited_children(tree, nid))
         assert leaves <= 1000
         trees.append(tree)
     return trees

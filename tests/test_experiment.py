@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import planset
-from conftest import random_backprop_tree
+from conftest import iter_visited, random_backprop_tree, visited_children
 from planset.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -109,6 +109,23 @@ def test_random_baseline_no_replacement():
     result = run_random_baseline(tree, 1000, np.random.default_rng(3))
     leaves = {p.nodes[-1] for p in result.plans}
     assert len(leaves) == len(result.plans)
+
+
+def test_random_baseline_accepts_a_whole_number_float_k():
+    """``PlannerSpec`` accepts k=5.0, so the baseline draws as for k=5."""
+    assert PlannerSpec(PlannerKind.RANDOM, k=5.0).k == 5
+    tree = random_backprop_tree(np.random.default_rng(4), max_nodes=60)
+    as_int = run_random_baseline(tree, 5, np.random.default_rng(8))
+    as_float = run_random_baseline(tree, 5.0, np.random.default_rng(8))
+    assert len(as_int) == 5
+    assert [p.nodes for p in as_float] == [p.nodes for p in as_int]
+
+
+def test_random_baseline_unbounded_k_returns_every_leaf():
+    tree = random_backprop_tree(np.random.default_rng(5), max_nodes=60)
+    leaves = {nid for nid in iter_visited(tree) if not visited_children(tree, nid)}
+    result = run_random_baseline(tree, math.inf, np.random.default_rng(9))
+    assert sorted(p.nodes[-1] for p in result) == sorted(leaves)
 
 
 def test_random_baseline_uniform_first_choice():

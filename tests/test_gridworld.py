@@ -160,6 +160,51 @@ def test_default_policy_uniform_branch():
         assert policy(center, ScriptedRng(uniforms=[0.9], integers=[idx])) == expected
 
 
+def manhattan_argmin(world, cell):
+    """The greedy move as a scan over the legal moves: lowest Manhattan
+    distance to the goal, ties to the lowest action index."""
+    (x, y), (gx, gy) = cell, world.goal
+    best, best_dist = None, None
+    for a, (dx, dy) in enumerate(MOVES):
+        if 0 <= x + dx < world.width and 0 <= y + dy < world.height:
+            dist = abs(x + dx - gx) + abs(y + dy - gy)
+            if best_dist is None or dist < best_dist:
+                best, best_dist = a, dist
+    return best
+
+
+@pytest.mark.parametrize("world", [
+    generate_instance(8, 8, 0.0, rng=0),
+    generate_instance(7, 4, 0.3, rng=1),
+    GridWorld(5, 5, (0, 0), (2, 2), frozenset(), 0.0),
+    GridWorld(2, 3, (0, 0), (1, 2), frozenset(), 0.0),
+])
+def test_greedy_move_is_the_manhattan_argmin_in_every_cell(world):
+    sim = PlanningSimulator(world)
+    for y in range(world.height):
+        for x in range(world.width):
+            state = DroneState((x, y), 0, False)
+            # At rollout_greedy_p = 1 the policy draws nothing.
+            assert sim.default_action(state, ScriptedRng()) == manhattan_argmin(world, (x, y))
+
+
+def test_default_policy_draws_the_same_numbers():
+    """One ``random()`` per move below p = 1, plus one ``integers`` per
+    uniform move, in the same order as before the greedy table."""
+    world = generate_instance(9, 9, 0.0, rng=3)
+    sim = PlanningSimulator(world, rollout_greedy_p=0.6)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for i in range(400):
+        cell = (i % 9, (i * 7) % 9)
+        legal = sim.legal_actions(DroneState(cell, 0, False))
+        if ref.random() < 0.6:
+            expected = manhattan_argmin(world, cell)
+        else:
+            expected = legal[int(ref.integers(len(legal)))]
+        assert sim.default_action(DroneState(cell, 0, False), rng) == expected
+    assert rng.random() == ref.random()
+
+
 def test_execute_plan_shot_down_on_enemy_cell():
     world = GridWorld(4, 3, (0, 1), (3, 1), frozenset({(1, 1)}), 0.1)
     outcome = execute_plan(world, [E, E, E])

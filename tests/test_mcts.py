@@ -8,8 +8,10 @@ from conftest import (
     best_child,
     diverse_ucb1_reference,
     diversity_bonus_reference,
+    iter_visited,
     stem_state_keys,
     ucb1_reference,
+    visited_children,
 )
 from planset.extraction import ExtractionConfig, extract_plans
 from planset.gridworld import DroneState, PlanningSimulator, generate_instance
@@ -254,10 +256,10 @@ def test_visited_nodes_reachable_and_root_visits_match_iterations():
     frontier = [tree.root]
     while frontier:
         nid = frontier.pop()
-        for cid in tree.visited_children(nid):
+        for cid in visited_children(tree, nid):
             reachable.add(cid)
             frontier.append(cid)
-    assert set(tree.iter_visited()) == reachable
+    assert set(iter_visited(tree)) == reachable
 
 
 def test_diverse_policy_with_constant_bonus_matches_ucb1():
@@ -325,6 +327,36 @@ def test_rollout_timeout_pays_zero():
 def test_simulator_protocol_match():
     assert isinstance(PlanningSimulator(generate_instance(4, 4, 0.0, rng=0)), Simulator)
     assert isinstance(TwoArmBandit(), Simulator)
+
+
+NON_INTEGER_SETTINGS = {
+    "iterations": lambda: SearchConfig(iterations=2.5),
+    "max_rollout_steps": lambda: SearchConfig(max_rollout_steps=2.5),
+    "seed": lambda: SearchConfig(seed=1.5),
+    "diversity_set_size": lambda: BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_set_size=2.5),
+    "diversity_refresh_interval": lambda: BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=2.5),
+}
+
+
+@pytest.mark.parametrize("field", list(NON_INTEGER_SETTINGS))
+def test_non_integer_search_settings_are_refused(field):
+    """Refused with the field's name, not left for the search to fail on
+    and blame the simulator."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        NON_INTEGER_SETTINGS[field]()
+
+
+def test_numpy_integer_search_settings_are_accepted():
+    bandit = BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=np.int64(50),
+                          diversity_set_size=np.int32(3))
+    config = SearchConfig(iterations=np.int64(120), max_rollout_steps=np.uint8(60), bandit=bandit,
+                          seed=np.uint32(21))
+    plain = SearchConfig(iterations=120, max_rollout_steps=60, seed=21,
+                         bandit=BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=50,
+                                             diversity_set_size=3))
+    world = generate_instance(8, 8, 0.2, rng=2)
+    assert run_search(PlanningSimulator(world), config).to_text() == \
+        run_search(PlanningSimulator(world), plain).to_text()
 
 
 # -- pinned trees --------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import best_child, random_backprop_tree, random_root_path
+from conftest import best_child, random_backprop_tree, random_root_path, visited_children
 from planset.metrics import (
     DegeneratePlanError,
     InvalidPathError,
@@ -13,7 +13,7 @@ from planset.metrics import (
     relative_plan_quality,
     state_set_distance,
 )
-from planset.tree import SearchTree, UndefinedValueError, ValueMode
+from planset.tree import InvalidNodeError, SearchTree, UndefinedValueError, ValueMode
 
 
 def two_arm_tree(q_left=0.8, q_right=0.6, mode=ValueMode.AVERAGE):
@@ -173,7 +173,7 @@ def test_min_pairwise_diversity_with_self_in_set():
     tree = random_backprop_tree(rng)
     path = random_root_path(rng, tree)
     if len(path) == 1:
-        path = [tree.root] + tree.visited_children(tree.root)[:1]
+        path = [tree.root] + visited_children(tree, tree.root)[:1]
     plan = materialize_plan(tree, path)
     others = [plan, make_plan(["z"])]
     assert min_pairwise_diversity(plan, others) == 0.0
@@ -199,7 +199,7 @@ def test_best_child_extension_preserves_quality(seed):
     tree = random_backprop_tree(rng)
     for _ in range(10):
         path = random_root_path(rng, tree)
-        if not tree.visited_children(path[-1]):
+        if not visited_children(tree, path[-1]):
             continue
         extended = path + [best_child(tree, path[-1])]
         assert relative_plan_quality(tree, extended) == pytest.approx(
@@ -217,3 +217,16 @@ def test_materialize_plan_fields():
     assert plan.absolute_quality == pytest.approx(tree.q_value(tree.root))
     # cached quality matches recomputation
     assert plan.relative_quality == relative_plan_quality(tree, plan.nodes)
+
+
+@pytest.mark.parametrize("path", [[0, 1, -1], [0, 3], [0, 1, 99], [0, -2, 1], [0, 7, -2]])
+def test_materialize_plan_rejects_ids_outside_the_tree(path):
+    """With or without a known quality, the first id outside the tree is
+    refused (a negative id must not index the arena from its end)."""
+    tree, _, _ = two_arm_tree()
+    first_bad = next(nid for nid in path if not 0 <= nid < len(tree))
+    for log_quality in (0.0, None):
+        with pytest.raises(InvalidNodeError, match=f"^node {first_bad} not in tree of size 3$"):
+            materialize_plan(tree, path, log_quality)
+    with pytest.raises(InvalidNodeError, match="^node -3 not in tree of size 3$"):
+        materialize_plan(tree, [-3, *path[1:]], 0.0)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import LeafError, best_child, leaf_deposit_tree, random_backprop_tree
+from conftest import (
+    LeafError,
+    best_child,
+    iter_visited,
+    leaf_deposit_tree,
+    random_backprop_tree,
+    visited_children,
+)
 from planset.gridworld import PlanningSimulator, generate_instance
 from planset.mcts import SearchConfig, run_search
 from planset.tree import (
@@ -212,8 +219,8 @@ def test_max_mode_dominates_average(seed):
     rng = np.random.default_rng(seed)
     tree = leaf_deposit_tree(rng, value_mode=ValueMode.MAX)
     assert tree.check_consistency() == []
-    for nid in tree.iter_visited():
-        if tree.visited_children(nid):
+    for nid in iter_visited(tree):
+        if visited_children(tree, nid):
             assert tree.q_value(nid) >= mean_reward(tree, nid) - 1e-12
 
 
@@ -224,7 +231,7 @@ def test_serialization_round_trip():
         clone = SearchTree.from_text(text)
         assert clone.to_text() == text
         assert clone.value_mode is mode
-        for nid in tree.iter_visited():
+        for nid in iter_visited(tree):
             assert clone.q_value(nid) == tree.q_value(nid)
 
 
@@ -335,7 +342,7 @@ def assert_max_values_fresh(tree):
     """Every visited node's cached max value equals the one ``from_text``
     recomputes from scratch (``.17g`` round-trips doubles, so ``==``)."""
     fresh = SearchTree.from_text(tree.to_text())
-    for nid in tree.iter_visited():
+    for nid in iter_visited(tree):
         assert tree.nodes[nid].max_value == fresh.nodes[nid].max_value, nid
 
 
