@@ -116,9 +116,7 @@ class PlanningSimulator:
         gx, gy = world.goal
         self._legal: dict[Cell, tuple[int, ...]] = {}
         self._keys: dict[Cell, bytes] = {}
-        # The legal move that minimises Manhattan distance to the goal, ties
-        # to the lowest action index.
-        self._greedy: dict[Cell, int] = {}
+        self._greedy: dict[Cell, int] = {}  # default_action's greedy move per cell
         for y in range(h):
             for x in range(w):
                 cell = (x, y)

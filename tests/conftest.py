@@ -14,7 +14,7 @@ def visited_children(tree: SearchTree, node_id: int) -> list[int]:
     return [cid for cid in tree.node(node_id).children if tree.nodes[cid].visits]
 
 
-def iter_visited(tree: SearchTree) -> list[int]:
+def visited_ids(tree: SearchTree) -> list[int]:
     """Ids of visited nodes, in id order."""
     return [nid for nid, rec in enumerate(tree.nodes) if rec.visits]
 
@@ -109,7 +109,7 @@ def tree_depth(tree: SearchTree) -> int:
     """Max root-to-leaf edge count over visited nodes."""
     depth = {tree.root: 0}
     best = 0
-    for nid in iter_visited(tree):
+    for nid in visited_ids(tree):
         if nid == tree.root:
             continue
         parent = tree.node(nid).parent

@@ -15,7 +15,7 @@ import pytest
 from conftest import (
     assert_matches_oracle,
     best_path,
-    iter_visited,
+    visited_ids,
     random_backprop_tree,
     random_root_path,
     tree_depth,
@@ -56,7 +56,7 @@ def tree_corpus():
         tree = random_backprop_tree(
             rng, max_nodes=max_nodes, max_actions=max_actions, extra_playouts=15
         )
-        leaves = sum(1 for nid in iter_visited(tree) if not visited_children(tree, nid))
+        leaves = sum(1 for nid in visited_ids(tree) if not visited_children(tree, nid))
         assert leaves <= 1000
         trees.append(tree)
     return trees

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import planset
-from conftest import iter_visited, random_backprop_tree, visited_children
+from conftest import visited_ids, random_backprop_tree, visited_children
 from planset.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -123,7 +123,7 @@ def test_random_baseline_accepts_a_whole_number_float_k():
 
 def test_random_baseline_unbounded_k_returns_every_leaf():
     tree = random_backprop_tree(np.random.default_rng(5), max_nodes=60)
-    leaves = {nid for nid in iter_visited(tree) if not visited_children(tree, nid)}
+    leaves = {nid for nid in visited_ids(tree) if not visited_children(tree, nid)}
     result = run_random_baseline(tree, math.inf, np.random.default_rng(9))
     assert sorted(p.nodes[-1] for p in result) == sorted(leaves)
 

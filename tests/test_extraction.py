@@ -9,7 +9,7 @@ import pytest
 from conftest import (
     best_path,
     greedy_diverse_filter,
-    iter_visited,
+    visited_ids,
     random_backprop_tree,
     tree_depth,
     visited_children,
@@ -129,7 +129,7 @@ def test_brute_force_counts_leaves_and_tops_at_one(seed):
     rng = np.random.default_rng(seed)
     tree = random_backprop_tree(rng)
     ranked = brute_force_enumerate(tree)
-    leaves = sum(1 for nid in iter_visited(tree) if not visited_children(tree, nid))
+    leaves = sum(1 for nid in visited_ids(tree) if not visited_children(tree, nid))
     assert len(ranked) == leaves
     assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
     qualities = [q for _, q in ranked]
@@ -367,7 +367,7 @@ def test_no_diversity_work_without_a_diversity_bound(counted, k, q):
 @pytest.mark.parametrize("seed", TIE_FREE_SEEDS[:10])
 def test_diverse_mode_tests_each_candidate_once_and_builds_only_accepted_plans(counted, seed):
     tree = random_backprop_tree(np.random.default_rng(seed))
-    leaves = sum(1 for nid in iter_visited(tree) if not visited_children(tree, nid))
+    leaves = sum(1 for nid in visited_ids(tree) if not visited_children(tree, nid))
     for d in (0.25, 0.5):
         counted["min_pairwise_diversity"].firsts.clear()
         counted["materialize_plan"].firsts.clear()

@@ -8,7 +8,7 @@ from conftest import (
     best_child,
     diverse_ucb1_reference,
     diversity_bonus_reference,
-    iter_visited,
+    visited_ids,
     stem_state_keys,
     ucb1_reference,
     visited_children,
@@ -259,7 +259,7 @@ def test_visited_nodes_reachable_and_root_visits_match_iterations():
         for cid in visited_children(tree, nid):
             reachable.add(cid)
             frontier.append(cid)
-    assert set(iter_visited(tree)) == reachable
+    assert set(visited_ids(tree)) == reachable
 
 
 def test_diverse_policy_with_constant_bonus_matches_ucb1():

@@ -6,7 +6,7 @@ import pytest
 from conftest import (
     LeafError,
     best_child,
-    iter_visited,
+    visited_ids,
     leaf_deposit_tree,
     random_backprop_tree,
     visited_children,
@@ -219,7 +219,7 @@ def test_max_mode_dominates_average(seed):
     rng = np.random.default_rng(seed)
     tree = leaf_deposit_tree(rng, value_mode=ValueMode.MAX)
     assert tree.check_consistency() == []
-    for nid in iter_visited(tree):
+    for nid in visited_ids(tree):
         if visited_children(tree, nid):
             assert tree.q_value(nid) >= mean_reward(tree, nid) - 1e-12
 
@@ -231,7 +231,7 @@ def test_serialization_round_trip():
         clone = SearchTree.from_text(text)
         assert clone.to_text() == text
         assert clone.value_mode is mode
-        for nid in iter_visited(tree):
+        for nid in visited_ids(tree):
             assert clone.q_value(nid) == tree.q_value(nid)
 
 
@@ -298,9 +298,9 @@ def test_load_rejects_inconsistent_statistics(rows):
         SearchTree.from_text(tree_text(*rows))
 
 
-# Every other refusal, with the message it gives today.  Faults are checked
-# line by line in file order and, within a line, in the order of the cases
-# marked "first" below.
+# Every other refusal, with its exact message (the unpacking, int, float and
+# fromhex messages are the interpreter's).  Faults are checked line by line
+# in file order and, within a line, in the order of the cases marked "first".
 LOADER_REFUSALS = {
     "six fields": (tree_text("0 -1 -1 1 0.5 0"), "not enough values to unpack (expected 7, got 6)"),
     "eight fields": (tree_text("0 -1 -1 1 0.5 0 - 9"), "too many values to unpack (expected 7)"),
@@ -342,7 +342,7 @@ def assert_max_values_fresh(tree):
     """Every visited node's cached max value equals the one ``from_text``
     recomputes from scratch (``.17g`` round-trips doubles, so ``==``)."""
     fresh = SearchTree.from_text(tree.to_text())
-    for nid in iter_visited(tree):
+    for nid in visited_ids(tree):
         assert tree.nodes[nid].max_value == fresh.nodes[nid].max_value, nid
 
 
