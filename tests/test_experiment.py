@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from planset.experiment import (
     summarize,
     two_proportion_z_test,
 )
-from planset.mcts import BanditConfig, SearchConfig
+from planset.mcts import BanditConfig, Policy, SearchConfig
 from planset.tree import SearchTree, ValueMode
 
 
@@ -331,6 +333,27 @@ def test_deterministic_with_injected_clock(tmp_path):
     records_b = run_experiment(micro_config(None, output_path=str(out_b)), clock=CountingClock())
     assert records_a == records_b
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# sha256 prefixes of the micro sweep's CSV bytes under a counting clock, per
+# (policy, value mode).  The diverse run refreshes its reference set three
+# times in its 400 iterations.  The two UCB1 sweeps happen to write the same
+# rows; a broken AVERAGE value read changes the second.
+GOLDEN_CSVS = {
+    (Policy.UCB1, ValueMode.MAX): "31923d4e473810cc",
+    (Policy.UCB1, ValueMode.AVERAGE): "31923d4e473810cc",
+    (Policy.DIVERSE_UCB1, ValueMode.MAX): "2e92a849b1f7876b",
+}
+
+
+@pytest.mark.parametrize("policy, mode", list(GOLDEN_CSVS), ids=lambda v: v.name)
+def test_csv_bytes_match_the_pinned_hashes(tmp_path, policy, mode):
+    search = micro_config().search
+    bandit = replace(search.bandit, policy=policy, diversity_refresh_interval=100)
+    out = tmp_path / "out.csv"
+    config = micro_config(None, search=replace(search, value_mode=mode, bandit=bandit), output_path=str(out))
+    run_experiment(config, clock=CountingClock())
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == GOLDEN_CSVS[policy, mode]
 
 
 def test_worker_fanout_matches_serial(tmp_path):
