@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .extraction import ExtractionConfig, brute_force_enumerate, extract_plans
 from .gridworld import ACTION_NAMES, PlanningSimulator, parse_map, shortest_unobstructed_path
-from .mcts import BanditConfig, SearchConfig, run_search
+from .mcts import run_search
 from .experiment import (
     CONFIG_KEYS,
     ConfigError,
     config_from_mapping,
+    desk_profile,
     parse_config_file,
     render_summary,
     run_experiment,
@@ -47,12 +49,13 @@ def _build_parser() -> _Parser:
         if key != "profile":
             exp.add_argument(f"--{key}", dest=f"key_{key}")
 
+    desk = desk_profile().search
     plan = sub.add_parser("plan", help="search a world map and print the best plan")
     plan.add_argument("--world", required=True, help="map file ('.', 'E', 'S', 'G' rows)")
-    plan.add_argument("--iterations", type=int, default=5000)
-    plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument("--exploration_c", type=float, default=0.02)
-    plan.add_argument("--value_mode", choices=("average", "max"), default="max")
+    plan.add_argument("--iterations", type=int, default=desk.iterations)
+    plan.add_argument("--seed", type=int, default=desk.seed)
+    plan.add_argument("--exploration_c", type=float, default=desk.bandit.exploration_c)
+    plan.add_argument("--value_mode", choices=("average", "max"), default=desk.value_mode.value)
 
     ext = sub.add_parser("extract", help="extract a plan set from a serialized tree")
     ext.add_argument("--tree", required=True, help="serialized tree file")
@@ -103,12 +106,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    desk = desk_profile().search
     try:
-        config = SearchConfig(
+        config = replace(
+            desk,
             iterations=args.iterations,
-            max_rollout_steps=60,
             value_mode=ValueMode(args.value_mode),
-            bandit=BanditConfig(exploration_c=args.exploration_c),
+            bandit=replace(desk.bandit, exploration_c=args.exploration_c),
             seed=args.seed,
         )
     except ValueError as exc:

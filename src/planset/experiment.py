@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .extraction import ExtractionConfig, extract_plans
+from .extraction import EmptyTreeError, ExtractionConfig, extract_plans
 from .gridworld import PlanningSimulator, execute_plan, generate_instance, shortest_unobstructed_path
-from .mcts import BanditConfig, Policy, SearchConfig, run_search
+from .mcts import BanditConfig, Policy, SearchConfig, _require_integers, run_search
 from .metrics import PlanSet, materialize_plan
 from .tree import SearchTree, ValueMode
 
@@ -105,6 +105,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        integers = ("replications_per_level", "width", "height", "workers", "detection_radius", "master_seed")
+        try:
+            _require_integers(self, *integers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.risk_levels or self.replications_per_level < 1:
             raise ConfigError("need at least one risk level and one replication")
         if self.workers < 1:
@@ -125,11 +130,11 @@ class ExperimentConfig:
         return len(self.risk_levels) * self.replications_per_level
 
 
-def spaced_risk_levels(count: int, top: float = 0.9) -> tuple[float, ...]:
-    """``count`` levels evenly spaced over (0, top]."""
+def spaced_risk_levels(count: int) -> tuple[float, ...]:
+    """``count`` levels evenly spaced over (0, 0.9]."""
     if count < 1:
         raise ConfigError("risk level count must be >= 1")
-    return tuple(round(top * (i + 1) / count, 6) for i in range(count))
+    return tuple(round(0.9 * (i + 1) / count, 6) for i in range(count))
 
 
 def _profile(levels: int, replications: int, iterations: int, overrides: dict) -> ExperimentConfig:
@@ -188,7 +193,7 @@ def run_random_baseline(tree: SearchTree, k: float, rng: np.random.Generator) ->
     """k root-to-leaf paths drawn uniformly over the visited tree's leaves,
     without replacement while enough leaves exist (every leaf at k=inf)."""
     if tree.node(tree.root).visits == 0:
-        raise ValueError("tree root has never been visited")
+        raise EmptyTreeError("root has never been visited")
     if k <= 0:
         return PlanSet(plans=[])
     # Visited nodes without a visited child, in id order.
@@ -296,11 +301,6 @@ def run_experiment(
 # -- statistics ------------------------------------------------------------
 
 
-def normal_sf(z: float) -> float:
-    """Upper-tail probability of the standard normal."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def two_proportion_z_test(
     successes_a: int, n_a: int, successes_b: int, n_b: int
 ) -> tuple[float, float]:
@@ -312,7 +312,7 @@ def two_proportion_z_test(
     if se == 0.0:
         return 0.0, 0.5
     z = (successes_a / n_a - successes_b / n_b) / se
-    return z, normal_sf(z)
+    return z, 0.5 * math.erfc(z / math.sqrt(2.0))  # the standard normal's upper tail
 
 
 def proportion_ci(successes: int, n: int) -> tuple[float, float, float]:

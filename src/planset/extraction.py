@@ -38,6 +38,7 @@ from .metrics import (
 from .tree import SearchTree
 
 QUALITY_TOL = 1e-12
+MAX_ENUMERATED_PATHS = 10_000  # the most leaf paths brute_force_enumerate walks
 
 
 class EmptyTreeError(ValueError):
@@ -142,13 +143,11 @@ def diversity_excluding(plans: list[Plan], index: int) -> float:
     return min_pairwise_diversity(plans[index], plans[:index] + plans[index + 1 :])
 
 
-def brute_force_enumerate(
-    tree: SearchTree, max_paths: int = 10_000
-) -> list[tuple[Plan, float]]:
+def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:
     """Every root-to-leaf path over visited nodes, best quality first.
 
     Ties keep lexicographic child-index order.  Refuses trees with more than
-    ``max_paths`` leaf paths.  This is the extraction oracle: an exhaustive
+    ``MAX_ENUMERATED_PATHS`` leaf paths.  This is the extraction oracle: an exhaustive
     walk with none of the queue machinery.
     """
     nodes = tree.nodes
@@ -163,8 +162,8 @@ def brute_force_enumerate(
         ratios = child_log_ratios(tree, path[-1])
         if not ratios:
             paths.append((path, logq))
-            if len(paths) > max_paths:
-                raise TreeTooLargeError(f"more than {max_paths} leaf paths")
+            if len(paths) > MAX_ENUMERATED_PATHS:
+                raise TreeTooLargeError(f"more than {MAX_ENUMERATED_PATHS} leaf paths")
             continue
         for cid, ratio in reversed(ratios.items()):
             stack.append((path + (cid,), logq + ratio))

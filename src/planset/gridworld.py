@@ -107,9 +107,8 @@ class PlanningSimulator:
     the true optimum instead of orbiting near-optimal detours.
     """
 
-    def __init__(self, world: GridWorld, discount: float = GAMMA, rollout_greedy_p: float = 1.0):
+    def __init__(self, world: GridWorld, rollout_greedy_p: float = 1.0):
         self.world = world
-        self.discount = discount
         self.rollout_greedy_p = rollout_greedy_p
         self.horizon = 4 * (world.width + world.height)
         w, h = world.width, world.height
@@ -145,7 +144,7 @@ class PlanningSimulator:
             raise ValueError(f"action {action} leaves the grid from {state.position}")
         steps = state.steps_taken + 1
         if pos == self.world.goal:
-            return DroneState(pos, steps, True), self.discount**steps, True
+            return DroneState(pos, steps, True), GAMMA**steps, True
         if steps >= self.horizon:
             return DroneState(pos, steps, True), 0.0, True
         return DroneState(pos, steps, False), 0.0, False
@@ -243,7 +242,7 @@ def render_map(world: GridWorld) -> str:
     return "\n".join(rows) + "\n"
 
 
-def parse_map(text: str, detection_radius: int = 0) -> GridWorld:
+def parse_map(text: str) -> GridWorld:
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows or len(set(map(len, rows))) != 1:
         raise ValueError("map rows must be non-empty and equal length")
@@ -263,4 +262,4 @@ def parse_map(text: str, detection_radius: int = 0) -> GridWorld:
     if start is None or goal is None:
         raise ValueError("map must contain exactly one S and one G")
     risk = len(enemies) / max(width * height - 2, 1)
-    return GridWorld(width, height, start, goal, frozenset(enemies), risk, detection_radius)
+    return GridWorld(width, height, start, goal, frozenset(enemies), risk)

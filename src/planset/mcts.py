@@ -165,7 +165,6 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     bandit = config.bandit
     c = bandit.exploration_c
     diverse = bandit.policy is Policy.DIVERSE_UCB1
-    max_mode = config.value_mode is ValueMode.MAX
     tree_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TREE_STREAM)))
     reference: list[Plan] = []
     # Per node id: the simulator state after the node's edge, and the reward
@@ -195,8 +194,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
                 nv = child.visits
                 if not nv:
                     continue
-                qv = child.max_value if max_mode else child.total_reward / nv
-                score = qv + c * math.sqrt(two_log_n / nv)
+                score = child.value + c * math.sqrt(two_log_n / nv)
                 if diverse:
                     score += _stem_bonus(child.state_key, stem_keys, overlaps, reference)
                 if score > best_score:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .tree import SearchTree, ValueMode
+from .tree import SearchTree
 
 
 class InvalidPathError(ValueError):
@@ -60,21 +60,16 @@ def child_log_ratios(tree: SearchTree, parent_id: int) -> dict[int, float]:
     """log of (child value / best visited sibling value) for every visited
     child of ``parent_id``, in child order.
 
-    Values are read in the tree's own mode, once per child.  A ratio is 0.0
-    (ratio 1) when every visited sibling has value 0 -- no regret is
-    measurable when all options are worthless -- and -inf when the child
-    alone has value 0.
+    Each child's ``value`` is read once.  A ratio is 0.0 (ratio 1) when
+    every visited sibling has value 0 -- no regret is measurable when all
+    options are worthless -- and -inf when the child alone has value 0.
     """
     nodes = tree.nodes
     children = nodes[parent_id].children
     if not children:
         return {}
-    max_mode = tree.value_mode is ValueMode.MAX
-    ratios = {}  # child values first, turned into log ratios in place below
-    for cid in children:
-        rec = nodes[cid]
-        if rec.visits:
-            ratios[cid] = rec.max_value if max_mode else rec.total_reward / rec.visits
+    # Child values first, turned into log ratios in place below.
+    ratios = {cid: nodes[cid].value for cid in children if nodes[cid].visits}
     best = max(ratios.values(), default=0.0)
     if best <= 0.0:
         return dict.fromkeys(ratios, 0.0)

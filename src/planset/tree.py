@@ -6,12 +6,11 @@ stay valid for the lifetime of the tree (no deletion).  Node values come in
 two flavours selected per tree: the running average of backpropagated
 rewards, or the maximum value among visited children (the usual choice for
 single-player search, where there is no adversary to punish optimism).
-A tree is read only in the mode it was built or loaded with.
+Only this module reads the mode; readers take :attr:`NodeRecord.value`.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,10 +39,10 @@ class NodeRecord:
     """Statistics and links for one tree node.
 
     ``visits`` and ``total_reward`` are only ever touched by
-    ``backpropagate``.  ``max_value`` is kept only in MAX trees (it stays 0.0
-    in AVERAGE trees): it caches the node's max-mode value (its own average
-    while it has no visited children) and is refreshed bottom-up along each
-    backpropagated path.
+    ``backpropagate``, which with ``from_text`` keeps ``value`` current: 0.0
+    until the first visit, then the average reward in AVERAGE trees, or in
+    MAX trees the largest visited child's value (the node's own average while
+    it has no visited child).
     """
 
     parent: Optional[int]
@@ -54,7 +53,7 @@ class NodeRecord:
     untried_actions: list[int] = field(default_factory=list)
     visits: int = 0
     total_reward: float = 0.0
-    max_value: float = 0.0
+    value: float = 0.0
 
 
 class SearchTree:
@@ -81,7 +80,7 @@ class SearchTree:
 
     @property
     def value_mode(self) -> ValueMode:
-        """Fixed for the tree's life: an AVERAGE tree keeps no max values."""
+        """Fixed for the tree's life: it decides what each node's ``value`` is."""
         return self._value_mode
 
     def __len__(self) -> int:
@@ -132,30 +131,33 @@ class SearchTree:
             raise ValueError(f"reward {reward!r} outside [0, 1]")
         self.node(leaf)
         nodes = self.nodes
-        refresh = self._value_mode is ValueMode.MAX
+        average = self._value_mode is ValueMode.AVERAGE
+        refresh = not average
         nid: Optional[int] = leaf
         while nid is not None:
             rec = nodes[nid]
             rec.visits += 1
             rec.total_reward += reward
-            # A parent's max value depends only on its visited children's: it
-            # can change only if this node's did or this is its first visit.
-            if refresh:
+            if average:
+                rec.value = rec.total_reward / rec.visits
+            elif refresh:
+                # A parent's max value depends only on its visited children's:
+                # it can change only if this node's did or this is its first visit.
                 refresh = self._refresh_max_value(rec) or rec.visits == 1
             nid = rec.parent
 
     def _refresh_max_value(self, rec: NodeRecord) -> bool:
-        """Recompute the max-mode cache of the visited node ``rec`` from its
-        children's caches; return whether it changed."""
+        """Recompute the MAX-tree value of the visited node ``rec`` from its
+        children's values; return whether it changed."""
         best = -1.0
         nodes = self.nodes
         for cid in rec.children:
             child = nodes[cid]
-            if child.visits and child.max_value > best:
-                best = child.max_value
+            if child.visits and child.value > best:
+                best = child.value
         value = best if best >= 0.0 else rec.total_reward / rec.visits
-        changed = value != rec.max_value
-        rec.max_value = value
+        changed = value != rec.value
+        rec.value = value
         return changed
 
     def path_to(self, node_id: int) -> list[int]:
@@ -170,20 +172,14 @@ class SearchTree:
         return path
 
     def q_value(self, node_id: int) -> float:
-        """Node value in the tree's mode: mean backpropagated reward, or max
-        child value.
-
-        Unvisited nodes carry no estimate and raise
-        :class:`UndefinedValueError`.
-        """
+        """The node's ``value`` (see :class:`NodeRecord`); unvisited nodes
+        carry no estimate and raise :class:`UndefinedValueError`."""
         rec = self.node(node_id)
         if rec.visits == 0:
             raise UndefinedValueError(f"node {node_id} has no visits")
-        if self._value_mode is ValueMode.MAX:
-            return rec.max_value
-        return rec.total_reward / rec.visits
+        return rec.value
 
-    def check_consistency(self, tol: float = 1e-9) -> list[int]:
+    def check_consistency(self) -> list[int]:
         """Ids of nodes whose statistics cannot arise from backpropagation.
 
         For each node, the visits and reward mass not accounted for by its
@@ -205,7 +201,7 @@ class SearchTree:
             z_self = rec.total_reward - child_z[nid]
             # Written so that a NaN reward, which fails every comparison,
             # counts as inconsistent.
-            if n_self < 0 or not -tol <= z_self <= n_self + tol:
+            if n_self < 0 or not -1e-9 <= z_self <= n_self + 1e-9:
                 bad.append(nid)
         return bad
 
@@ -219,29 +215,27 @@ class SearchTree:
     # parent/action are -1 for the root, terminal is 0/1, rewards print with
     # 17 significant digits, and an empty state key prints as "-".
 
-    def dump(self, out: io.TextIOBase) -> None:
-        out.write(f"# planset-tree v1 mode={self.value_mode.value}\n")
+    def to_text(self) -> str:
+        lines = [f"# planset-tree v1 mode={self.value_mode.value}\n"]
         for nid, rec in enumerate(self.nodes):
             parent = -1 if rec.parent is None else rec.parent
             action = -1 if rec.action is None else rec.action
             key = rec.state_key.hex() or "-"
-            out.write(
+            lines.append(
                 f"{nid} {parent} {action} {rec.visits} {rec.total_reward:.17g} "
                 f"{int(rec.terminal)} {key}\n"
             )
-
-    def to_text(self) -> str:
-        buf = io.StringIO()
-        self.dump(buf)
-        return buf.getvalue()
+        return "".join(lines)
 
     @classmethod
     def from_text(cls, text: str) -> "SearchTree":
-        """Load a tree written by :meth:`dump`.
+        """Load a tree written by :meth:`to_text`.
 
-        The tree is read in the value mode its header names.  Raises
-        ``ValueError`` for text no search can have written: a malformed
-        line, a second root, a non-finite reward, a child of a terminal node,
+        The tree is read in the value mode its header names, and every
+        visited node's ``value`` is computed in that mode.  Raises
+        ``ValueError`` for text :meth:`to_text` never writes: a malformed
+        line, a terminal flag other than 0 or 1, a root action other than
+        -1, a second root, a non-finite reward, a child of a terminal node,
         two edges with the same action out of one node, or statistics that
         fail :meth:`check_consistency`.
         """
@@ -258,10 +252,15 @@ class SearchTree:
                 continue
             nid_s, parent_s, action_s, visits_s, reward_s, term_s, key_s = fields
             key = b"" if key_s == "-" else bytes.fromhex(key_s)
-            terminal = bool(int(term_s))
+            if term_s != "0" and term_s != "1":
+                int(term_s)  # a non-number keeps int's message
+                raise ValueError(f"node {nid_s}: terminal flag {term_s} is not 0 or 1")
+            terminal = term_s == "1"
             if parent_s == "-1":
                 if tree is not None:
                     raise ValueError(f"node {nid_s}: a second root")
+                if action_s != "-1":
+                    raise ValueError(f"node {nid_s}: root action {action_s} is not -1")
                 tree = cls(root_state_key=key, value_mode=mode, root_terminal=terminal)
                 records = tree.nodes
                 rec = records[0]
@@ -288,15 +287,17 @@ class SearchTree:
             rec.total_reward = float(reward_s)
             if not math.isfinite(rec.total_reward):
                 raise ValueError(f"node {nid_s}: reward {reward_s} is not finite")
+            if rec.visits:  # its own average: the value, or in MAX trees the refresh's start
+                rec.value = rec.total_reward / rec.visits
         if tree is None:
             raise ValueError("empty tree text")
         bad = tree.check_consistency()
         if bad:
             raise ValueError(f"statistics no backpropagation can produce at nodes {bad[:10]}")
-        # Children always have larger ids than their parent, so the reversed
-        # arena lists children before parents.
         if tree.value_mode is ValueMode.MAX:
-            for rec in reversed(tree.nodes):
+            # Children always have larger ids than their parent, so the
+            # reversed arena lists children before parents.
+            for rec in reversed(records):
                 if rec.visits:
                     tree._refresh_max_value(rec)
         return tree

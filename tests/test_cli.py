@@ -156,6 +156,8 @@ def test_runtime_fault_returns_two(tmp_path, capsys):
         ("0 -1 -1 not_a_number 0 0 -",),
         ("0 -1 -1 1 0.5 0 -", "1 0 0 1 0.5 1 61", "0 -1 -1 3 0.9 0 -"),  # a second root
         ("0 -1 -1 1 0.5 1 -", "1 0 0 1 0.5 0 61"),  # a child of a terminal node
+        ("0 -1 -1 1 0.5 0 -", "1 0 0 1 0.5 7 61"),  # a terminal flag other than 0/1
+        ("0 -1 x 1 0.5 0 -",),  # a root action other than -1
     ):
         bad_tree.write_text("# planset-tree v1 mode=average\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
         for command in ("oracle", "extract"):

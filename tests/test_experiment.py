@@ -412,6 +412,24 @@ def test_worker_fanout_matches_serial_under_spawn():
     assert done.stdout.strip() == "same records"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("replications_per_level", 1.5),
+        ("width", 6.0),
+        ("height", 6.0),
+        ("workers", 1.0),
+        ("detection_radius", 0.5),
+        ("master_seed", 1.5),
+    ],
+)
+def test_non_integer_fields_are_refused_before_any_output(tmp_path, field, value):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        run_experiment(micro_config(None, output_path=str(out), **{field: value}))
+    assert not out.exists()
+
+
 def test_custom_clock_requires_single_worker():
     with pytest.raises(ConfigError):
         run_experiment(micro_config(None, workers=2), clock=CountingClock())

@@ -100,6 +100,8 @@ def test_unvisited_root_rejected():
         extract_plans(tree, ExtractionConfig(k=1))
     with pytest.raises(EmptyTreeError):
         brute_force_enumerate(tree)
+    with pytest.raises(EmptyTreeError, match="root has never been visited"):
+        run_random_baseline(tree, 5, np.random.default_rng(0))
 
 
 def test_unvisited_children_are_invisible():

@@ -327,6 +327,10 @@ LOADER_REFUSALS = {
     "first: visits before reward": (tree_text("0 -1 -1 v nan 0 -"), "invalid literal for int() with base 10: 'v'"),
     "first: earlier line first": (tree_text("0 -1 -1 1 nan 0 -", "1 0 0 1 0.5 1 zz"), "node 0: reward nan is not finite"),
     "first: lines before statistics": (tree_text("0 -1 -1 5 9 0 -", "1 0 0 1 0.5 1 zz"), "non-hexadecimal number found in fromhex() arg at position 0"),
+    "terminal flag not 0 or 1": (tree_text("0 -1 -1 1 0.5 0 -", "1 0 0 1 0.5 7 61"), "node 1: terminal flag 7 is not 0 or 1"),
+    "root action": (tree_text("0 -1 x 1 0.5 0 -"), "node 0: root action x is not -1"),
+    "first: terminal flag before root action": (tree_text("0 -1 x 1 0.5 7 -"), "node 0: terminal flag 7 is not 0 or 1"),
+    "first: second root before root action": (tree_text("0 -1 -1 1 0.5 0 -", "1 -1 0 1 0.5 0 -"), "node 1: a second root"),
 }
 
 
@@ -338,12 +342,16 @@ def test_load_refusals_keep_their_messages(case):
     assert str(info.value) == message
 
 
-def assert_max_values_fresh(tree):
-    """Every visited node's cached max value equals the one ``from_text``
-    recomputes from scratch (``.17g`` round-trips doubles, so ``==``)."""
+def assert_values_fresh(tree):
+    """Every visited node's ``value`` equals the one ``from_text`` recomputes
+    from scratch (``.17g`` round-trips doubles, so ``==``); in an AVERAGE
+    tree that is its mean reward."""
     fresh = SearchTree.from_text(tree.to_text())
     for nid in visited_ids(tree):
-        assert tree.nodes[nid].max_value == fresh.nodes[nid].max_value, nid
+        rec = tree.nodes[nid]
+        assert rec.value == fresh.nodes[nid].value, nid
+        if tree.value_mode is ValueMode.AVERAGE:
+            assert rec.value == rec.total_reward / rec.visits, nid
 
 
 def count_refreshes(monkeypatch) -> list:
@@ -369,13 +377,13 @@ def test_backpropagate_refresh_matches_a_full_recompute(monkeypatch, mode, seed)
     def checked(self, leaf, reward):
         real(self, leaf, reward)
         calls.append(leaf)
-        assert_max_values_fresh(self)
+        assert_values_fresh(self)
 
     monkeypatch.setattr(SearchTree, "backpropagate", checked)
     random_backprop_tree(np.random.default_rng(seed), value_mode=mode, extra_playouts=40)
     assert len(calls) > 40
-    # An AVERAGE tree keeps no max cache: neither its backpropagate nor its
-    # from_text refreshes one.
+    # An AVERAGE node's value is its own mean: neither its backpropagate nor
+    # its from_text runs the MAX refresh.
     assert bool(refreshes) == (mode is ValueMode.MAX)
 
 
@@ -391,7 +399,7 @@ def test_only_max_trees_refresh_max_values(monkeypatch, mode):
         assert searched > 0 and loaded > 0
     else:
         assert (searched, loaded) == (0, 0)
-        assert all(rec.max_value == 0.0 for rec in tree.nodes)
+        assert all(rec.value == (rec.total_reward / rec.visits if rec.visits else 0.0) for rec in tree.nodes)
 
 
 def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
@@ -404,7 +412,7 @@ def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
         tree.backpropagate(leaf, 0.1)
         averages.add(tree.q_value(leaf))
         assert tree.q_value(tree.root) == tree.q_value(leaf)
-        assert_max_values_fresh(tree)
+        assert_values_fresh(tree)
     assert len(averages) > 1
     # A first visit at reward 0 leaves the new node's cached value at 0.0,
     # but makes it the only visited child of a parent valued at 0.5.
@@ -413,4 +421,4 @@ def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
     below = tree.add_child(other, 0, b"below")
     tree.backpropagate(below, 0.0)
     assert tree.q_value(other) == 0.0
-    assert_max_values_fresh(tree)
+    assert_values_fresh(tree)
