@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .extraction import ExtractionConfig, brute_force_enumerate, extract_plans
-from .gridworld import ACTION_NAMES, PlanningSimulator, parse_map, shortest_unobstructed_path
+from .gridworld import ACTION_NAMES, DroneState, PlanningSimulator, parse_map, shortest_unobstructed_path
 from .mcts import run_search
 from .experiment import (
     CONFIG_KEYS,
@@ -121,12 +121,15 @@ def _cmd_plan(args) -> int:
         world = parse_map(Path(args.world).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read world file {args.world}: {exc}") from exc
-    tree = run_search(PlanningSimulator(world), config)
+    sim = PlanningSimulator(world)
+    tree = run_search(sim, config)
     plan = extract_plans(tree, ExtractionConfig(k=1)).plans[0]
     moves = "".join(ACTION_NAMES[a] for a in plan.actions)
     print(f"plan: {moves}")
     print(f"steps: {len(plan.actions)} (unobstructed shortest: {shortest_unobstructed_path(world)})")
     print(f"relative quality: {plan.relative_quality:.6f}  absolute: {plan.absolute_quality:.6f}")
+    if sim.state_key(DroneState(world.goal, 0, True)) not in plan.state_keys:
+        print("goal: not reached; the plan stops where the search tree ends")
     return 0
 
 

@@ -247,19 +247,19 @@ def parse_map(text: str) -> GridWorld:
     if not rows or len(set(map(len, rows))) != 1:
         raise ValueError("map rows must be non-empty and equal length")
     width, height = len(rows[0]), len(rows)
-    start = goal = None
+    ends: dict[str, Cell] = {}
     enemies = set()
     for y, row in enumerate(rows):
         for x, ch in enumerate(row):
-            if ch == "S":
-                start = (x, y)
-            elif ch == "G":
-                goal = (x, y)
+            if ch == "S" or ch == "G":
+                if ch in ends:
+                    raise ValueError(f"map has two {ch} cells, {ends[ch]} and {(x, y)}")
+                ends[ch] = (x, y)
             elif ch == "E":
                 enemies.add((x, y))
             elif ch != ".":
                 raise ValueError(f"unknown map character {ch!r}")
-    if start is None or goal is None:
+    if len(ends) < 2:
         raise ValueError("map must contain exactly one S and one G")
     risk = len(enemies) / max(width * height - 2, 1)
-    return GridWorld(width, height, start, goal, frozenset(enemies), risk)
+    return GridWorld(width, height, ends["S"], ends["G"], frozenset(enemies), risk)

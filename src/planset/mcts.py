@@ -82,7 +82,12 @@ class BanditConfig:
 
     The diversity fields only matter for the diverse policy: the reference
     plan set is re-extracted (top ``diversity_set_size``, no bounds) every
-    ``diversity_refresh_interval`` iterations while the tree grows.
+    ``diversity_refresh_interval`` iterations while the tree grows.  That
+    policy adds to a child's UCB1 score its stem's distance to the nearest
+    reference plan, ``min_j |stem - plan_j| / |stem|`` (1.0 against none),
+    where the stem is the state keys from below the root down to the child.
+    It equals ``(|stem| - top) / |stem|``, ``top`` being the stem's largest
+    overlap with one plan, so the descent keeps ``top`` and the plans at it.
     """
 
     exploration_c: float = 0.7
@@ -167,6 +172,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     diverse = bandit.policy is Policy.DIVERSE_UCB1
     tree_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TREE_STREAM)))
     reference: list[Plan] = []
+    masks: dict[bytes, int] = {}
     # Per node id: the simulator state after the node's edge, and the reward
     # summed from the root along the same additions a replay would make.
     states = [root_state]
@@ -177,16 +183,26 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             reference = extract_plans(
                 tree, ExtractionConfig(k=bandit.diversity_set_size)
             ).plans
+            # Per state key: a bitmask of the reference plans that visit it.
+            masks = {}
+            for j, plan in enumerate(reference):
+                for key in plan.state_keys:
+                    masks[key] = masks.get(key, 0) | 1 << j
 
         node_id = tree.root
         rec = nodes[node_id]
         stem_keys: set[bytes] = set()
         overlaps = [0] * len(reference)
+        # The largest overlap and the bitmask of the plans that reach it.
+        top, top_mask = 0, (1 << len(reference)) - 1
 
         # Selection: descend through visited children while the node is
         # fully expanded; any untried action makes it expandable first.
         while not rec.terminal and not rec.untried_actions and rec.children:
             two_log_n = 2.0 * math.log(rec.visits)
+            if diverse:
+                stem = len(stem_keys)
+                size = stem + 1
             best_id = -1
             best_score = -math.inf
             for cid in rec.children:
@@ -196,7 +212,11 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
                     continue
                 score = child.value + c * math.sqrt(two_log_n / nv)
                 if diverse:
-                    score += _stem_bonus(child.state_key, stem_keys, overlaps, reference)
+                    key = child.state_key
+                    if key in stem_keys:
+                        score += (stem - top) / stem
+                    else:
+                        score += (size - top - bool(masks.get(key, 0) & top_mask)) / size
                 if score > best_score:
                     best_score = score
                     best_id = cid
@@ -205,9 +225,11 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             child = nodes[best_id]
             if diverse and child.state_key not in stem_keys:
                 stem_keys.add(child.state_key)
-                for j, plan in enumerate(reference):
-                    if child.state_key in plan.state_keys:
-                        overlaps[j] += 1
+                hits = masks.get(child.state_key, 0)
+                if hits:
+                    overlaps = [o + (hits >> j & 1) for j, o in enumerate(overlaps)]
+                    top = max(overlaps)
+                    top_mask = sum(1 << j for j, o in enumerate(overlaps) if o == top)
             node_id = best_id
             rec = child
         state = states[node_id]
@@ -247,30 +269,3 @@ class _LazyGenerator:
         if self._rng is None:
             self._rng = np.random.default_rng(np.random.SeedSequence(entropy=self._entropy))
         return getattr(self._rng, name)
-
-
-def _stem_bonus(
-    key: bytes,
-    stem_keys: set[bytes],
-    overlaps: list[int],
-    reference: list[Plan],
-) -> float:
-    """Diversity bonus of (stem + key) against the reference set.
-
-    The bonus is the min, over reference plans, of the fraction of the
-    stem's state keys (root excluded) that the plan never visits; 1.0
-    against an empty reference set.  Overlap counts for the stem so far are
-    maintained during descent, so scoring one candidate child costs
-    O(len(reference)).
-    """
-    if not reference:
-        return 1.0
-    fresh = key not in stem_keys
-    size = len(stem_keys) + (1 if fresh else 0)
-    best = 1.0
-    for j, plan in enumerate(reference):
-        overlap = overlaps[j] + (1 if fresh and key in plan.state_keys else 0)
-        div = (size - overlap) / size
-        if div < best:
-            best = div
-    return best

@@ -47,11 +47,26 @@ def test_plan_subcommand(tmp_path, capsys):
     world_path.write_text(render_map(world), encoding="utf-8")
     code = main(["plan", "--world", str(world_path), "--iterations", "800", "--seed", "3"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "plan: " in out
-    moves = out.splitlines()[0].split(": ")[1]
-    assert set(moves) <= set("NESW")
-    assert "steps: 7" in out  # exact shortest path on the empty 8x8 grid
+    # The exact shortest path on the empty 8x8 grid; a plan that arrives
+    # prints these three lines and nothing about the goal.
+    assert capsys.readouterr().out == (
+        "plan: EEEEEEE\n"
+        "steps: 7 (unobstructed shortest: 7)\n"
+        "relative quality: 1.000000  absolute: 0.932065\n"
+    )
+
+
+def test_plan_says_when_it_stops_short_of_the_goal(tmp_path, capsys):
+    world_path = tmp_path / "map.txt"
+    world_path.write_text(render_map(generate_instance(10, 10, 0.2, rng=3)), encoding="utf-8")
+    flags = ["--seed", "5", "--value_mode", "average", "--exploration_c", "0.7", "--iterations", "800"]
+    assert main(["plan", "--world", str(world_path), *flags]) == 0
+    assert capsys.readouterr().out == (
+        "plan: EEEEE\n"
+        "steps: 5 (unobstructed shortest: 9)\n"
+        "relative quality: 1.000000  absolute: 0.867817\n"
+        "goal: not reached; the plan stops where the search tree ends\n"
+    )
 
 
 def test_experiment_subcommand(tmp_path, capsys):
@@ -163,3 +178,9 @@ def test_runtime_fault_returns_two(tmp_path, capsys):
         for command in ("oracle", "extract"):
             assert main([command, "--tree", str(bad_tree)]) == 2, (command, rows)
             assert capsys.readouterr().err.startswith("fault:"), (command, rows)
+    # So is a map that is not one start, one goal and known cells.
+    bad_map = tmp_path / "map.txt"
+    for text in ("S.\n..\n", "S.G\n..\n", "S?G\n...\n", "S.S.G\n.....\n", "S...G\n....G\n"):
+        bad_map.write_text(text, encoding="utf-8")
+        assert main(["plan", "--world", str(bad_map), "--iterations", "10"]) == 2, text
+        assert capsys.readouterr().err.startswith("fault:"), text

@@ -280,6 +280,11 @@ def test_map_parse_validation():
         parse_map("S.G\n..\n")  # ragged rows
     with pytest.raises(ValueError):
         parse_map("S?G\n...\n")  # unknown char
+    # a second start or goal names both cells instead of keeping the last
+    with pytest.raises(ValueError, match=r"two S cells, \(0, 0\) and \(2, 0\)"):
+        parse_map("S.S.G\n.....\n")
+    with pytest.raises(ValueError, match=r"two G cells, \(4, 0\) and \(4, 1\)"):
+        parse_map("S...G\n....G\n")
 
 
 def test_moves_match_action_names():

@@ -7,7 +7,6 @@ import pytest
 from conftest import (
     best_child,
     diverse_ucb1_reference,
-    diversity_bonus_reference,
     visited_ids,
     stem_state_keys,
     ucb1_reference,
@@ -21,7 +20,6 @@ from planset.mcts import (
     SearchConfig,
     Simulator,
     SimulatorError,
-    _stem_bonus,
     rollout,
     run_search,
 )
@@ -144,20 +142,25 @@ def reference_descent(tree: SearchTree, score) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "mode,policy",
+    "mode,policy,set_size",
     [
-        (ValueMode.AVERAGE, Policy.UCB1),
-        (ValueMode.MAX, Policy.UCB1),
-        (ValueMode.MAX, Policy.DIVERSE_UCB1),
+        pytest.param(ValueMode.AVERAGE, Policy.UCB1, 3, id="ValueMode.AVERAGE-Policy.UCB1"),
+        pytest.param(ValueMode.MAX, Policy.UCB1, 3, id="ValueMode.MAX-Policy.UCB1"),
+        pytest.param(ValueMode.MAX, Policy.DIVERSE_UCB1, 3, id="ValueMode.MAX-Policy.DIVERSE_UCB1"),
+        pytest.param(
+            ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 3, id="ValueMode.AVERAGE-Policy.DIVERSE_UCB1"
+        ),
+        # More plans asked for than the early trees hold: short reference sets.
+        pytest.param(ValueMode.MAX, Policy.DIVERSE_UCB1, 20, id="short-reference"),
     ],
 )
-def test_search_selects_the_reference_argmax(mode, policy):
+def test_search_selects_the_reference_argmax(mode, policy, set_size):
     # Iteration n of an (n+1)-iteration search runs on the n-iteration tree;
     # its selection path is where visits rose, minus a node it expanded.
     world = generate_instance(5, 5, 0.1, rng=4)
     c = 0.05
     bandit = BanditConfig(
-        exploration_c=c, policy=policy, diversity_refresh_interval=20, diversity_set_size=3
+        exploration_c=c, policy=policy, diversity_refresh_interval=20, diversity_set_size=set_size
     )
 
     def grow(iterations):
@@ -167,17 +170,20 @@ def test_search_selects_the_reference_argmax(mode, policy):
         return run_search(PlanningSimulator(world), config)
 
     ends = set()
+    short_sets = repeated_keys = 0
     for n in range(1, 300, 7):
         before, after = grow(n), grow(n + 1)
         reference = []
         last_refresh = n - n % bandit.diversity_refresh_interval
         if policy is Policy.DIVERSE_UCB1 and last_refresh:
-            reference = extract_plans(
-                grow(last_refresh), ExtractionConfig(k=bandit.diversity_set_size)
-            ).plans
+            reference = extract_plans(grow(last_refresh), ExtractionConfig(k=set_size)).plans
+            short_sets += len(reference) < set_size
 
         def score(cid):
             if policy is Policy.DIVERSE_UCB1:
+                nonlocal repeated_keys
+                parent = before.node(cid).parent
+                repeated_keys += before.node(cid).state_key in stem_state_keys(before, parent)
                 return diverse_ucb1_reference(before, cid, c, reference)
             return ucb1_reference(before, cid, c)
 
@@ -188,31 +194,11 @@ def test_search_selects_the_reference_argmax(mode, policy):
     # expansions and revisits both occur, and some descents go below depth 1
     assert {end for end, _ in ends} == {False, True}
     assert any(deep for _, deep in ends)
-
-
-def test_stem_bonus_matches_set_reference():
-    rng = np.random.default_rng(17)
-    universe = [b"k%d" % i for i in range(12)]
-
-    def random_keys(low, high, replace):
-        picks = rng.choice(len(universe), size=int(rng.integers(low, high)), replace=replace)
-        return [universe[int(i)] for i in picks]
-
-    for _ in range(300):
-        reference = [
-            Plan((0,), (), frozenset(random_keys(1, 9, False)), 1.0, 1.0)
-            for _ in range(int(rng.integers(0, 5)))
-        ]
-        stem_keys: set[bytes] = set()
-        overlaps = [0] * len(reference)
-        for key in random_keys(1, 12, True):  # repeats revisit a state
-            want = diversity_bonus_reference(frozenset(stem_keys | {key}), reference)
-            assert _stem_bonus(key, stem_keys, overlaps, reference) == want
-            # extend the stem the way the selection loop does
-            if key not in stem_keys:
-                stem_keys.add(key)
-                for j, plan in enumerate(reference):
-                    overlaps[j] += key in plan.state_keys
+    if policy is Policy.DIVERSE_UCB1:
+        # some descents score a child that revisits a cell of its stem, and
+        # only the short-reference row scores against fewer plans than asked
+        assert repeated_keys
+        assert bool(short_sets) == (set_size > 3)
 
 
 def test_two_arm_bandit_converges():
