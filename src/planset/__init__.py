@@ -42,7 +42,6 @@ from .metrics import (
     materialize_plan,
     min_pairwise_diversity,
     relative_plan_quality,
-    state_set_distance,
 )
 from .experiment import (
     ExperimentConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "run_random_baseline",
     "run_search",
     "shortest_unobstructed_path",
-    "state_set_distance",
     "summarize",
     "two_proportion_z_test",
 ]

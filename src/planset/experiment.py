@@ -316,21 +316,17 @@ def two_proportion_z_test(
 
 
 def proportion_ci(successes: int, n: int) -> tuple[float, float, float]:
-    """(mean, lo, hi): normal-approximation 95% interval clamped to [0, 1]."""
+    """(mean, lo, hi): the Wilson score 95% interval.  ``lo`` is exactly 0.0
+    with no successes and ``hi`` exactly 1.0 with all, where the formula
+    would round to 1.7e-18 and 0.9999999999999999."""
     mean = successes / n
-    half = _Z95 * math.sqrt(max(mean * (1.0 - mean), 0.0) / n)
-    return mean, max(mean - half, 0.0), min(mean + half, 1.0)
-
-
-def mean_ci(values: Sequence[float]) -> tuple[float, float, float]:
-    """(mean, lo, hi) with a 95% normal interval from the sample deviation."""
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, mean, mean
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = _Z95 * math.sqrt(var / n)
-    return mean, mean - half, mean + half
+    z2 = _Z95 * _Z95
+    scale = 1.0 + z2 / n
+    center = (mean + z2 / (2 * n)) / scale
+    half = _Z95 * math.sqrt(mean * (1.0 - mean) / n + z2 / (4 * n * n)) / scale
+    lo = 0.0 if successes == 0 else center - half
+    hi = 1.0 if successes == n else center + half
+    return mean, lo, hi
 
 
 RISK_BANDS = (("low", 0.0, 0.3), ("medium_high", 0.3, 1.0 + 1e-9), ("all", 0.0, 1.0 + 1e-9))
@@ -338,7 +334,7 @@ RISK_BANDS = (("low", 0.0, 0.3), ("medium_high", 0.3, 1.0 + 1e-9), ("all", 0.0, 
 
 def summarize(records: Sequence[ResultRecord]) -> list[dict]:
     """Per (planner, risk band): success rate with CI; per planner: mean
-    path-cost ratio over successes and mean build/extract times with CIs.
+    path-cost ratio over successes and mean build/extract times.
 
     Groups with fewer than 2 records are dropped with a warning row.
     """
@@ -369,18 +365,14 @@ def summarize(records: Sequence[ResultRecord]) -> list[dict]:
             for r in mine
             if r.success and r.shortest_path > 0 and r.best_path_len is not None
         ]
-        build_mean, build_lo, build_hi = mean_ci([r.tree_build_seconds for r in mine])
-        ext_mean, ext_lo, ext_hi = mean_ci([r.extraction_seconds for r in mine])
         rows.append(
             {
                 "planner": planner,
                 "band": "timing",
                 "n": len(mine),
                 "path_cost_ratio": (sum(ratios) / len(ratios)) if ratios else None,
-                "build_s": build_mean,
-                "build_ci": (build_lo, build_hi),
-                "extract_s": ext_mean,
-                "extract_ci": (ext_lo, ext_hi),
+                "build_s": sum(r.tree_build_seconds for r in mine) / len(mine),
+                "extract_s": sum(r.extraction_seconds for r in mine) / len(mine),
             }
         )
     return rows
@@ -441,6 +433,8 @@ def parse_planners(text: str) -> tuple[PlannerSpec, ...]:
     specs = []
     for token in text.replace(",", " ").split():
         parts = token.split(":")
+        if len(parts) > 4:
+            raise ConfigError(f"too many ':' fields in {token!r} (expected kind[:k[:q[:d]]])")
         try:
             kind = PlannerKind(parts[0])
         except ValueError as exc:

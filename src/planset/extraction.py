@@ -16,7 +16,11 @@ Cost of the diversity floor: at d = 0 there is no diversity work at all, so
 top-k and top-quality extraction build one Plan per returned plan.  At
 d > 0 each complete candidate gets one state-key-set test against the at
 most k incumbents, and a Plan is built only for a candidate that is
-accepted or swapped in on a tie.
+accepted or swapped in on a tie.  Once k plans are held, ties on the
+weakest quality read each incumbent's leave-one-out distance (its smallest
+distance to the other incumbents) from a list.  The list is computed when
+the set first fills and on each swap attempt, in index order, stopping at
+the first distance below d; it changes only when a swap stands.
 
 :func:`brute_force_enumerate` walks every root-to-leaf path instead and is
 the testing oracle the queue-based extractor is checked against.
@@ -27,6 +31,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import takewhile
+from typing import Iterator
 
 from .metrics import (
     Plan,
@@ -83,6 +89,7 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
         raise EmptyTreeError("root has never been visited")
 
     accepted: list[Plan] = []
+    loo: list[float] | None = None  # each incumbent's leave-one-out diversity, once k are held
     # Heap entries: (-log quality, insertion seq, last node of the stem).  The
     # seq pops ties FIFO, which fixes who wins exact ties and the pop count.
     heap: list[tuple[float, int, int]] = [(-0.0, 0, tree.root)]
@@ -123,24 +130,28 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
             q_min = min(p.relative_quality for p in accepted)
             if math.exp(logq) < q_min - QUALITY_TOL:
                 break
+            if loo is None:
+                loo = list(_leave_one_out(accepted))
             # Quality tie: replace the least diverse minimum-quality
             # incumbent if the candidate is strictly more diverse.
             tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
-            weakest = min(tied, key=lambda i: diversity_excluding(accepted, i))
-            if diversity > diversity_excluding(accepted, weakest):
-                old = accepted[weakest]
-                accepted[weakest] = materialize_plan(tree, path, logq)
-                # The replace step must not break the set's own pairwise
-                # diversity floor; roll back if it does.
-                if any(diversity_excluding(accepted, i) < d for i in range(len(accepted))):
-                    accepted[weakest] = old
+            weakest = min(tied, key=loo.__getitem__)
+            if diversity > loo[weakest]:
+                trial = accepted.copy()
+                trial[weakest] = materialize_plan(tree, path, logq)
+                # The swap stands only if the set keeps its own pairwise
+                # diversity floor; the first plan below d ends the check.
+                trial_loo = list(takewhile(lambda value: value >= d, _leave_one_out(trial)))
+                if len(trial_loo) == len(trial):
+                    accepted, loo = trial, trial_loo
 
     return PlanSet(plans=accepted, pops=pops)
 
 
-def diversity_excluding(plans: list[Plan], index: int) -> float:
-    """Min pairwise distance of ``plans[index]`` against the other plans."""
-    return min_pairwise_diversity(plans[index], plans[:index] + plans[index + 1 :])
+def _leave_one_out(plans: list[Plan]) -> Iterator[float]:
+    """Each plan's smallest distance to the other plans, in index order."""
+    for i, plan in enumerate(plans):
+        yield min_pairwise_diversity(plan, plans[:i] + plans[i + 1 :])
 
 
 def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:

@@ -7,7 +7,8 @@ best child everywhere, and shrinking with every regretful choice.
 Multiplying by the root value turns it into an *absolute* expected return.
 One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
 Diversity between plans is the fraction of one plan's visited states that
-the other plan never touches (one-way, and deliberately asymmetric).
+the other plan never touches (one-way, and deliberately asymmetric);
+:func:`min_pairwise_diversity` is the one place that distance is computed.
 """
 
 from __future__ import annotations
@@ -132,28 +133,19 @@ def materialize_plan(tree: SearchTree, nodes: Sequence[int], log_quality: float 
     return Plan(tuple(nodes), tuple(actions), frozenset(keys), relative, absolute_quality(tree, relative))
 
 
-def _key_set_distance(keys_a: frozenset[bytes], keys_b: frozenset[bytes]) -> float:
-    if not keys_a:
-        raise DegeneratePlanError("plan has an empty state set")
-    return len(keys_a - keys_b) / len(keys_a)
-
-
-def state_set_distance(plan_a: Plan, plan_b: Plan) -> float:
-    """Fraction of plan_a's states that plan_b never visits.
-
-    One-way set difference over |plan_a|; not symmetric in general.
-    """
-    return _key_set_distance(plan_a.state_keys, plan_b.state_keys)
-
-
 def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:
-    """Min distance from ``plan`` to any member; 1.0 for an empty collection.
+    """Min one-way distance from ``plan`` to any member; 1.0 for an empty
+    collection.
 
-    ``plan`` may be a bare state-key set, so a candidate can be tested
-    before a :class:`Plan` is built for it.
+    The distance from A to B is the fraction of A's states that B never
+    visits, ``|A - B| / |A|``; it is not symmetric in general.  ``plan`` may
+    be a bare state-key set, so a candidate can be tested before a
+    :class:`Plan` is built for it.
     """
     keys = plan.state_keys if isinstance(plan, Plan) else plan
     members = list(plans)
     if not members:
         return 1.0
-    return min(_key_set_distance(keys, other.state_keys) for other in members)
+    if not keys:
+        raise DegeneratePlanError("plan has an empty state set")
+    return min(len(keys - other.state_keys) for other in members) / len(keys)

@@ -129,6 +129,7 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         ["--planners", "top_k:0"],
         ["--planners", "random:0"],
         ["--planners", "top_k:2.5"],
+        ["--planners", "diverse:5:0.8:0.5:9"],
         ["--width", "1"],
         ["--risk_levels", "1.5"],
         ["--rollout_greedy_p", "1.5"],

@@ -22,7 +22,6 @@ from planset.experiment import (
     ResultRecord,
     config_from_mapping,
     desk_profile,
-    mean_ci,
     paper_profile,
     parse_config_file,
     parse_planners,
@@ -163,16 +162,13 @@ def test_z_test_degenerate_groups():
 
 
 def test_proportion_ci_boundaries():
+    # Wilson score interval: never zero-width, with exact 0 and 1 ends.
     mean, lo, hi = proportion_ci(10, 10)
-    assert mean == 1.0 and hi == 1.0 and lo == 1.0
+    assert mean == 1.0 and hi == 1.0 and lo == pytest.approx(0.72247, abs=1e-5)
+    mean, lo, hi = proportion_ci(0, 140)
+    assert mean == 0.0 and lo == 0.0 and hi == pytest.approx(0.02671, abs=1e-5)
     mean, lo, hi = proportion_ci(1, 2)
     assert mean == 0.5 and lo < 0.5 < hi
-
-
-def test_mean_ci_contains_mean():
-    mean, lo, hi = mean_ci([1.0, 2.0, 3.0, 4.0])
-    assert lo < mean == 2.5 < hi
-    assert mean_ci([5.0]) == (5.0, 5.0, 5.0)
 
 
 # -- config plumbing -------------------------------------------------------
@@ -224,6 +220,10 @@ def test_parse_planners():
         parse_planners("warp_drive:3")
     with pytest.raises(ConfigError):
         parse_planners("top_k:2.5")
+    # A fifth field is refused, not dropped.
+    for token in ("diverse:5:0.8:0.5:9", "top_k:5:0:0:junk"):
+        with pytest.raises(ConfigError, match=token):
+            parse_planners(token)
 
 
 def test_config_file_round_trip(tmp_path):

@@ -20,13 +20,12 @@ from planset.extraction import (
     ExtractionConfig,
     TreeTooLargeError,
     brute_force_enumerate,
-    diversity_excluding,
     extract_plans,
 )
 from planset.experiment import run_random_baseline
 from planset.gridworld import PlanningSimulator, generate_instance
 from planset.mcts import BanditConfig, SearchConfig, run_search
-from planset.metrics import min_pairwise_diversity, relative_plan_quality
+from planset.metrics import Plan, min_pairwise_diversity, relative_plan_quality
 from planset.tree import SearchTree, ValueMode
 
 
@@ -255,8 +254,9 @@ def test_diverse_replacement_rolls_back_when_set_breaks():
         frozenset({b"m", b"n"}),
     }
     # the set still satisfies its own diversity floor
-    for i in range(len(result.plans)):
-        assert diversity_excluding(result.plans, i) >= 0.5
+    for i, plan in enumerate(result.plans):
+        others = result.plans[:i] + result.plans[i + 1 :]
+        assert min_pairwise_diversity(plan, others) >= 0.5
 
 
 def test_planset_invariants_hold_after_extraction():
@@ -457,3 +457,18 @@ def test_plan_sets_match_the_pinned_hashes(key, loaded):
     if loaded:
         tree = SearchTree.from_text(tree.to_text())
     assert plan_set_digests(tree, key[2]) == GOLDEN_PLAN_SETS[key]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tie_branch_computes_leave_one_out_distances_once_per_set_change(counted, seed):
+    # A leave-one-out computation passes an incumbent Plan; candidate tests
+    # pass a bare key set.  The list is built once when the set fills and
+    # once per swap attempt, so each costs at most k computations.
+    tree = golden_plan_tree(0.02, ValueMode.MAX, seed)
+    for bounds in (ExtractionConfig(k=5, q=0.8, d=0.5), ExtractionConfig(k=10, q=0.8, d=0.3)):
+        counted["min_pairwise_diversity"].firsts.clear()
+        counted["materialize_plan"].firsts.clear()
+        result = extract_plans(tree, bounds)
+        leave_one_out = sum(isinstance(first, Plan) for first in counted["min_pairwise_diversity"].firsts)
+        swap_attempts = len(counted["materialize_plan"].firsts) - len(result)
+        assert leave_one_out <= bounds.k * (1 + swap_attempts)

@@ -11,7 +11,6 @@ from planset.metrics import (
     materialize_plan,
     min_pairwise_diversity,
     relative_plan_quality,
-    state_set_distance,
 )
 from planset.tree import InvalidNodeError, SearchTree, UndefinedValueError, ValueMode
 
@@ -136,22 +135,22 @@ def test_absolute_quality_scales_by_root():
 def test_state_set_distance_examples():
     a = make_plan(["1", "2", "3", "4"])
     b = make_plan(["3", "4", "5"])
-    assert state_set_distance(a, a) == 0.0
-    assert state_set_distance(a, make_plan(["x", "y"])) == 1.0
-    assert state_set_distance(a, b) == 0.5
+    assert min_pairwise_diversity(a, [a]) == 0.0
+    assert min_pairwise_diversity(a, [make_plan(["x", "y"])]) == 1.0
+    assert min_pairwise_diversity(a, [b]) == 0.5
 
 
 def test_state_set_distance_is_asymmetric():
     a = make_plan(["1", "2", "3", "4"])
     b = make_plan(["3", "4", "5"])
-    assert state_set_distance(a, b) == 0.5
-    assert state_set_distance(b, a) == pytest.approx(1 / 3)
+    assert min_pairwise_diversity(a, [b]) == 0.5
+    assert min_pairwise_diversity(b, [a]) == pytest.approx(1 / 3)
 
 
 def test_state_set_distance_empty_plan():
     empty = Plan((0,), (), frozenset(), 1.0, 1.0)
     with pytest.raises(DegeneratePlanError):
-        state_set_distance(empty, make_plan(["1"]))
+        min_pairwise_diversity(empty, [make_plan(["1"])])
 
 
 def test_min_pairwise_diversity():
@@ -162,8 +161,8 @@ def test_min_pairwise_diversity():
     far = make_plan(["x"])
     # plan vs near: |{}\|/2 -> craft explicit distances instead
     others = [make_plan(["1", "2", "9", "8", "7", "6", "5", "4", "3", "0"]), far]
-    d_near = state_set_distance(plan, others[0])
-    d_far = state_set_distance(plan, others[1])
+    d_near = min_pairwise_diversity(plan, others[:1])
+    d_far = min_pairwise_diversity(plan, others[1:])
     assert min_pairwise_diversity(plan, others) == min(d_near, d_far)
     assert min_pairwise_diversity(plan, PlanSet(plans=others)) == min(d_near, d_far)
 

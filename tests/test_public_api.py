@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "run_random_baseline",
     "run_search",
     "shortest_unobstructed_path",
-    "state_set_distance",
     "summarize",
     "two_proportion_z_test",
 ]
