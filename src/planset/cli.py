@@ -6,6 +6,8 @@ Subcommands:
   extract     extract a bounded plan set from a serialized tree (CSV)
   oracle      exhaustively enumerate a serialized tree's plans (CSV)
 
+Config files and flags are cast through one key table, ``CONFIG_KEYS``.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime fault.
 """
 
@@ -15,26 +17,148 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from .extraction import ExtractionConfig, brute_force_enumerate, extract_plans
 from .gridworld import ACTION_NAMES, DroneState, PlanningSimulator, parse_map, shortest_unobstructed_path
-from .mcts import run_search
+from .mcts import BanditConfig, Policy, SearchConfig, run_search
 from .experiment import (
-    CONFIG_KEYS,
+    PROFILES,
     ConfigError,
-    config_from_mapping,
-    desk_profile,
-    parse_config_file,
+    ExperimentConfig,
+    PlannerKind,
+    PlannerSpec,
     render_summary,
     run_experiment,
+    spaced_risk_levels,
     summarize,
 )
 from .tree import SearchTree, ValueMode
 
 
+# -- config files ----------------------------------------------------------
+#
+# Flat UTF-8 `key = value` lines with `#` comments.  Every key can also be
+# given as a CLI flag of the same name.
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    values: dict[str, str] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
+    return values
+
+
+def _planner_k(text: str) -> float:
+    """An int when whole, else a float: ``inf``, or 2.5 for PlannerSpec to refuse."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
+def parse_planners(text: str) -> tuple[PlannerSpec, ...]:
+    """Parse ``kind[:k[:q[:d]]]`` entries separated by commas or whitespace."""
+    specs = []
+    for token in text.replace(",", " ").split():
+        parts = token.split(":")
+        if len(parts) > 4:
+            raise ConfigError(f"too many ':' fields in {token!r} (expected kind[:k[:q[:d]]])")
+        try:
+            kind = PlannerKind(parts[0])
+        except ValueError as exc:
+            raise ConfigError(f"unknown planner kind {parts[0]!r}") from exc
+        try:
+            k = _planner_k(parts[1]) if len(parts) > 1 else (1 if kind is PlannerKind.SINGLE else 5)
+            q = float(parts[2]) if len(parts) > 2 else 0.0
+            d = float(parts[3]) if len(parts) > 3 else 0.0
+        except ValueError as exc:
+            raise ConfigError(f"bad planner bounds in {token!r}") from exc
+        specs.append(PlannerSpec(kind, k=k, q=q, d=d))
+    if not specs:
+        raise ConfigError("no planners given")
+    return tuple(specs)
+
+
+def _risk_levels(text: str) -> tuple[float, ...]:
+    """Explicit levels when any comma or point appears, else an even count."""
+    if "," in text or "." in text:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return spaced_risk_levels(int(text))
+
+
+# Every setting: the config it overrides a field of (None for the profile,
+# which picks the config the other keys override) and the cast from its
+# string value.  The field is named like the key.
+CONFIG_KEYS: dict[str, tuple[type | None, Callable[[str], object]]] = {
+    "profile": (None, str),
+    "risk_levels": (ExperimentConfig, _risk_levels),
+    "replications_per_level": (ExperimentConfig, int),
+    "width": (ExperimentConfig, int),
+    "height": (ExperimentConfig, int),
+    "iterations": (SearchConfig, int),
+    "max_rollout_steps": (SearchConfig, int),
+    "value_mode": (SearchConfig, ValueMode),
+    "policy": (BanditConfig, Policy),
+    "exploration_c": (BanditConfig, float),
+    "diversity_refresh_interval": (BanditConfig, int),
+    "diversity_set_size": (BanditConfig, int),
+    "master_seed": (ExperimentConfig, int),
+    "detection_radius": (ExperimentConfig, int),
+    "rollout_greedy_p": (ExperimentConfig, float),
+    "workers": (ExperimentConfig, int),
+    "planners": (ExperimentConfig, parse_planners),
+    "output_path": (ExperimentConfig, lambda text: text or None),
+}
+
+
+def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
+    """Build an ExperimentConfig from flat string settings (file or flags)."""
+    profile = values.get("profile", "desk")
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r} (choose from {sorted(PROFILES)})")
+    fields: dict[type, dict[str, object]] = {ExperimentConfig: {}, SearchConfig: {}, BanditConfig: {}}
+    try:
+        for key, text in values.items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            target, cast = CONFIG_KEYS[key]
+            if target is not None:
+                fields[target][key] = cast(text)
+        config = PROFILES[profile]()
+        bandit = replace(config.search.bandit, **fields[BanditConfig])
+        search = replace(config.search, bandit=bandit, **fields[SearchConfig])
+        return replace(config, search=search, **fields[ExperimentConfig])
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits with 2; config errors are 1
         raise ConfigError(message)
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One string flag per config key, named like it; ``--out`` also spells ``--output_path``."""
+    for key in keys:
+        parser.add_argument(f"--{key}", *(("--out",) if key == "output_path" else ()))
+
+
+def _key_flags(args) -> dict[str, str]:
+    """The config keys given as flags, each as its string."""
+    return {key: text for key, text in vars(args).items() if key in CONFIG_KEYS and text is not None}
 
 
 def _build_parser() -> _Parser:
@@ -43,19 +167,12 @@ def _build_parser() -> _Parser:
 
     exp = sub.add_parser("experiment", help="run the risk-sweep experiment")
     exp.add_argument("--config", help="flat key = value config file")
-    exp.add_argument("--profile", choices=("desk", "paper"), help="base profile")
-    exp.add_argument("--out", help="output CSV path (same as output_path)")
-    for key in CONFIG_KEYS:
-        if key != "profile":
-            exp.add_argument(f"--{key}", dest=f"key_{key}")
+    _add_key_flags(exp, CONFIG_KEYS)
 
-    desk = desk_profile().search
     plan = sub.add_parser("plan", help="search a world map and print the best plan")
     plan.add_argument("--world", required=True, help="map file ('.', 'E', 'S', 'G' rows)")
-    plan.add_argument("--iterations", type=int, default=desk.iterations)
-    plan.add_argument("--seed", type=int, default=desk.seed)
-    plan.add_argument("--exploration_c", type=float, default=desk.bandit.exploration_c)
-    plan.add_argument("--value_mode", choices=("average", "max"), default=desk.value_mode.value)
+    plan.add_argument("--seed", type=int, default=0)
+    _add_key_flags(plan, ("iterations", "exploration_c", "value_mode"))
 
     ext = sub.add_parser("extract", help="extract a plan set from a serialized tree")
     ext.add_argument("--tree", required=True, help="serialized tree file")
@@ -86,17 +203,8 @@ def _plan_lines(plans) -> list[str]:
 
 
 def _cmd_experiment(args) -> int:
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    if args.profile:
-        values["profile"] = args.profile
-    for key in CONFIG_KEYS:
-        flag = getattr(args, f"key_{key}", None)
-        if flag is not None:
-            values[key] = flag
-    if args.out:
-        values["output_path"] = args.out
+    values = parse_config_file(args.config) if args.config else {}
+    values.update(_key_flags(args))
     config = config_from_mapping(values)
     records = run_experiment(config)
     print(render_summary(summarize(records)))
@@ -106,15 +214,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    desk = desk_profile().search
+    search = config_from_mapping(_key_flags(args)).search
     try:
-        config = replace(
-            desk,
-            iterations=args.iterations,
-            value_mode=ValueMode(args.value_mode),
-            bandit=replace(desk.bandit, exploration_c=args.exploration_c),
-            seed=args.seed,
-        )
+        config = replace(search, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:

@@ -17,14 +17,13 @@ import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .extraction import EmptyTreeError, ExtractionConfig, extract_plans
 from .gridworld import PlanningSimulator, execute_plan, generate_instance, shortest_unobstructed_path
-from .mcts import BanditConfig, Policy, SearchConfig, _require_integers, run_search
+from .mcts import BanditConfig, SearchConfig, _require_integers, run_search
 from .metrics import PlanSet, materialize_plan
 from .tree import SearchTree, ValueMode
 
@@ -66,10 +65,14 @@ class PlannerSpec:
         bad = None
         if self.kind is PlannerKind.SINGLE and (self.k, self.q, self.d) != (1, 0.0, 0.0):
             bad = "single requires k=1, q=0, d=0"
+        elif self.kind is PlannerKind.RANDOM and (self.q, self.d) != (0.0, 0.0):
+            bad = "random requires q=0, d=0"
         elif self.kind is PlannerKind.TOP_K and (self.q, self.d) != (0.0, 0.0):
             bad = "top_k requires q=0, d=0"
         elif self.kind is PlannerKind.TOP_QUALITY and self.d != 0.0:
             bad = "top_quality requires d=0"
+        elif self.kind is PlannerKind.DIVERSE and self.d == 0.0:
+            bad = "diverse requires d>0"
         if bad:
             raise ConfigError(f"invalid planner spec {self}: {bad}")
 
@@ -395,112 +398,3 @@ def render_summary(rows: Sequence[dict]) -> str:
                 f"success {row['success_rate']:.3f} [{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]"
             )
     return "\n".join(lines)
-
-
-# -- config files ----------------------------------------------------------
-#
-# Flat UTF-8 `key = value` lines with `#` comments.  Every key can also be
-# given as a CLI flag of the same name.
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
-def _planner_k(text: str) -> float:
-    """An int when whole, else a float: ``inf``, or 2.5 for PlannerSpec to refuse."""
-    value = float(text)
-    return int(value) if value.is_integer() else value
-
-
-def parse_planners(text: str) -> tuple[PlannerSpec, ...]:
-    """Parse ``kind[:k[:q[:d]]]`` entries separated by commas or whitespace."""
-    specs = []
-    for token in text.replace(",", " ").split():
-        parts = token.split(":")
-        if len(parts) > 4:
-            raise ConfigError(f"too many ':' fields in {token!r} (expected kind[:k[:q[:d]]])")
-        try:
-            kind = PlannerKind(parts[0])
-        except ValueError as exc:
-            raise ConfigError(f"unknown planner kind {parts[0]!r}") from exc
-        try:
-            k = _planner_k(parts[1]) if len(parts) > 1 else (1 if kind is PlannerKind.SINGLE else 5)
-            q = float(parts[2]) if len(parts) > 2 else 0.0
-            d = float(parts[3]) if len(parts) > 3 else 0.0
-        except ValueError as exc:
-            raise ConfigError(f"bad planner bounds in {token!r}") from exc
-        specs.append(PlannerSpec(kind, k=k, q=q, d=d))
-    if not specs:
-        raise ConfigError("no planners given")
-    return tuple(specs)
-
-
-def _risk_levels(text: str) -> tuple[float, ...]:
-    """Explicit levels when any comma or point appears, else an even count."""
-    if "," in text or "." in text:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    return spaced_risk_levels(int(text))
-
-
-# Every setting: the config it overrides a field of (None for the profile,
-# which picks the config the other keys override) and the cast from its
-# string value.  The field is named like the key.
-CONFIG_KEYS: dict[str, tuple[type | None, Callable[[str], object]]] = {
-    "profile": (None, str),
-    "risk_levels": (ExperimentConfig, _risk_levels),
-    "replications_per_level": (ExperimentConfig, int),
-    "width": (ExperimentConfig, int),
-    "height": (ExperimentConfig, int),
-    "iterations": (SearchConfig, int),
-    "max_rollout_steps": (SearchConfig, int),
-    "value_mode": (SearchConfig, ValueMode),
-    "policy": (BanditConfig, Policy),
-    "exploration_c": (BanditConfig, float),
-    "diversity_refresh_interval": (BanditConfig, int),
-    "diversity_set_size": (BanditConfig, int),
-    "master_seed": (ExperimentConfig, int),
-    "detection_radius": (ExperimentConfig, int),
-    "rollout_greedy_p": (ExperimentConfig, float),
-    "workers": (ExperimentConfig, int),
-    "planners": (ExperimentConfig, parse_planners),
-    "output_path": (ExperimentConfig, lambda text: text or None),
-}
-
-
-def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat string settings (file or flags)."""
-    profile = values.get("profile", "desk")
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r} (choose from {sorted(PROFILES)})")
-    fields: dict[type, dict[str, object]] = {ExperimentConfig: {}, SearchConfig: {}, BanditConfig: {}}
-    try:
-        for key, text in values.items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown key {key!r}")
-            target, cast = CONFIG_KEYS[key]
-            if target is not None:
-                fields[target][key] = cast(text)
-        config = PROFILES[profile]()
-        bandit = replace(config.search.bandit, **fields[BanditConfig])
-        search = replace(config.search, bandit=bandit, **fields[SearchConfig])
-        return replace(config, search=search, **fields[ExperimentConfig])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc

@@ -49,6 +49,10 @@ class GridWorld:
     risk: float
     detection_radius: int = 0
 
+    def __post_init__(self):
+        if self.detection_radius < 0:
+            raise ValueError(f"detection_radius must be >= 0, got {self.detection_radius}")
+
 
 class DroneState(NamedTuple):
     position: Cell
@@ -108,6 +112,8 @@ class PlanningSimulator:
     """
 
     def __init__(self, world: GridWorld, rollout_greedy_p: float = 1.0):
+        if not 0.0 <= rollout_greedy_p <= 1.0:
+            raise ValueError(f"rollout_greedy_p must lie in [0, 1], got {rollout_greedy_p}")
         self.world = world
         self.rollout_greedy_p = rollout_greedy_p
         self.horizon = 4 * (world.width + world.height)

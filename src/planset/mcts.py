@@ -198,19 +198,15 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
 
         # Selection: descend through visited children while the node is
         # fully expanded; any untried action makes it expandable first.
-        while not rec.terminal and not rec.untried_actions and rec.children:
+        while not rec.untried_actions and rec.children:
             two_log_n = 2.0 * math.log(rec.visits)
             if diverse:
                 stem = len(stem_keys)
                 size = stem + 1
-            best_id = -1
             best_score = -math.inf
             for cid in rec.children:
                 child = nodes[cid]
-                nv = child.visits
-                if not nv:
-                    continue
-                score = child.value + c * math.sqrt(two_log_n / nv)
+                score = child.value + c * math.sqrt(two_log_n / child.visits)
                 if diverse:
                     key = child.state_key
                     if key in stem_keys:
@@ -220,8 +216,6 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
                 if score > best_score:
                     best_score = score
                     best_id = cid
-            if best_id < 0:
-                break
             child = nodes[best_id]
             if diverse and child.state_key not in stem_keys:
                 stem_keys.add(child.state_key)
@@ -236,7 +230,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         acc = prefix[node_id]
 
         # Expansion: one seeded-uniform untried action, then a rollout.
-        if not rec.terminal and rec.untried_actions:
+        if rec.untried_actions:
             action = rec.untried_actions[int(tree_rng.integers(len(rec.untried_actions)))]
             state, reward, done = sim.step(state, action)
             acc += reward

@@ -233,23 +233,25 @@ class SearchTree:
 
         The tree is read in the value mode its header names, and every
         visited node's ``value`` is computed in that mode.  Raises
-        ``ValueError`` for text :meth:`to_text` never writes: a malformed
-        line, a terminal flag other than 0 or 1, a root action other than
-        -1, a second root, a non-finite reward, a child of a terminal node,
-        two edges with the same action out of one node, or statistics that
-        fail :meth:`check_consistency`.
+        ``ValueError`` for text :meth:`to_text` never writes: a first line
+        other than ``# planset-tree v1 mode=<mode>``, a later ``#`` line, a
+        malformed line, a terminal flag other than 0 or 1, a root action
+        other than -1, a second root, a non-finite reward, a child of a
+        terminal node, two edges with the same action out of one node, or
+        statistics that fail :meth:`check_consistency`.
         """
-        mode = ValueMode.AVERAGE
+        lines = filter(None, map(str.split, text.splitlines()))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError("empty tree text")
+        if len(header) != 4 or header[:3] != ["#", "planset-tree", "v1"] or not header[3].startswith("mode="):
+            raise ValueError(f"expected a '# planset-tree v1 mode=<mode>' header, got {' '.join(header)!r}")
+        mode = ValueMode(header[3][5:])
         tree: SearchTree | None = None
         records: list[NodeRecord] = []
-        for fields in map(str.split, text.splitlines()):
-            if not fields:
-                continue
+        for fields in lines:
             if fields[0].startswith("#"):
-                for tok in fields:
-                    if tok.startswith("mode="):
-                        mode = ValueMode(tok[5:])
-                continue
+                raise ValueError(f"a '#' line after the header: {' '.join(fields)!r}")
             nid_s, parent_s, action_s, visits_s, reward_s, term_s, key_s = fields
             key = b"" if key_s == "-" else bytes.fromhex(key_s)
             if term_s != "0" and term_s != "1":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_backprop_tree
-from planset.cli import main
+from planset.cli import _build_parser, _key_flags, main
 from planset.extraction import ExtractionConfig, brute_force_enumerate, extract_plans
 from planset.gridworld import generate_instance, render_map
 
@@ -117,19 +117,44 @@ def test_flag_overrides_config(tmp_path):
     assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 2
 
 
+def test_out_and_output_path_spell_one_flag(tmp_path):
+    for spelling in ("--out", "--output_path"):
+        args = _build_parser().parse_args(["experiment", spelling, "records.csv"])
+        assert _key_flags(args) == {"output_path": "records.csv"}
+    # Either spelling names one setting, so the last one given wins.
+    args = _build_parser().parse_args(["experiment", "--output_path", "a.csv", "--out", "b.csv"])
+    assert _key_flags(args) == {"output_path": "b.csv"}
+    out_csv = tmp_path / "records.csv"
+    tiny = ["--risk_levels", "0.1", "--replications_per_level", "1", "--iterations", "20", "--width", "4", "--height", "4"]
+    assert main(["experiment", *tiny, "--planners", "single", "--output_path", str(out_csv)]) == 0
+    assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "nope.conf")]) == 1
     assert main(["extract", "--tree", str(tmp_path / "nope.txt")]) == 1
+    assert main(["plan", "--world", str(tmp_path / "nope.txt")]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
     # Bad values are refused before any search runs or the CSV is opened.
     out_csv = tmp_path / "never.csv"
+    no_equals = tmp_path / "no_equals.conf"
+    no_equals.write_text("width 6\n", encoding="utf-8")
     small = ["--replications_per_level", "1", "--iterations", "20", "--out", str(out_csv)]
     for flags in (
         ["--planners", "top_k:0"],
         ["--planners", "random:0"],
         ["--planners", "top_k:2.5"],
         ["--planners", "diverse:5:0.8:0.5:9"],
+        ["--planners", "random:5:0.5"],
+        ["--planners", "diverse:5:0.8"],
+        ["--planners", "top_k:x"],
+        ["--planners", ","],
+        ["--profile", "bogus"],
+        ["--config", str(no_equals)],
+        ["--risk_levels", "0"],
+        ["--risk_levels", ","],
+        ["--workers", "0"],
         ["--width", "1"],
         ["--risk_levels", "1.5"],
         ["--rollout_greedy_p", "1.5"],
@@ -179,6 +204,11 @@ def test_runtime_fault_returns_two(tmp_path, capsys):
         for command in ("oracle", "extract"):
             assert main([command, "--tree", str(bad_tree)]) == 2, (command, rows)
             assert capsys.readouterr().err.startswith("fault:"), (command, rows)
+    # Tree text must open with the exact header to_text writes.
+    bad_tree.write_text("0 -1 -1 1 0.5 0 -\n", encoding="utf-8")
+    for command in ("oracle", "extract"):
+        assert main([command, "--tree", str(bad_tree)]) == 2, command
+        assert capsys.readouterr().err.startswith("fault: expected a '# planset-tree v1"), command
     # So is a map that is not one start, one goal and known cells.
     bad_map = tmp_path / "map.txt"
     for text in ("S.\n..\n", "S.G\n..\n", "S?G\n...\n", "S.S.G\n.....\n", "S...G\n....G\n"):

@@ -13,6 +13,7 @@ import pytest
 
 import planset
 from conftest import visited_ids, random_backprop_tree, visited_children
+from planset.cli import config_from_mapping, parse_config_file, parse_planners
 from planset.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -20,11 +21,8 @@ from planset.experiment import (
     PlannerKind,
     PlannerSpec,
     ResultRecord,
-    config_from_mapping,
     desk_profile,
     paper_profile,
-    parse_config_file,
-    parse_planners,
     proportion_ci,
     run_experiment,
     run_random_baseline,
@@ -193,12 +191,19 @@ def test_profiles_match_documented_scale():
 
 
 def test_planner_spec_invariants():
-    with pytest.raises(ConfigError):
-        PlannerSpec(PlannerKind.SINGLE, k=3)
-    with pytest.raises(ConfigError):
-        PlannerSpec(PlannerKind.TOP_K, k=5, q=0.5)
-    with pytest.raises(ConfigError):
-        PlannerSpec(PlannerKind.TOP_QUALITY, k=5, q=0.5, d=0.2)
+    for kind, bounds in (
+        (PlannerKind.SINGLE, dict(k=3)),
+        (PlannerKind.TOP_K, dict(k=5, q=0.5)),
+        (PlannerKind.TOP_QUALITY, dict(k=5, q=0.5, d=0.2)),
+        # The random baseline reads k alone, and a diverse planner without d
+        # would run as top-k or top-quality under the label "diverse".
+        (PlannerKind.RANDOM, dict(k=5, q=0.5)),
+        (PlannerKind.RANDOM, dict(k=5, d=0.3)),
+        (PlannerKind.DIVERSE, dict(k=5)),
+        (PlannerKind.DIVERSE, dict(k=5, q=0.8)),
+    ):
+        with pytest.raises(ConfigError, match=f"{kind.value} requires"):
+            PlannerSpec(kind, **bounds)
     PlannerSpec(PlannerKind.DIVERSE, k=5, q=0.8, d=0.5)
 
 
@@ -261,6 +266,20 @@ def test_config_file_rejects_unknown_key(tmp_path):
 def test_config_explicit_risk_list():
     config = config_from_mapping({"risk_levels": "0.1, 0.2, 0.35"})
     assert config.risk_levels == (0.1, 0.2, 0.35)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"profile": "bogus"}, r"unknown profile 'bogus' \(choose from \['desk', 'paper'\]\)"),
+        ({"speed": "11"}, "unknown key 'speed'"),
+        ({"width": "abc"}, "bad config value: invalid literal for int"),
+    ],
+    ids=["profile", "key", "cast"],
+)
+def test_config_from_mapping_refusals(values, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_mapping(values)
 
 
 # -- the experiment loop ---------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,32 @@ def test_geometry_and_risk_validation():
         generate_instance(1, 5, 0.0, rng=0)
     with pytest.raises(ValueError):
         generate_instance(5, 5, 1.5, rng=0)
+
+
+def open_sim(**kwargs):
+    return PlanningSimulator(generate_instance(4, 4, 0.0, rng=0), **kwargs)
+
+
+OUT_OF_RANGE_SETTINGS = {
+    # A negative radius would empty the danger zone: every route survives.
+    "radius via generate_instance": (
+        lambda: generate_instance(6, 6, 0.5, rng=1, detection_radius=-1), "detection_radius must be >= 0, got -1"
+    ),
+    "radius": (
+        lambda: GridWorld(5, 5, (0, 0), (2, 2), frozenset(), 0.0, detection_radius=-1),
+        "detection_radius must be >= 0, got -1",
+    ),
+    "greedy_p above 1": (lambda: open_sim(rollout_greedy_p=1.7), r"rollout_greedy_p must lie in \[0, 1\], got 1.7"),
+    "greedy_p below 0": (lambda: open_sim(rollout_greedy_p=-0.1), r"rollout_greedy_p must lie in \[0, 1\], got -0.1"),
+    "greedy_p nan": (lambda: open_sim(rollout_greedy_p=math.nan), r"rollout_greedy_p must lie in \[0, 1\], got nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_SETTINGS))
+def test_out_of_range_settings_are_refused(case):
+    make, message = OUT_OF_RANGE_SETTINGS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_legal_actions_respect_bounds():

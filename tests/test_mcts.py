@@ -332,6 +332,23 @@ def test_non_integer_search_settings_are_refused(field):
         NON_INTEGER_SETTINGS[field]()
 
 
+OUT_OF_RANGE_SETTINGS = {
+    "diversity_refresh_interval": (
+        lambda: BanditConfig(diversity_refresh_interval=0), "diversity refresh interval and set size must be >= 1"
+    ),
+    "diversity_set_size": (lambda: BanditConfig(diversity_set_size=0), "diversity refresh interval and set size must be >= 1"),
+    "max_rollout_steps": (lambda: SearchConfig(max_rollout_steps=0), "max_rollout_steps must be >= 1"),
+    "rollout max_steps": (lambda: rollout(TwoArmBandit(), "start", np.random.default_rng(0), 0), "max_steps must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_SETTINGS))
+def test_out_of_range_search_settings_are_refused(case):
+    make, message = OUT_OF_RANGE_SETTINGS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_numpy_integer_search_settings_are_accepted():
     bandit = BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=np.int64(50),
                           diversity_set_size=np.int32(3))

@@ -331,6 +331,20 @@ LOADER_REFUSALS = {
     "root action": (tree_text("0 -1 x 1 0.5 0 -"), "node 0: root action x is not -1"),
     "first: terminal flag before root action": (tree_text("0 -1 x 1 0.5 7 -"), "node 0: terminal flag 7 is not 0 or 1"),
     "first: second root before root action": (tree_text("0 -1 -1 1 0.5 0 -", "1 -1 0 1 0.5 0 -"), "node 1: a second root"),
+    "no header": ("0 -1 -1 1 0.5 0 -\n", "expected a '# planset-tree v1 mode=<mode>' header, got '0 -1 -1 1 0.5 0 -'"),
+    "header version": (
+        "# planset-tree v9 mode=max\n0 -1 -1 1 0.5 0 -\n",
+        "expected a '# planset-tree v1 mode=<mode>' header, got '# planset-tree v9 mode=max'",
+    ),
+    "comment for header": ("# hello\n0 -1 -1 1 0.5 0 -\n", "expected a '# planset-tree v1 mode=<mode>' header, got '# hello'"),
+    "two modes": (
+        "# planset-tree v1 mode=max mode=average\n0 -1 -1 1 0.5 0 -\n",
+        "expected a '# planset-tree v1 mode=<mode>' header, got '# planset-tree v1 mode=max mode=average'",
+    ),
+    "second header": (
+        tree_text("0 -1 -1 1 0.5 0 -") + "# planset-tree v1 mode=max\n",
+        "a '#' line after the header: '# planset-tree v1 mode=max'",
+    ),
 }
 
 
