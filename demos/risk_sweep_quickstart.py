@@ -26,7 +26,7 @@ from planset import (
     summarize,
     two_proportion_z_test,
 )
-from planset.experiment import render_summary
+from planset.stats import render_summary
 
 config = ExperimentConfig(
     risk_levels=(0.1, 0.2, 0.3, 0.4),

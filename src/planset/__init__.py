@@ -52,9 +52,8 @@ from .experiment import (
     paper_profile,
     run_experiment,
     run_random_baseline,
-    summarize,
-    two_proportion_z_test,
 )
+from .stats import summarize, two_proportion_z_test
 from .tree import SearchTree, ValueMode
 
 __version__ = "0.1.0"

@@ -28,11 +28,10 @@ from .experiment import (
     ExperimentConfig,
     PlannerKind,
     PlannerSpec,
-    render_summary,
     run_experiment,
     spaced_risk_levels,
-    summarize,
 )
+from .stats import render_summary, summarize
 from .tree import SearchTree, ValueMode
 
 

@@ -12,12 +12,11 @@ instance order as they complete.
 from __future__ import annotations
 
 import functools
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .tree import SearchTree, ValueMode
 _WORLD_TAG = 0
 _SEARCH_TAG = 1
 _BASELINE_TAG = 2
-
-_Z95 = 1.959963984540054
 
 CSV_HEADER = "instance_id,risk,planner,success,plans_emitted,best_path_len,shortest_path,build_s,extract_s"
 
@@ -203,7 +200,7 @@ def run_random_baseline(tree: SearchTree, k: float, rng: np.random.Generator) ->
     parents = {rec.parent for rec in tree.nodes if rec.visits}
     leaves = [nid for nid, rec in enumerate(tree.nodes) if rec.visits and nid not in parents]
     picked = rng.choice(len(leaves), size=int(min(k, len(leaves))), replace=False)
-    plans = [materialize_plan(tree, tree.path_to(leaves[int(idx)])) for idx in picked]
+    plans = [materialize_plan(tree, leaves[int(idx)]) for idx in picked]
     return PlanSet(plans=plans)
 
 
@@ -299,102 +296,3 @@ def run_experiment(
         if sink:
             sink.close()
     return records
-
-
-# -- statistics ------------------------------------------------------------
-
-
-def two_proportion_z_test(
-    successes_a: int, n_a: int, successes_b: int, n_b: int
-) -> tuple[float, float]:
-    """One-sided pooled z-test of p_a > p_b; returns (z, p_value)."""
-    if n_a < 1 or n_b < 1:
-        raise ValueError("both groups need at least one observation")
-    pooled = (successes_a + successes_b) / (n_a + n_b)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
-    if se == 0.0:
-        return 0.0, 0.5
-    z = (successes_a / n_a - successes_b / n_b) / se
-    return z, 0.5 * math.erfc(z / math.sqrt(2.0))  # the standard normal's upper tail
-
-
-def proportion_ci(successes: int, n: int) -> tuple[float, float, float]:
-    """(mean, lo, hi): the Wilson score 95% interval.  ``lo`` is exactly 0.0
-    with no successes and ``hi`` exactly 1.0 with all, where the formula
-    would round to 1.7e-18 and 0.9999999999999999."""
-    mean = successes / n
-    z2 = _Z95 * _Z95
-    scale = 1.0 + z2 / n
-    center = (mean + z2 / (2 * n)) / scale
-    half = _Z95 * math.sqrt(mean * (1.0 - mean) / n + z2 / (4 * n * n)) / scale
-    lo = 0.0 if successes == 0 else center - half
-    hi = 1.0 if successes == n else center + half
-    return mean, lo, hi
-
-
-RISK_BANDS = (("low", 0.0, 0.3), ("medium_high", 0.3, 1.0 + 1e-9), ("all", 0.0, 1.0 + 1e-9))
-
-
-def summarize(records: Sequence[ResultRecord]) -> list[dict]:
-    """Per (planner, risk band): success rate with CI; per planner: mean
-    path-cost ratio over successes and mean build/extract times.
-
-    Groups with fewer than 2 records are dropped with a warning row.
-    """
-    planners = sorted({r.planner for r in records})
-    rows: list[dict] = []
-    for planner in planners:
-        mine = [r for r in records if r.planner == planner]
-        for band, lo, hi in RISK_BANDS:
-            group = [r for r in mine if lo <= r.risk < hi]
-            if len(group) < 2:
-                if group:
-                    rows.append({"planner": planner, "band": band, "warning": "excluded: fewer than 2 records"})
-                continue
-            wins = sum(r.success for r in group)
-            mean, ci_lo, ci_hi = proportion_ci(wins, len(group))
-            rows.append(
-                {
-                    "planner": planner,
-                    "band": band,
-                    "n": len(group),
-                    "success_rate": mean,
-                    "ci_lo": ci_lo,
-                    "ci_hi": ci_hi,
-                }
-            )
-        ratios = [
-            r.best_path_len / r.shortest_path
-            for r in mine
-            if r.success and r.shortest_path > 0 and r.best_path_len is not None
-        ]
-        rows.append(
-            {
-                "planner": planner,
-                "band": "timing",
-                "n": len(mine),
-                "path_cost_ratio": (sum(ratios) / len(ratios)) if ratios else None,
-                "build_s": sum(r.tree_build_seconds for r in mine) / len(mine),
-                "extract_s": sum(r.extraction_seconds for r in mine) / len(mine),
-            }
-        )
-    return rows
-
-
-def render_summary(rows: Sequence[dict]) -> str:
-    lines = [f"{'planner':<12} {'band':<12} {'n':>5}  metric"]
-    for row in rows:
-        if "warning" in row:
-            lines.append(f"{row['planner']:<12} {row['band']:<12}        {row['warning']}")
-        elif row["band"] == "timing":
-            ratio = "n/a" if row["path_cost_ratio"] is None else f"{row['path_cost_ratio']:.3f}"
-            lines.append(
-                f"{row['planner']:<12} {row['band']:<12} {row['n']:>5}  "
-                f"path-ratio {ratio}  build {row['build_s']:.3f}s  extract {row['extract_s'] * 1000:.2f}ms"
-            )
-        else:
-            lines.append(
-                f"{row['planner']:<12} {row['band']:<12} {row['n']:>5}  "
-                f"success {row['success_rate']:.3f} [{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]"
-            )
-    return "\n".join(lines)

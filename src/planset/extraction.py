@@ -2,25 +2,25 @@
 
 Plans are pulled out of the tree by growing *plan stems* (root-anchored
 partial paths) in a max-priority queue keyed on relative quality.  Tree paths
-are unique, so a stem is named by its last node.  Because a stem's quality
-never increases as it grows, the first k complete plans off the queue are
-the k best in the tree; a quality floor q prunes stems early, and a
-diversity floor d filters complete plans against the accepted set, with
+are unique, so a stem or a plan is named by its last node.  Because a stem's
+quality never increases as it grows, the first k complete plans off the
+queue are the k best in the tree; a quality floor q prunes stems early, and
+a diversity floor d filters complete plans against the accepted set, with
 equal-quality ties broken in favour of the more diverse candidate.
 
 Each pop reads its stem's children's values once, from the tree as it
 stands (nothing is cached between pops or calls), and a complete plan is
-rebuilt by one walk up its parents.
+built by one walk up its parents from its last node.
 
 Cost of the diversity floor: at d = 0 there is no diversity work at all, so
 top-k and top-quality extraction build one Plan per returned plan.  At
-d > 0 each complete candidate gets one state-key-set test against the at
-most k incumbents, and a Plan is built only for a candidate that is
-accepted or swapped in on a tie.  Once k plans are held, ties on the
-weakest quality read each incumbent's leave-one-out distance (its smallest
-distance to the other incumbents) from a list.  The list is computed when
-the set first fills and on each swap attempt, in index order, stopping at
-the first distance below d; it changes only when a swap stands.
+d > 0 each complete candidate's state keys, read by a walk up its parents,
+get one test against the at most k incumbents, and a Plan is built only for
+a candidate that is accepted or swapped in on a tie.  Once k plans are held,
+ties on the weakest quality read each incumbent's leave-one-out distance
+(its smallest distance to the other incumbents) from a list.  The list is
+computed when the set first fills and on each swap attempt, in index order,
+stopping at the first distance below d; it changes only when a swap stands.
 
 :func:`brute_force_enumerate` walks every root-to-leaf path instead and is
 the testing oracle the queue-based extractor is checked against.
@@ -96,17 +96,18 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     seq = 1
     pops = 0
     exp = math.exp
+    heappush, heappop = heapq.heappush, heapq.heappop
     floor = q - QUALITY_TOL
 
     while heap:
-        neg_logq, _, last = heapq.heappop(heap)
+        neg_logq, _, last = heappop(heap)
         logq = -neg_logq
         pops += 1
         expanded = False
         for cid, ratio in child_log_ratios(tree, last).items():
             child_logq = logq + ratio
             if exp(child_logq) >= floor:
-                heapq.heappush(heap, (-child_logq, seq, cid))
+                heappush(heap, (-child_logq, seq, cid))
                 seq += 1
                 expanded = True
         if expanded:
@@ -114,13 +115,17 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
 
         # Stem reached a leaf: a complete plan.  Its state keys are tested
         # against the incumbents before any Plan is built for it.
-        path = tree.path_to(last)
         if d:
-            diversity = min_pairwise_diversity(frozenset(nodes[nid].state_key for nid in path[1:]), accepted)
+            keys = []
+            rec = nodes[last]
+            while rec.parent is not None:
+                keys.append(rec.state_key)
+                rec = nodes[rec.parent]
+            diversity = min_pairwise_diversity(frozenset(keys), accepted)
             if diversity < d:
                 continue
         if len(accepted) < k:
-            accepted.append(materialize_plan(tree, path, logq))
+            accepted.append(materialize_plan(tree, last, logq))
             if d == 0 and len(accepted) >= k:
                 # With no diversity bound nothing can displace an accepted
                 # plan, so stop at the k-th acceptance.  This keeps pops
@@ -138,7 +143,7 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
             weakest = min(tied, key=loo.__getitem__)
             if diversity > loo[weakest]:
                 trial = accepted.copy()
-                trial[weakest] = materialize_plan(tree, path, logq)
+                trial[weakest] = materialize_plan(tree, last, logq)
                 # The swap stands only if the set keeps its own pairwise
                 # diversity floor; the first plan below d ends the check.
                 trial_loo = list(takewhile(lambda value: value >= d, _leave_one_out(trial)))
@@ -165,19 +170,19 @@ def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:
     if nodes[tree.root].visits == 0:
         raise EmptyTreeError("root has never been visited")
 
-    paths: list[tuple[tuple[int, ...], float]] = []
-    # Depth-first in child order yields paths lexicographically by child index.
-    stack: list[tuple[tuple[int, ...], float]] = [((tree.root,), 0.0)]
+    leaves: list[tuple[int, float]] = []
+    # Depth-first in child order yields leaves lexicographically by child index.
+    stack: list[tuple[int, float]] = [(tree.root, 0.0)]
     while stack:
-        path, logq = stack.pop()
-        ratios = child_log_ratios(tree, path[-1])
+        last, logq = stack.pop()
+        ratios = child_log_ratios(tree, last)
         if not ratios:
-            paths.append((path, logq))
-            if len(paths) > MAX_ENUMERATED_PATHS:
+            leaves.append((last, logq))
+            if len(leaves) > MAX_ENUMERATED_PATHS:
                 raise TreeTooLargeError(f"more than {MAX_ENUMERATED_PATHS} leaf paths")
             continue
         for cid, ratio in reversed(ratios.items()):
-            stack.append((path + (cid,), logq + ratio))
+            stack.append((cid, logq + ratio))
 
-    ranked = sorted(paths, key=lambda item: -math.exp(item[1]))
-    return [(materialize_plan(tree, path, logq), math.exp(logq)) for path, logq in ranked]
+    ranked = sorted(leaves, key=lambda item: -math.exp(item[1]))
+    return [(materialize_plan(tree, last, logq), math.exp(logq)) for last, logq in ranked]

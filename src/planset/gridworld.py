@@ -23,6 +23,7 @@ import numpy as np
 
 # Action alphabet, fixed order: indices are ActionIds everywhere.
 MOVES: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
+_MOVE_OF = dict(enumerate(MOVES))  # unlike MOVES[-1], a lookup outside 0..3 fails
 ACTION_NAMES = "NESW"
 GAMMA = 0.99
 
@@ -34,7 +35,7 @@ class InvalidGeometryError(ValueError):
 
 
 class InvalidPlanError(ValueError):
-    """Executed action sequence leaves the grid."""
+    """Executed action sequence leaves the grid or names no action."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,10 @@ class PlanningSimulator:
 
     def step(self, state: DroneState, action: int) -> tuple[DroneState, float, bool]:
         x, y = state.position
-        dx, dy = MOVES[action]
+        try:
+            dx, dy = _MOVE_OF[action]
+        except KeyError:
+            raise ValueError(f"action {action!r} is not one of 0..3") from None
         pos = (x + dx, y + dy)
         if pos not in self._legal:
             raise ValueError(f"action {action} leaves the grid from {state.position}")
@@ -181,7 +185,10 @@ def execute_plan(world: GridWorld, actions: Sequence[int]) -> ExecutionOutcome:
     x, y = world.start
     steps = 0
     for action in actions:
-        dx, dy = MOVES[action]
+        try:
+            dx, dy = _MOVE_OF[action]
+        except KeyError:
+            raise InvalidPlanError(f"step {steps}: action {action!r} is not one of 0..3") from None
         x, y = x + dx, y + dy
         if not (0 <= x < world.width and 0 <= y < world.height):
             raise InvalidPlanError(f"step {steps} leaves the grid")
@@ -231,20 +238,8 @@ def shortest_unobstructed_path(world: GridWorld) -> int:
 
 
 def render_map(world: GridWorld) -> str:
-    rows = []
-    for y in range(world.height):
-        row = []
-        for x in range(world.width):
-            cell = (x, y)
-            if cell == world.start:
-                row.append("S")
-            elif cell == world.goal:
-                row.append("G")
-            elif cell in world.enemies:
-                row.append("E")
-            else:
-                row.append(".")
-        rows.append("".join(row))
+    marks = {**dict.fromkeys(world.enemies, "E"), world.goal: "G", world.start: "S"}
+    rows = ("".join(marks.get((x, y), ".") for x in range(world.width)) for y in range(world.height))
     return "\n".join(rows) + "\n"
 
 

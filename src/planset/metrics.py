@@ -1,9 +1,10 @@
 """Relative/absolute path quality and state-set diversity measures.
 
-A plan is a root-anchored path through a search tree.  Its *relative
-quality* is the product, over every step, of the chosen child's value
-divided by the best sibling's value -- 1.0 exactly when the path picks the
-best child everywhere, and shrinking with every regretful choice.
+A plan is a root-anchored path through a search tree, built from its last
+node (tree paths are unique).  Its *relative quality* is the product, over
+every step, of the chosen child's value divided by the best sibling's
+value -- 1.0 exactly when the path picks the best child everywhere, and
+shrinking with every regretful choice.
 Multiplying by the root value turns it into an *absolute* expected return.
 One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
 Diversity between plans is the fraction of one plan's visited states that
@@ -115,22 +116,29 @@ def absolute_quality(tree: SearchTree, relative_quality: float) -> float:
     return relative_quality * tree.q_value(tree.root)
 
 
-def materialize_plan(tree: SearchTree, nodes: Sequence[int], log_quality: float | None = None) -> Plan:
-    """Build a :class:`Plan` (actions, state keys, qualities) from a node path."""
-    if log_quality is None:
-        log_quality = _path_log_quality(tree, nodes)
-    relative = math.exp(log_quality)
+def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = None) -> Plan:
+    """Build the :class:`Plan` that ends at node ``last`` in one walk up its
+    parents; ``log_quality`` is its log relative quality, when the caller
+    holds it.  Raises :class:`InvalidNodeError` for an id outside the tree
+    and :class:`UndefinedValueError` when the root is unvisited."""
     records = tree.nodes
-    if nodes and (min(nodes) < 0 or max(nodes) >= len(records)):
-        for nid in nodes:
-            tree.node(nid)  # raises InvalidNodeError at the first id outside the tree
-    actions = []
-    keys = []
-    for nid in nodes[1:]:
-        rec = records[nid]
+    if not 0 <= last < len(records):
+        tree.node(last)  # raises InvalidNodeError; a negative id must not index from the end
+    root = records[tree.root]
+    if not root.visits:
+        tree.q_value(tree.root)  # raises UndefinedValueError
+    nodes, actions, keys = [last], [], []
+    rec = records[last]
+    while rec.parent is not None:
+        nodes.append(rec.parent)
         actions.append(rec.action)
         keys.append(rec.state_key)
-    return Plan(tuple(nodes), tuple(actions), frozenset(keys), relative, absolute_quality(tree, relative))
+        rec = records[rec.parent]
+    path = tuple(reversed(nodes))
+    if log_quality is None:
+        log_quality = _path_log_quality(tree, path)
+    relative = math.exp(log_quality)
+    return Plan(path, tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
 
 
 def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:

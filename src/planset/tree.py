@@ -160,17 +160,6 @@ class SearchTree:
         rec.value = value
         return changed
 
-    def path_to(self, node_id: int) -> list[int]:
-        """Node ids from the root down to ``node_id``."""
-        nodes = self.nodes
-        path = [node_id]
-        parent = self.node(node_id).parent
-        while parent is not None:
-            path.append(parent)
-            parent = nodes[parent].parent
-        path.reverse()
-        return path
-
     def q_value(self, node_id: int) -> float:
         """The node's ``value`` (see :class:`NodeRecord`); unvisited nodes
         carry no estimate and raise :class:`UndefinedValueError`."""
@@ -247,30 +236,30 @@ class SearchTree:
         if len(header) != 4 or header[:3] != ["#", "planset-tree", "v1"] or not header[3].startswith("mode="):
             raise ValueError(f"expected a '# planset-tree v1 mode=<mode>' header, got {' '.join(header)!r}")
         mode = ValueMode(header[3][5:])
-        tree: SearchTree | None = None
         records: list[NodeRecord] = []
+        keys: dict[str, bytes] = {}  # hex -> key, so equal state keys share one object
         for fields in lines:
             if fields[0].startswith("#"):
                 raise ValueError(f"a '#' line after the header: {' '.join(fields)!r}")
             nid_s, parent_s, action_s, visits_s, reward_s, term_s, key_s = fields
-            key = b"" if key_s == "-" else bytes.fromhex(key_s)
+            key = keys.get(key_s)
+            if key is None:
+                key = keys[key_s] = b"" if key_s == "-" else bytes.fromhex(key_s)
             if term_s != "0" and term_s != "1":
                 int(term_s)  # a non-number keeps int's message
                 raise ValueError(f"node {nid_s}: terminal flag {term_s} is not 0 or 1")
-            terminal = term_s == "1"
+            nid = len(records)
             if parent_s == "-1":
-                if tree is not None:
+                if records:
                     raise ValueError(f"node {nid_s}: a second root")
                 if action_s != "-1":
                     raise ValueError(f"node {nid_s}: root action {action_s} is not -1")
-                tree = cls(root_state_key=key, value_mode=mode, root_terminal=terminal)
-                records = tree.nodes
-                rec = records[0]
+                parent = action = None
             else:
-                if tree is None:
+                if not records:
                     raise ValueError("node listed before root")
                 parent = int(parent_s)
-                if not 0 <= parent < len(records):
+                if not 0 <= parent < nid:
                     raise ValueError(f"node {nid_s}: parent {parent} is not listed before it")
                 if records[parent].terminal:
                     raise ValueError(f"node {nid_s}: parent {parent} is terminal")
@@ -279,20 +268,20 @@ class SearchTree:
                 for cid in siblings:
                     if records[cid].action == action:
                         raise ValueError(f"node {nid_s}: action {action} repeats an edge out of node {parent}")
-                siblings.append(len(records))
-                # Positional, with fresh child and untried-action lists.
-                rec = NodeRecord(parent, action, key, terminal, [], [])
-                records.append(rec)
-            if int(nid_s) != len(records) - 1:
+                siblings.append(nid)
+            if int(nid_s) != nid:
                 raise ValueError(f"non-contiguous node id {nid_s}")
-            rec.visits = int(visits_s)
-            rec.total_reward = float(reward_s)
-            if not math.isfinite(rec.total_reward):
+            visits = int(visits_s)
+            reward = float(reward_s)
+            if not math.isfinite(reward):
                 raise ValueError(f"node {nid_s}: reward {reward_s} is not finite")
-            if rec.visits:  # its own average: the value, or in MAX trees the refresh's start
-                rec.value = rec.total_reward / rec.visits
-        if tree is None:
+            # Its own average is the value, or in MAX trees the refresh's start.
+            value = reward / visits if visits else 0.0
+            records.append(NodeRecord(parent, action, key, term_s == "1", [], [], visits, reward, value))
+        if not records:
             raise ValueError("empty tree text")
+        tree = cls(value_mode=mode)
+        tree.nodes = records
         bad = tree.check_consistency()
         if bad:
             raise ValueError(f"statistics no backpropagation can produce at nodes {bad[:10]}")

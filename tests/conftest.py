@@ -95,6 +95,18 @@ def leaf_deposit_tree(
     return tree
 
 
+def path_to(tree: SearchTree, node_id: int) -> list[int]:
+    """Node ids from the root down to ``node_id``, by a parent walk through
+    ``SearchTree.node``: the oracle for ``materialize_plan``'s own walk."""
+    path = [node_id]
+    parent = tree.node(node_id).parent
+    while parent is not None:
+        path.append(parent)
+        parent = tree.node(parent).parent
+    path.reverse()
+    return path
+
+
 def random_root_path(rng: np.random.Generator, tree: SearchTree) -> list[int]:
     """A random root-to-somewhere path over visited children."""
     path = [tree.root]

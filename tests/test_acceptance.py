@@ -21,14 +21,10 @@ from conftest import (
     tree_depth,
     visited_children,
 )
-from planset.experiment import (
-    PlannerKind,
-    desk_profile,
-    run_experiment,
-    two_proportion_z_test,
-)
+from planset.experiment import PlannerKind, desk_profile, run_experiment
 from planset.extraction import ExtractionConfig, brute_force_enumerate, extract_plans
 from planset.metrics import min_pairwise_diversity, relative_plan_quality
+from planset.stats import two_proportion_z_test
 
 QUALITY_TOL = 1e-12
 K_GRID = (1, 3, 10)

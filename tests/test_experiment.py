@@ -23,14 +23,12 @@ from planset.experiment import (
     ResultRecord,
     desk_profile,
     paper_profile,
-    proportion_ci,
     run_experiment,
     run_random_baseline,
     spaced_risk_levels,
-    summarize,
-    two_proportion_z_test,
 )
 from planset.mcts import BanditConfig, Policy, SearchConfig
+from planset.stats import proportion_ci, summarize, two_proportion_z_test
 from planset.tree import SearchTree, ValueMode
 
 

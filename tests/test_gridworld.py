@@ -257,6 +257,22 @@ def test_execute_plan_rejects_illegal_step():
         execute_plan(world, [W])  # leaves the grid from the left edge
 
 
+@pytest.mark.parametrize("bad", [-1, -4, 4, 7])
+def test_execute_plan_refuses_an_action_outside_the_alphabet(bad):
+    # From (1, 3) a West move stays on the grid, so -1 must not read as W.
+    world = generate_instance(6, 6, 0.0, rng=0)
+    with pytest.raises(InvalidPlanError, match=f"^step 1: action {bad} is not one of 0..3$"):
+        execute_plan(world, [E, bad, E])
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 4, 7])
+def test_step_refuses_an_action_outside_the_alphabet(bad):
+    sim = PlanningSimulator(generate_instance(6, 6, 0.0, rng=0))
+    inside, _, _ = sim.step(sim.initial_state(), E)
+    with pytest.raises(ValueError, match=f"^action {bad} is not one of 0..3$"):
+        sim.step(inside, bad)
+
+
 def test_execute_plan_stops_at_goal_ignoring_rest():
     world = generate_instance(4, 4, 0.0, rng=0)
     outcome = execute_plan(world, [E, E, E, N, N, N])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import best_child, random_backprop_tree, random_root_path, visited_children
+from conftest import best_child, path_to, random_backprop_tree, random_root_path, visited_children, visited_ids
 from planset.metrics import (
     DegeneratePlanError,
     InvalidPathError,
@@ -173,7 +173,7 @@ def test_min_pairwise_diversity_with_self_in_set():
     path = random_root_path(rng, tree)
     if len(path) == 1:
         path = [tree.root] + visited_children(tree, tree.root)[:1]
-    plan = materialize_plan(tree, path)
+    plan = materialize_plan(tree, path[-1])
     others = [plan, make_plan(["z"])]
     assert min_pairwise_diversity(plan, others) == 0.0
 
@@ -208,7 +208,7 @@ def test_best_child_extension_preserves_quality(seed):
 
 def test_materialize_plan_fields():
     tree, left, _ = two_arm_tree()
-    plan = materialize_plan(tree, [tree.root, left])
+    plan = materialize_plan(tree, left)
     assert plan.nodes == (tree.root, left)
     assert plan.actions == (0,)
     assert plan.state_keys == frozenset({b"L"})  # root key excluded
@@ -218,14 +218,39 @@ def test_materialize_plan_fields():
     assert plan.relative_quality == relative_plan_quality(tree, plan.nodes)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_materialize_plan_matches_the_parent_walk_oracle(seed):
+    tree = random_backprop_tree(np.random.default_rng(seed))
+    for last in visited_ids(tree):
+        path = path_to(tree, last)
+        relative = relative_plan_quality(tree, path)
+        expected = Plan(
+            nodes=tuple(path),
+            actions=tuple(tree.node(nid).action for nid in path[1:]),
+            state_keys=frozenset(tree.node(nid).state_key for nid in path[1:]),
+            relative_quality=relative,
+            absolute_quality=absolute_quality(tree, relative),
+        )
+        assert materialize_plan(tree, last) == expected
+
+
 @pytest.mark.parametrize("path", [[0, 1, -1], [0, 3], [0, 1, 99], [0, -2, 1], [0, 7, -2]])
 def test_materialize_plan_rejects_ids_outside_the_tree(path):
-    """With or without a known quality, the first id outside the tree is
-    refused (a negative id must not index the arena from its end)."""
+    """Each id in ``path`` is tried as a plan's last node.  An id outside
+    the tree is refused with the tree's own message (a negative id must not
+    index the arena from its end), with or without a known quality; an id
+    inside it builds the plan ending there, unless the root is unvisited."""
     tree, _, _ = two_arm_tree()
-    first_bad = next(nid for nid in path if not 0 <= nid < len(tree))
-    for log_quality in (0.0, None):
-        with pytest.raises(InvalidNodeError, match=f"^node {first_bad} not in tree of size 3$"):
-            materialize_plan(tree, path, log_quality)
-    with pytest.raises(InvalidNodeError, match="^node -3 not in tree of size 3$"):
-        materialize_plan(tree, [-3, *path[1:]], 0.0)
+    unvisited = SearchTree(b"s0", root_actions=[0, 1])
+    unvisited.add_child(unvisited.root, 0, b"L")
+    unvisited.add_child(unvisited.root, 1, b"R")
+    for last in path:
+        for log_quality in (0.0, None):
+            if 0 <= last < len(tree):
+                assert materialize_plan(tree, last, log_quality).nodes[-1] == last
+                with pytest.raises(UndefinedValueError, match="^node 0 has no visits$"):
+                    materialize_plan(unvisited, last, log_quality)
+                continue
+            for host in (tree, unvisited):
+                with pytest.raises(InvalidNodeError, match=f"^node {last} not in tree of size 3$"):
+                    materialize_plan(host, last, log_quality)

@@ -1,5 +1,8 @@
 """The package's public surface, pinned: a name added to or dropped from
-``planset.__all__`` must show up as a change to this list."""
+``planset.__all__`` must show up as a change to this list.  The module
+bindings the benchmark's tracer patches are pinned here too."""
+
+import importlib
 
 import planset
 
@@ -55,3 +58,29 @@ def test_every_public_name_imports():
     namespace: dict = {}
     exec("from planset import *", namespace)  # AttributeError on a missing name
     assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+# Names the benchmark's tracer (perfbench/tracer.py) replaces through
+# ``owner.__dict__[attr]``.  One that is renamed, or only reachable through
+# another module, makes ``perfbench/run.py --trace 1`` die with a KeyError.
+TRACED_MODULE_NAMES = {
+    "planset.extraction": ("extract_plans", "materialize_plan", "min_pairwise_diversity"),
+    "planset.experiment": ("run_search", "extract_plans", "materialize_plan", "run_random_baseline", "execute_plan"),
+    "planset.gridworld": ("execute_plan",),
+    "planset.mcts": ("rollout",),
+}
+TRACED_METHODS = {
+    "PlanningSimulator": ("step", "legal_actions", "default_action", "state_key", "initial_state"),
+    "SearchTree": ("add_child", "backpropagate", "to_text", "from_text"),
+}
+
+
+def test_every_name_the_tracer_patches_is_bound_where_it_looks():
+    for module_name, names in TRACED_MODULE_NAMES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(module.__dict__.get(name)), f"{module_name}.{name}"
+    owners = {"PlanningSimulator": planset.PlanningSimulator, "SearchTree": planset.SearchTree}
+    for owner_name, names in TRACED_METHODS.items():
+        for name in names:
+            assert name in owners[owner_name].__dict__, f"{owner_name}.{name}"

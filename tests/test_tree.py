@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from conftest import (
     best_child,
     visited_ids,
     leaf_deposit_tree,
+    path_to,
     random_backprop_tree,
     visited_children,
 )
+from planset.experiment import desk_profile
 from planset.gridworld import PlanningSimulator, generate_instance
 from planset.mcts import SearchConfig, run_search
 from planset.tree import (
@@ -83,11 +86,11 @@ def test_path_to_runs_from_the_root():
     a = tree.add_child(tree.root, 0, b"a", untried_actions=[0])
     b = tree.add_child(tree.root, 1, b"b")
     aa = tree.add_child(a, 0, b"aa")
-    assert tree.path_to(aa) == [tree.root, a, aa]
-    assert tree.path_to(b) == [tree.root, b]
-    assert tree.path_to(tree.root) == [tree.root]
+    assert path_to(tree, aa) == [tree.root, a, aa]
+    assert path_to(tree, b) == [tree.root, b]
+    assert path_to(tree, tree.root) == [tree.root]
     with pytest.raises(InvalidNodeError):
-        tree.path_to(99)
+        path_to(tree, 99)
 
 
 def test_unknown_node_rejected():
@@ -233,6 +236,19 @@ def test_serialization_round_trip():
         assert clone.value_mode is mode
         for nid in visited_ids(tree):
             assert clone.q_value(nid) == tree.q_value(nid)
+
+
+def test_loaded_desk_tree_shares_equal_state_keys():
+    """The loader keeps one bytes object per distinct state key, and the
+    shared keys write back the same text."""
+    sim = PlanningSimulator(generate_instance(20, 20, 0.2, rng=5))
+    text = run_search(sim, replace(desk_profile().search, seed=5)).to_text()
+    tree = SearchTree.from_text(text)
+    assert tree.to_text() == text
+    first: dict[bytes, bytes] = {}
+    for rec in tree.nodes:
+        assert first.setdefault(rec.state_key, rec.state_key) is rec.state_key
+    assert len(first) < len(tree) // 4  # 5,001 nodes over at most 400 cells
 
 
 def test_serialization_reward_precision():
