@@ -58,13 +58,14 @@ for nid, name in [(left, "left"), (mid, "mid"), (right, "right"), (r_hi, "right-
 # Relative quality: the product over path steps of (chosen child's value /
 # best sibling's value).  The best path scores exactly 1.
 print("\nrelative plan qualities:")
-for path, name in [
-    ([tree.root, left], "root->left"),
-    ([tree.root, mid], "root->mid"),
-    ([tree.root, right, r_hi], "root->right->hi"),
-    ([tree.root, right, r_lo], "root->right->lo"),
+# A tree has one path to each node, so a plan is named by its last node.
+for last, name in [
+    (left, "root->left"),
+    (mid, "root->mid"),
+    (r_hi, "root->right->hi"),
+    (r_lo, "root->right->lo"),
 ]:
-    print(f"  {name:16s} {relative_plan_quality(tree, path):.4f}")
+    print(f"  {name:16s} {relative_plan_quality(tree, last):.4f}")
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration is the ground truth the extractor is tested against.

@@ -38,7 +38,6 @@ from .mcts import (
 from .metrics import (
     Plan,
     PlanSet,
-    absolute_quality,
     materialize_plan,
     min_pairwise_diversity,
     relative_plan_quality,
@@ -80,7 +79,6 @@ __all__ = [
     "SimulatorError",
     "TreeTooLargeError",
     "ValueMode",
-    "absolute_quality",
     "brute_force_enumerate",
     "desk_profile",
     "execute_plan",

@@ -37,12 +37,13 @@ from .tree import SearchTree, ValueMode
 
 # -- config files ----------------------------------------------------------
 #
-# Flat UTF-8 `key = value` lines with `#` comments.  Every key can also be
-# given as a CLI flag of the same name.
+# Flat UTF-8 `key = value` lines with `#` comments, each key at most once.
+# Every key can also be given as a CLI flag of the same name.
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # the line each key was set on
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -56,7 +57,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

@@ -112,6 +112,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not self.risk_levels or self.replications_per_level < 1:
             raise ConfigError("need at least one risk level and one replication")
+        kinds = [spec.kind for spec in self.planners]
+        if not kinds:
+            raise ConfigError("need at least one planner")
+        twice = [kind.value for i, kind in enumerate(kinds) if kind in kinds[:i]]
+        if twice:  # records and summaries are keyed by kind, so the two would pool
+            raise ConfigError(f"two planners of kind {twice[0]}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.width < 2 or self.height < 2:

@@ -1,26 +1,23 @@
 """Best-first extraction of bounded plan sets from a finished search tree.
 
-Plans are pulled out of the tree by growing *plan stems* (root-anchored
-partial paths) in a max-priority queue keyed on relative quality.  Tree paths
-are unique, so a stem or a plan is named by its last node.  Because a stem's
-quality never increases as it grows, the first k complete plans off the
-queue are the k best in the tree; a quality floor q prunes stems early, and
-a diversity floor d filters complete plans against the accepted set, with
-equal-quality ties broken in favour of the more diverse candidate.
+One private generator, :func:`_best_first`, grows *plan stems* (root-anchored
+partial paths, each named by its last node, since tree paths are unique) in a
+max-priority queue keyed on relative quality.  It yields each complete plan
+that reaches the quality floor q with the pops spent so far.  A stem's
+quality never increases as it grows, so plans leave in non-increasing
+quality order, and each pop reads its stem's children's values once, from
+the tree as it stands.  Every bound consumes that one stream:
 
-Each pop reads its stem's children's values once, from the tree as it
-stands (nothing is cached between pops or calls), and a complete plan is
-built by one walk up its parents from its last node.
-
-Cost of the diversity floor: at d = 0 there is no diversity work at all, so
-top-k and top-quality extraction build one Plan per returned plan.  At
-d > 0 each complete candidate's state keys, read by a walk up its parents,
-get one test against the at most k incumbents, and a Plan is built only for
-a candidate that is accepted or swapped in on a tie.  Once k plans are held,
-ties on the weakest quality read each incumbent's leave-one-out distance
-(its smallest distance to the other incumbents) from a list.  The list is
-computed when the set first fills and on each swap attempt, in index order,
-stopping at the first distance below d; it changes only when a swap stands.
+- top-k and top-quality (d = 0) take its first k plans, or all of them at
+  k = inf, and build one Plan each; there is no diversity work.
+- diverse (d > 0) filters it.  Each candidate's state keys, read by a walk
+  up its parents, get one test against the at most k incumbents, and a Plan
+  is built only for a candidate that is accepted or swapped in on an
+  equal-quality tie, which goes to the more diverse candidate.  Once k plans
+  are held, ties on the weakest quality read each incumbent's leave-one-out
+  distance (its smallest distance to the other incumbents) from a list,
+  computed when the set first fills and on each swap attempt, in index
+  order, stopping at the first distance below d.
 
 :func:`brute_force_enumerate` walks every root-to-leaf path instead and is
 the testing oracle the queue-based extractor is checked against.
@@ -31,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import islice, takewhile
 from typing import Iterator
 
 from .metrics import (
@@ -87,9 +84,52 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     nodes = tree.nodes
     if nodes[tree.root].visits == 0:
         raise EmptyTreeError("root has never been visited")
+    stream = _best_first(tree, q - QUALITY_TOL)
+    if not d:
+        plans = []
+        for last, logq, pops in islice(stream, None if k == math.inf else int(k)):
+            plans.append(materialize_plan(tree, last, logq))
+        return PlanSet(plans=plans, pops=pops)
 
     accepted: list[Plan] = []
     loo: list[float] | None = None  # each incumbent's leave-one-out diversity, once k are held
+    for last, logq, pops in stream:
+        # A complete plan's state keys are tested against the incumbents
+        # before any Plan is built for it.
+        keys = []
+        rec = nodes[last]
+        while rec.parent is not None:
+            keys.append(rec.state_key)
+            rec = nodes[rec.parent]
+        diversity = min_pairwise_diversity(frozenset(keys), accepted)
+        if diversity < d:
+            continue
+        if len(accepted) < k:
+            accepted.append(materialize_plan(tree, last, logq))
+            continue
+        q_min = min(p.relative_quality for p in accepted)
+        if math.exp(logq) < q_min - QUALITY_TOL:
+            break
+        if loo is None:
+            loo = list(_leave_one_out(accepted))
+        # Quality tie: replace the least diverse minimum-quality
+        # incumbent if the candidate is strictly more diverse.
+        tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
+        weakest = min(tied, key=loo.__getitem__)
+        if diversity > loo[weakest]:
+            trial = accepted.copy()
+            trial[weakest] = materialize_plan(tree, last, logq)
+            # The swap stands only if the set keeps its own pairwise
+            # diversity floor; the first plan below d ends the check.
+            trial_loo = list(takewhile(lambda value: value >= d, _leave_one_out(trial)))
+            if len(trial_loo) == len(trial):
+                accepted, loo = trial, trial_loo
+    return PlanSet(plans=accepted, pops=pops)
+
+
+def _best_first(tree: SearchTree, floor: float) -> Iterator[tuple[int, float, int]]:
+    """Every complete plan whose quality reaches ``floor``, best first, as
+    (last node, log quality, pops so far)."""
     # Heap entries: (-log quality, insertion seq, last node of the stem).  The
     # seq pops ties FIFO, which fixes who wins exact ties and the pop count.
     heap: list[tuple[float, int, int]] = [(-0.0, 0, tree.root)]
@@ -97,8 +137,6 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     pops = 0
     exp = math.exp
     heappush, heappop = heapq.heappush, heapq.heappop
-    floor = q - QUALITY_TOL
-
     while heap:
         neg_logq, _, last = heappop(heap)
         logq = -neg_logq
@@ -110,47 +148,8 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
                 heappush(heap, (-child_logq, seq, cid))
                 seq += 1
                 expanded = True
-        if expanded:
-            continue
-
-        # Stem reached a leaf: a complete plan.  Its state keys are tested
-        # against the incumbents before any Plan is built for it.
-        if d:
-            keys = []
-            rec = nodes[last]
-            while rec.parent is not None:
-                keys.append(rec.state_key)
-                rec = nodes[rec.parent]
-            diversity = min_pairwise_diversity(frozenset(keys), accepted)
-            if diversity < d:
-                continue
-        if len(accepted) < k:
-            accepted.append(materialize_plan(tree, last, logq))
-            if d == 0 and len(accepted) >= k:
-                # With no diversity bound nothing can displace an accepted
-                # plan, so stop at the k-th acceptance.  This keeps pops
-                # within k*depth + 1, and leaves the branch below to d > 0.
-                break
-        else:
-            q_min = min(p.relative_quality for p in accepted)
-            if math.exp(logq) < q_min - QUALITY_TOL:
-                break
-            if loo is None:
-                loo = list(_leave_one_out(accepted))
-            # Quality tie: replace the least diverse minimum-quality
-            # incumbent if the candidate is strictly more diverse.
-            tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
-            weakest = min(tied, key=loo.__getitem__)
-            if diversity > loo[weakest]:
-                trial = accepted.copy()
-                trial[weakest] = materialize_plan(tree, last, logq)
-                # The swap stands only if the set keeps its own pairwise
-                # diversity floor; the first plan below d ends the check.
-                trial_loo = list(takewhile(lambda value: value >= d, _leave_one_out(trial)))
-                if len(trial_loo) == len(trial):
-                    accepted, loo = trial, trial_loo
-
-    return PlanSet(plans=accepted, pops=pops)
+        if not expanded:
+            yield last, logq, pops
 
 
 def _leave_one_out(plans: list[Plan]) -> Iterator[float]:

@@ -121,6 +121,7 @@ class PlanningSimulator:
         w, h = world.width, world.height
         gx, gy = world.goal
         self._legal: dict[Cell, tuple[int, ...]] = {}
+        self._moves: dict[Cell, dict[int, Cell]] = {}  # each legal move's successor cell
         self._keys: dict[Cell, bytes] = {}
         self._greedy: dict[Cell, int] = {}  # default_action's greedy move per cell
         for y in range(h):
@@ -130,6 +131,7 @@ class PlanningSimulator:
                     a for a, (dx, dy) in enumerate(MOVES) if 0 <= x + dx < w and 0 <= y + dy < h
                 )
                 self._legal[cell] = legal
+                self._moves[cell] = {a: (x + MOVES[a][0], y + MOVES[a][1]) for a in legal}
                 self._keys[cell] = f"{x},{y}".encode()
                 self._greedy[cell] = min(
                     legal, key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy)
@@ -144,13 +146,14 @@ class PlanningSimulator:
         return self._legal[state.position]
 
     def step(self, state: DroneState, action: int) -> tuple[DroneState, float, bool]:
-        x, y = state.position
-        try:
-            dx, dy = _MOVE_OF[action]
-        except KeyError:
-            raise ValueError(f"action {action!r} is not one of 0..3") from None
-        pos = (x + dx, y + dy)
-        if pos not in self._legal:
+        moves = None if state.done else self._moves.get(state.position)
+        if moves is None:
+            why = "the episode is over" if state.done else "its cell is off the grid"
+            raise ValueError(f"cannot step from {state}: {why}")
+        pos = moves.get(action)
+        if pos is None:
+            if action not in _MOVE_OF:
+                raise ValueError(f"action {action!r} is not one of 0..3")
             raise ValueError(f"action {action} leaves the grid from {state.position}")
         steps = state.steps_taken + 1
         if pos == self.world.goal:

@@ -5,7 +5,8 @@ node (tree paths are unique).  Its *relative quality* is the product, over
 every step, of the chosen child's value divided by the best sibling's
 value -- 1.0 exactly when the path picks the best child everywhere, and
 shrinking with every regretful choice.
-Multiplying by the root value turns it into an *absolute* expected return.
+A :class:`Plan` also holds its *absolute* quality, the relative quality
+times the root value: the plan's expected return.
 One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
 Diversity between plans is the fraction of one plan's visited states that
 the other plan never touches (one-way, and deliberately asymmetric);
@@ -16,13 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .tree import SearchTree
-
-
-class InvalidPathError(ValueError):
-    """Node sequence is not a root-anchored parent/child path."""
 
 
 class DegeneratePlanError(ValueError):
@@ -82,38 +79,31 @@ def child_log_ratios(tree: SearchTree, parent_id: int) -> dict[int, float]:
     return ratios
 
 
-def _path_log_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
-    """Log-space relative quality of a root-anchored path.
+def relative_plan_quality(tree: SearchTree, last: int) -> float:
+    """Product over the steps of the path ending at node ``last`` of chosen
+    child value / best visited sibling value; the root alone is the empty
+    product, 1.0.  Raises :class:`InvalidNodeError` for an id outside the tree.
 
-    Products of many sub-1 ratios underflow; summing logs does not.  A zero
-    factor is an explicit -inf sentinel rather than a floored float.
+    The step log-ratios are added root first, since products of many sub-1
+    ratios underflow and sums of logs do not.  A path through an unvisited
+    child steps at ratio 1 when every visited sibling is worthless; otherwise
+    it raises :class:`UndefinedValueError`.
     """
-    if not nodes or nodes[0] != tree.root:
-        raise InvalidPathError("path must start at the tree root")
+    records = tree.nodes
+    if not 0 <= last < len(records):
+        tree.node(last)  # raises InvalidNodeError; a negative id must not index from the end
+    steps = []
+    child, parent = last, records[last].parent
+    while parent is not None:
+        ratios = child_log_ratios(tree, parent)
+        if child not in ratios and any(records[cid].value > 0.0 for cid in ratios):
+            tree.q_value(child)  # raises UndefinedValueError
+        steps.append(ratios.get(child, 0.0))
+        child, parent = parent, records[parent].parent
     total = 0.0
-    for parent_id, child_id in zip(nodes, nodes[1:]):
-        if tree.node(child_id).parent != parent_id:
-            raise InvalidPathError(f"{child_id} is not a child of {parent_id}")
-        ratios = child_log_ratios(tree, parent_id)
-        # An unvisited child has no value, so its step is ratio 1 only when
-        # every visited sibling is worthless; otherwise this raises.
-        if child_id not in ratios and any(tree.q_value(cid) > 0.0 for cid in ratios):
-            tree.q_value(child_id)
-        total += ratios.get(child_id, 0.0)
-    return total
-
-
-def relative_plan_quality(tree: SearchTree, nodes: Sequence[int]) -> float:
-    """Product over path steps of chosen-child value / best-sibling value.
-
-    The single-node path is the empty product, 1.0.
-    """
-    return math.exp(_path_log_quality(tree, nodes))
-
-
-def absolute_quality(tree: SearchTree, relative_quality: float) -> float:
-    """Expected return of the plan from the initial state."""
-    return relative_quality * tree.q_value(tree.root)
+    for step in reversed(steps):
+        total += step
+    return math.exp(total)
 
 
 def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = None) -> Plan:
@@ -134,11 +124,8 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
         actions.append(rec.action)
         keys.append(rec.state_key)
         rec = records[rec.parent]
-    path = tuple(reversed(nodes))
-    if log_quality is None:
-        log_quality = _path_log_quality(tree, path)
-    relative = math.exp(log_quality)
-    return Plan(path, tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
+    relative = relative_plan_quality(tree, last) if log_quality is None else math.exp(log_quality)
+    return Plan(tuple(reversed(nodes)), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
 
 
 def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:

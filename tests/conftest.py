@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from planset.metrics import Plan, PlanSet, min_pairwise_diversity
+from planset.metrics import Plan, PlanSet, child_log_ratios, min_pairwise_diversity
 from planset.tree import SearchTree, ValueMode
 
 
@@ -105,6 +105,29 @@ def path_to(tree: SearchTree, node_id: int) -> list[int]:
         parent = tree.node(parent).parent
     path.reverse()
     return path
+
+
+class InvalidPathError(ValueError):
+    """Node sequence is not a root-anchored parent/child path."""
+
+
+def path_relative_quality(tree: SearchTree, nodes: list[int]) -> float:
+    """Relative quality of a root-anchored node list, its step log-ratios
+    added root first: the oracle for ``relative_plan_quality``, which names
+    the path by its last node."""
+    if not nodes or nodes[0] != tree.root:
+        raise InvalidPathError("path must start at the tree root")
+    total = 0.0
+    for parent_id, child_id in zip(nodes, nodes[1:]):
+        if tree.node(child_id).parent != parent_id:
+            raise InvalidPathError(f"{child_id} is not a child of {parent_id}")
+        ratios = child_log_ratios(tree, parent_id)
+        # An unvisited child has no value, so its step is ratio 1 only when
+        # every visited sibling is worthless; otherwise this raises.
+        if child_id not in ratios and any(tree.q_value(cid) > 0.0 for cid in ratios):
+            tree.q_value(child_id)
+        total += ratios.get(child_id, 0.0)
+    return math.exp(total)
 
 
 def random_root_path(rng: np.random.Generator, tree: SearchTree) -> list[int]:

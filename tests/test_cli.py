@@ -140,6 +140,8 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
     out_csv = tmp_path / "never.csv"
     no_equals = tmp_path / "no_equals.conf"
     no_equals.write_text("width 6\n", encoding="utf-8")
+    twice = tmp_path / "twice.conf"
+    twice.write_text("iterations = 20\niterations = 30\n", encoding="utf-8")
     small = ["--replications_per_level", "1", "--iterations", "20", "--out", str(out_csv)]
     for flags in (
         ["--planners", "top_k:0"],
@@ -150,8 +152,10 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         ["--planners", "diverse:5:0.8"],
         ["--planners", "top_k:x"],
         ["--planners", ","],
+        ["--planners", "top_k:5,top_k:10"],
         ["--profile", "bogus"],
         ["--config", str(no_equals)],
+        ["--config", str(twice)],
         ["--risk_levels", "0"],
         ["--risk_levels", ","],
         ["--workers", "0"],

@@ -261,6 +261,13 @@ def test_config_file_rejects_unknown_key(tmp_path):
         parse_config_file(path)
 
 
+def test_config_file_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.conf"
+    path.write_text("iterations = 100\nwidth = 8\n# iterations = 300\niterations = 200\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"twice.conf:4: key 'iterations' already set on line 1$"):
+        parse_config_file(path)
+
+
 def test_config_explicit_risk_list():
     config = config_from_mapping({"risk_levels": "0.1, 0.2, 0.35"})
     assert config.risk_levels == (0.1, 0.2, 0.35)
@@ -445,6 +452,26 @@ def test_non_integer_fields_are_refused_before_any_output(tmp_path, field, value
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         run_experiment(micro_config(None, output_path=str(out), **{field: value}))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "planners, message",
+    [
+        ((), "need at least one planner"),
+        ((PlannerSpec(PlannerKind.TOP_K, k=5), PlannerSpec(PlannerKind.TOP_K, k=10)), "two planners of kind top_k"),
+        (
+            (PlannerSpec(PlannerKind.SINGLE), PlannerSpec(PlannerKind.DIVERSE, k=5, q=0.8, d=0.5),
+             PlannerSpec(PlannerKind.DIVERSE, k=10, q=0.8, d=0.3)),
+            "two planners of kind diverse",
+        ),
+    ],
+    ids=["none", "top_k twice", "diverse twice"],
+)
+def test_planners_must_be_one_of_each_kind(planners, message):
+    # Records and summaries are keyed by kind, so two planners of one kind
+    # would pool into one row.
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        micro_config(planners=planners)
 
 
 def test_custom_clock_requires_single_worker():

@@ -137,7 +137,7 @@ def test_brute_force_counts_leaves_and_tops_at_one(seed):
     assert qualities == sorted(qualities, reverse=True)
     # oracle scores agree with direct metric recomputation
     for plan, quality in ranked[:5]:
-        assert quality == pytest.approx(relative_plan_quality(tree, plan.nodes), abs=1e-15)
+        assert quality == pytest.approx(relative_plan_quality(tree, plan.nodes[-1]), abs=1e-15)
 
 
 def test_brute_force_guard():
@@ -285,18 +285,19 @@ def test_accepted_plans_end_at_leaves():
 
 
 def test_topk_vs_topquality_reduction():
-    # With enough qualifying plans the k-bounded and quality-bounded sets
-    # agree on the first k; with too few they are both just "everything >= q".
-    rng = np.random.default_rng(123)
-    tree = random_backprop_tree(rng, max_nodes=50)
+    # Top-k and top-quality take prefixes of one best-first stream: under a
+    # quality floor, every k gives the first k plans of the unbounded set,
+    # and a larger k never spends fewer pops.
     q = 0.5
-    top_quality = extract_plans(tree, ExtractionConfig(k=math.inf, q=q)).plans
-    k = 3
-    top_k = extract_plans(tree, ExtractionConfig(k=3, q=q)).plans
-    if len(top_quality) >= k:
-        assert [p.nodes for p in top_k] == [p.nodes for p in top_quality[:k]]
-    else:
-        assert [p.nodes for p in top_k] == [p.nodes for p in top_quality]
+    for seed in range(123, 143):
+        tree = random_backprop_tree(np.random.default_rng(seed), max_nodes=50)
+        top_quality = extract_plans(tree, ExtractionConfig(k=math.inf, q=q))
+        pops = []
+        for k in range(1, len(top_quality) + 1):
+            top_k = extract_plans(tree, ExtractionConfig(k=k, q=q))
+            assert [p.nodes for p in top_k] == [p.nodes for p in top_quality.plans[:k]], (seed, k)
+            pops.append(top_k.pops)
+        assert pops == sorted(pops) and pops[-1] <= top_quality.pops, seed
 
 
 def _has_exact_tie(ranked) -> bool:

@@ -131,6 +131,30 @@ def test_off_grid_step_rejected():
         sim.step(DroneState((0, 0), 0, False), W)
 
 
+def test_step_refuses_a_state_off_the_grid():
+    # Moving East from (-1, 3) would land on the grid at (0, 3); the state
+    # itself is refused before any move is read.
+    sim = PlanningSimulator(generate_instance(6, 6, 0.2, rng=4))
+    for cell in ((-1, 3), (6, 0), (2, -1), (0, 6)):
+        for action in range(4):
+            with pytest.raises(ValueError, match=r"its cell is off the grid$"):
+                sim.step(DroneState(cell, 0, False), action)
+
+
+def test_step_refuses_a_finished_episode():
+    world = generate_instance(6, 6, 0.2, rng=4)
+    sim = PlanningSimulator(world)
+    beside = DroneState((world.goal[0] - 1, world.goal[1]), 3, False)
+    arrived, _, done = sim.step(beside, E)
+    assert done
+    cut_off, _, done = sim.step(DroneState((1, 1), sim.horizon - 1, False), S)
+    assert done
+    for state in (arrived, cut_off, DroneState(world.start, 0, True)):
+        for action in range(4):
+            with pytest.raises(ValueError, match=r"the episode is over$"):
+                sim.step(state, action)
+
+
 def test_rewards_stay_in_unit_interval():
     world = generate_instance(6, 6, 0.0, rng=5)
     sim = PlanningSimulator(world)

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "SimulatorError",
     "TreeTooLargeError",
     "ValueMode",
-    "absolute_quality",
     "brute_force_enumerate",
     "desk_profile",
     "execute_plan",
