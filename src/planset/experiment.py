@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError(f"detection_radius must be >= 0, got {self.detection_radius}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.search.seed != 0:  # each instance's search seed comes from master_seed
+            raise ConfigError(f"search.seed must be 0 (set master_seed instead), got {self.search.seed}")
 
     @property
     def instances(self) -> int:

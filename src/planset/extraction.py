@@ -12,12 +12,17 @@ the tree as it stands.  Every bound consumes that one stream:
   k = inf, and build one Plan each; there is no diversity work.
 - diverse (d > 0) filters it.  Each candidate's state keys, read by a walk
   up its parents, get one test against the at most k incumbents, and a Plan
-  is built only for a candidate that is accepted or swapped in on an
-  equal-quality tie, which goes to the more diverse candidate.  Once k plans
-  are held, ties on the weakest quality read each incumbent's leave-one-out
-  distance (its smallest distance to the other incumbents) from a list,
-  computed when the set first fills and on each swap attempt, in index
-  order, stopping at the first distance below d.
+  is built only for a candidate that enters the set.
+
+A diverse set keeps one contract: its plans are in acceptance order, their
+quality never increases, and each plan is at least d, one way, from every
+plan before it.  Each plan's *margin* is its distance to the set it joined.
+Once k plans are held, a candidate that passes d and ties the lowest quality
+takes the place of the tied incumbent with the smallest margin, if its own
+margin is strictly larger: that incumbent is deleted and the candidate
+appended.  The candidate was tested against every incumbent, and deleting a
+plan can only raise the distances of the plans after it, so the swap keeps
+the contract with no further check.
 
 :func:`brute_force_enumerate` walks every root-to-leaf path instead and is
 the testing oracle the queue-based extractor is checked against.
@@ -28,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import islice
 from typing import Iterator
 
 from .metrics import (
@@ -92,7 +97,7 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
         return PlanSet(plans=plans, pops=pops)
 
     accepted: list[Plan] = []
-    loo: list[float] | None = None  # each incumbent's leave-one-out diversity, once k are held
+    margins: list[float] = []  # each plan's distance to the set it joined
     for last, logq, pops in stream:
         # A complete plan's state keys are tested against the incumbents
         # before any Plan is built for it.
@@ -106,24 +111,19 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
             continue
         if len(accepted) < k:
             accepted.append(materialize_plan(tree, last, logq))
+            margins.append(diversity)
             continue
-        q_min = min(p.relative_quality for p in accepted)
+        q_min = accepted[-1].relative_quality
         if math.exp(logq) < q_min - QUALITY_TOL:
             break
-        if loo is None:
-            loo = list(_leave_one_out(accepted))
-        # Quality tie: replace the least diverse minimum-quality
-        # incumbent if the candidate is strictly more diverse.
+        # Quality tie.  The candidate is appended, not put in the evicted
+        # plan's slot: no plan may precede one it was never tested against.
         tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
-        weakest = min(tied, key=loo.__getitem__)
-        if diversity > loo[weakest]:
-            trial = accepted.copy()
-            trial[weakest] = materialize_plan(tree, last, logq)
-            # The swap stands only if the set keeps its own pairwise
-            # diversity floor; the first plan below d ends the check.
-            trial_loo = list(takewhile(lambda value: value >= d, _leave_one_out(trial)))
-            if len(trial_loo) == len(trial):
-                accepted, loo = trial, trial_loo
+        weakest = min(tied, key=margins.__getitem__)
+        if diversity > margins[weakest]:
+            del accepted[weakest], margins[weakest]
+            accepted.append(materialize_plan(tree, last, logq))
+            margins.append(diversity)
     return PlanSet(plans=accepted, pops=pops)
 
 
@@ -150,12 +150,6 @@ def _best_first(tree: SearchTree, floor: float) -> Iterator[tuple[int, float, in
                 expanded = True
         if not expanded:
             yield last, logq, pops
-
-
-def _leave_one_out(plans: list[Plan]) -> Iterator[float]:
-    """Each plan's smallest distance to the other plans, in index order."""
-    for i, plan in enumerate(plans):
-        yield min_pairwise_diversity(plan, plans[:i] + plans[i + 1 :])
 
 
 def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:

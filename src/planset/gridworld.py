@@ -15,7 +15,6 @@ strictly more valuable, even though path length is never costed explicitly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -53,6 +52,9 @@ class GridWorld:
     def __post_init__(self):
         if self.detection_radius < 0:
             raise ValueError(f"detection_radius must be >= 0, got {self.detection_radius}")
+        for name, (x, y) in (("start", self.start), ("goal", self.goal)):
+            if not (0 <= x < self.width and 0 <= y < self.height):
+                raise ValueError(f"{name} {(x, y)} is off the {self.width}x{self.height} grid")
 
 
 class DroneState(NamedTuple):
@@ -216,22 +218,10 @@ def _danger_zone(world: GridWorld) -> frozenset[Cell]:
 
 
 def shortest_unobstructed_path(world: GridWorld) -> int:
-    """BFS step count start-to-goal ignoring enemies."""
-    if world.start == world.goal:
-        return 0
-    dist = {world.start: 0}
-    queue = deque([world.start])
-    while queue:
-        x, y = queue.popleft()
-        d = dist[(x, y)]
-        for dx, dy in MOVES:
-            nxt = (x + dx, y + dy)
-            if nxt == world.goal:
-                return d + 1
-            if 0 <= nxt[0] < world.width and 0 <= nxt[1] < world.height and nxt not in dist:
-                dist[nxt] = d + 1
-                queue.append(nxt)
-    raise RuntimeError("goal unreachable on an open grid")
+    """Step count start-to-goal ignoring enemies: on an open grid of
+    4-neighbour moves, the Manhattan distance."""
+    (sx, sy), (gx, gy) = world.start, world.goal
+    return abs(gx - sx) + abs(gy - sy)
 
 
 # -- map text format ------------------------------------------------------

@@ -2,9 +2,11 @@
 the library's optimized code is checked against."""
 
 import math
+from collections import deque
 
 import numpy as np
 
+from planset.gridworld import MOVES, GridWorld
 from planset.metrics import Plan, PlanSet, child_log_ratios, min_pairwise_diversity
 from planset.tree import SearchTree, ValueMode
 
@@ -224,6 +226,24 @@ def greedy_diverse_filter(plans: list[Plan], d: float, k: float) -> PlanSet:
         if min_pairwise_diversity(plan, kept) >= d:
             kept.append(plan)
     return PlanSet(plans=kept)
+
+
+def bfs_shortest_path(world: GridWorld) -> int:
+    """Breadth-first step count start-to-goal over the open grid, enemies
+    ignored: the oracle for ``shortest_unobstructed_path``."""
+    dist = {world.start: 0}
+    queue = deque([world.start])
+    while queue:
+        cell = queue.popleft()
+        if cell == world.goal:
+            return dist[cell]
+        x, y = cell
+        for dx, dy in MOVES:
+            nxt = (x + dx, y + dy)
+            if 0 <= nxt[0] < world.width and 0 <= nxt[1] < world.height and nxt not in dist:
+                dist[nxt] = dist[cell] + 1
+                queue.append(nxt)
+    raise AssertionError("goal unreachable on an open grid")
 
 
 # -- reference bandit scorer -------------------------------------------------

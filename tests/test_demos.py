@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from planset.cli import CONFIG_KEYS
+from planset.experiment import CSV_HEADER
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -39,3 +42,13 @@ def test_readme_library_quickstart_runs():
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     done = _run("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_lists_every_config_key_and_the_csv_header():
+    # The README's "Keys:" list and its CSV header block, read as written,
+    # so a key or column added without the docs fails here.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = readme.split("\nKeys: `", 1)[1].split("`.", 1)[0]
+    assert [key.strip() for key in keys.split(",")] == list(CONFIG_KEYS)
+    header = readme.split("Output CSV header (exact order):\n\n```\n", 1)[1].split("\n```", 1)[0]
+    assert header == CSV_HEADER

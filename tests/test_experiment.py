@@ -474,6 +474,14 @@ def test_planners_must_be_one_of_each_kind(planners, message):
         micro_config(planners=planners)
 
 
+def test_search_seed_is_refused_since_master_seed_sets_it():
+    # Each instance's search seed is derived from master_seed, so any other
+    # search seed would be ignored without a word.
+    search = replace(micro_config().search, seed=5)
+    with pytest.raises(ConfigError, match=r"^search.seed must be 0 \(set master_seed instead\), got 5$"):
+        micro_config(search=search)
+
+
 def test_custom_clock_requires_single_worker():
     with pytest.raises(ConfigError):
         run_experiment(micro_config(None, workers=2), clock=CountingClock())

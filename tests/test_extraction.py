@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import heapq
 import math
@@ -11,6 +12,7 @@ from conftest import (
     greedy_diverse_filter,
     visited_ids,
     random_backprop_tree,
+    stem_state_keys,
     tree_depth,
     visited_children,
 )
@@ -226,37 +228,40 @@ def test_exact_ties_pop_first_in_first_out():
 
 
 def test_diverse_replacement_prefers_more_diverse_tie():
-    # Three branches, all plans exactly quality 1.0: {a,b}, {a,c}, then
-    # candidate {d,e} which is more diverse than the weakest incumbent.
+    # Three branches, all plans exactly quality 1.0: {a,b} joins at margin
+    # 1.0 and {a,c} at 0.5; candidate {d,e}, at 1.0 from both, replaces the
+    # smaller margin.  The top plan's margin is 1.0, so it is never swapped out.
     tree = chain_fan_tree({0: ["a", "b"], 1: ["a", "c"], 2: ["d", "e"]})
     result = extract_plans(tree, ExtractionConfig(k=2, d=0.4))
     key_sets = [p.state_keys for p in result.plans]
-    assert key_sets == [frozenset({b"d", b"e"}), frozenset({b"a", b"c"})]
+    assert key_sets == [frozenset({b"a", b"b"}), frozenset({b"d", b"e"})]
 
 
-def test_diverse_replacement_rolls_back_when_set_breaks():
-    # Branches: p1={x,f}, p2={a,f,g}, p3={m,n}; candidate {f,g,h,i,j,k}.
-    # The candidate beats p1 on diversity, but swapping it in drops p2's
-    # min distance to 1/3 < d, so the swap must be undone.
-    tree = chain_fan_tree(
-        {
-            0: ["x", "f"],
-            1: ["a", "f", "g"],
-            2: ["m", "n"],
-            3: ["f", "g", "h", "i", "j", "k"],
-        }
-    )
+def test_diverse_swap_keeps_the_ordered_contract_without_a_check():
+    # Plans leave the stream as eh, bch, aceh (margins 1, 2/3, 1/2), then
+    # dfgh at 3/4 from all three replaces aceh.  bch is 1/3 from aceh, but
+    # only one way and not before it, so no swap is undone for that pair.
+    tree = chain_fan_tree({0: list("caeh"), 1: list("bch"), 2: list("eh"), 3: list("gfhd")})
     result = extract_plans(tree, ExtractionConfig(k=3, d=0.5))
-    key_sets = {p.state_keys for p in result.plans}
-    assert key_sets == {
-        frozenset({b"x", b"f"}),
-        frozenset({b"a", b"f", b"g"}),
-        frozenset({b"m", b"n"}),
-    }
-    # the set still satisfies its own diversity floor
+    assert [p.state_keys for p in result.plans] == [
+        frozenset({b"e", b"h"}),
+        frozenset({b"b", b"c", b"h"}),
+        frozenset({b"d", b"f", b"g", b"h"}),
+    ]
+    assert result.pops == 14
     for i, plan in enumerate(result.plans):
-        others = result.plans[:i] + result.plans[i + 1 :]
-        assert min_pairwise_diversity(plan, others) >= 0.5
+        assert min_pairwise_diversity(plan, result.plans[:i]) >= 0.5
+
+
+def test_diverse_swap_appends_so_the_set_stays_in_stream_order():
+    # ab, ac (margin 1/2), defg (margin 1), then defghijkl, 5/9 from defg,
+    # replaces ac.  defg is 0 from the candidate and was never tested against
+    # it, so the candidate goes last, not into ac's slot.
+    tree = chain_fan_tree({0: list("ab"), 1: list("ac"), 2: list("defg"), 3: list("defghijkl")})
+    result = extract_plans(tree, ExtractionConfig(k=3, d=0.5))
+    assert ["".join(sorted(k.decode() for k in p.state_keys)) for p in result.plans] == ["ab", "defg", "defghijkl"]
+    for i, plan in enumerate(result.plans):
+        assert min_pairwise_diversity(plan, result.plans[:i]) >= 0.5
 
 
 def test_planset_invariants_hold_after_extraction():
@@ -331,14 +336,15 @@ def test_diverse_matches_greedy_filter_without_ties(seed, k, d, q):
 
 
 class _CallCounter:
-    """Wraps a function and counts its calls; keeps each call's first argument."""
+    """Wraps a function and keeps each call's arguments, lists copied as
+    they stood at the call."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.firsts = []
+        self.calls = []
 
     def __call__(self, *args, **kwargs):
-        self.firsts.append(args[0])
+        self.calls.append(tuple(arg.copy() if isinstance(arg, list) else arg for arg in args))
         return self.fn(*args, **kwargs)
 
 
@@ -361,10 +367,10 @@ def test_no_diversity_work_without_a_diversity_bound(counted, k, q):
     trees = [random_backprop_tree(np.random.default_rng(seed)) for seed in range(10)]
     trees.append(chain_fan_tree(WIDE_FAN))
     for tree in trees:
-        counted["materialize_plan"].firsts.clear()
+        counted["materialize_plan"].calls.clear()
         result = extract_plans(tree, ExtractionConfig(k=k, q=q))
-        assert not counted["min_pairwise_diversity"].firsts
-        assert len(counted["materialize_plan"].firsts) == len(result)
+        assert not counted["min_pairwise_diversity"].calls
+        assert len(counted["materialize_plan"].calls) == len(result)
 
 
 @pytest.mark.parametrize("seed", TIE_FREE_SEEDS[:10])
@@ -372,12 +378,12 @@ def test_diverse_mode_tests_each_candidate_once_and_builds_only_accepted_plans(c
     tree = random_backprop_tree(np.random.default_rng(seed))
     leaves = sum(1 for nid in visited_ids(tree) if not visited_children(tree, nid))
     for d in (0.25, 0.5):
-        counted["min_pairwise_diversity"].firsts.clear()
-        counted["materialize_plan"].firsts.clear()
+        counted["min_pairwise_diversity"].calls.clear()
+        counted["materialize_plan"].calls.clear()
         result = extract_plans(tree, ExtractionConfig(k=3, d=d))
-        tested = [frozenset(keys) for keys in counted["min_pairwise_diversity"].firsts]
+        tested = [frozenset(args[0]) for args in counted["min_pairwise_diversity"].calls]
         assert len(tested) == len(set(tested)) <= leaves
-        assert len(counted["materialize_plan"].firsts) == len(result)
+        assert len(counted["materialize_plan"].calls) == len(result)
 
 
 @pytest.mark.parametrize("field", ["k", "q", "d"])
@@ -414,15 +420,15 @@ GOLDEN_PLAN_SETS = {
     (0.7, ValueMode.AVERAGE, 0): ('3720594b163ae63b', 'daa526dc43d1a560', '6d38204dfb4853c4', 'daa526dc43d1a560', 'a325181a8de95529', '18773c04937405c7', '9dad1d7db76ab066', 'd3f3d421478f3e4a'),
     (0.7, ValueMode.AVERAGE, 1): ('b77a80516516ce08', 'daf1dfe89e14842d', 'cf8fb0dd955a1f0a', 'daf1dfe89e14842d', '7faf0472dd549a70', 'deacf137d3b9fbe6', '9d147476473deb11', '7621518592ca2de8'),
     (0.7, ValueMode.AVERAGE, 2): ('848765f123e04ae7', 'b10f0c140151ce3d', '0950c5b05b458edd', 'b10f0c140151ce3d', '007ac96e0a1b9bea', '933c7d1bc0691658', '1b8dbbdde0cf37a0', '07f29f01c2858a2a'),
-    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '32825315a547a7c2', '538cd691a0ec40e4', 'f1e246a631520d80'),
+    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '32825315a547a7c2', 'b9841f7aac5b6a87', 'f1e246a631520d80'),
     (0.7, ValueMode.MAX, 1): ('91712854cab38c1d', 'ba2c53a5e32ab595', '532c47be50cdcf79', 'ba2c53a5e32ab595', '1b03c8119d9b0186', '34c25ebdec990e9d', 'e2b9ddadcea6e0d1', 'c6b18a08be7a5b3e'),
-    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', '4c1dd03a7841bfa8', 'b46f9c8cf0ad5951', '25f946e29cdbc56a'),
+    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', '4c1dd03a7841bfa8', '377be8f37804e22d', '25f946e29cdbc56a'),
     (0.02, ValueMode.AVERAGE, 0): ('156021d471af6818', 'f331190a9d0683b2', '1eecd6129f076708', 'f331190a9d0683b2', '3016e2614fcf803a', 'efb88d9d6199ddae', 'cecde2020572bcf7', '9e6831a58fc4aa95'),
     (0.02, ValueMode.AVERAGE, 1): ('8af0b382526c5fdf', '37c2bde64262ff99', 'a22acef07b21c66b', '37c2bde64262ff99', '94ebd5d2a961a721', '07093774a65fb5b7', 'f2b80e4a7efa803b', '9b91477c9260c3f1'),
     (0.02, ValueMode.AVERAGE, 2): ('635c3f1fbd24abee', 'd3068394b0858f7e', 'fdd1776e4c0189a0', 'd3068394b0858f7e', '2b4f698c01d59d47', 'da6da84090da8ae8', '58e29fa680f8cd6a', 'e339c0cd2fa6286e'),
-    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', 'c2183d9f2e368afa', '9265df51bd919449', 'e83599ddd93e232c'),
-    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', '50e7718ac3e74ded', 'c89e988d254b8efd', 'b7991209361247a0'),
-    (0.02, ValueMode.MAX, 2): ('f7594a203c58cf18', '71cf76c3bf8858c3', '4ff380524738151e', '71cf76c3bf8858c3', '2a386d4530b0cac3', '327679d6ff49f313', '3a9cb436e5471731', 'b4ee1410c71553d7'),
+    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', '0d6a63387e2d308d', '43c4da488c84880b', 'e83599ddd93e232c'),
+    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', 'ab199049072a927f', '1b169439e963d358', 'b7991209361247a0'),
+    (0.02, ValueMode.MAX, 2): ('f7594a203c58cf18', '71cf76c3bf8858c3', '4ff380524738151e', '71cf76c3bf8858c3', '2a386d4530b0cac3', 'ca40db2b08200da3', '6a973ac14e173485', 'b4ee1410c71553d7'),
 }
 
 
@@ -460,16 +466,65 @@ def test_plan_sets_match_the_pinned_hashes(key, loaded):
     assert plan_set_digests(tree, key[2]) == GOLDEN_PLAN_SETS[key]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_tie_branch_computes_leave_one_out_distances_once_per_set_change(counted, seed):
-    # A leave-one-out computation passes an incumbent Plan; candidate tests
-    # pass a bare key set.  The list is built once when the set fills and
-    # once per swap attempt, so each costs at most k computations.
-    tree = golden_plan_tree(0.02, ValueMode.MAX, seed)
-    for bounds in (ExtractionConfig(k=5, q=0.8, d=0.5), ExtractionConfig(k=10, q=0.8, d=0.3)):
-        counted["min_pairwise_diversity"].firsts.clear()
-        counted["materialize_plan"].firsts.clear()
+# The golden MAX trees hold many exact-quality ties (a MAX value is the
+# best playout below a node, shared by every route to the same goal step),
+# so their diverse bounds run the tie swap.
+GOLDEN_MAX_KEYS = [key for key in GOLDEN_PLAN_SETS if key[1] is ValueMode.MAX]
+TIE_HEAVY_BOUNDS = (
+    ExtractionConfig(k=5, q=0.8, d=0.5),
+    ExtractionConfig(k=10, q=0.8, d=0.3),
+    ExtractionConfig(k=4, d=0.25),
+    ExtractionConfig(k=4, d=0.5),
+)
+
+
+@functools.cache
+def tie_heavy_tree(key):
+    return golden_plan_tree(*key)
+
+
+@pytest.mark.parametrize("key", GOLDEN_MAX_KEYS, ids=lambda key: "-".join(map(str, key)))
+def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, monkeypatch, key):
+    # Each candidate the stream yields gets one test, with its bare key set
+    # against the incumbents; a Plan is built exactly for the candidates that
+    # the next test's incumbents (or the result) hold.
+    tree = tie_heavy_tree(key)
+    streamed = []
+    best_first = extraction._best_first
+
+    def recording_best_first(*args):
+        for item in best_first(*args):
+            streamed.append(item[0])
+            yield item
+
+    monkeypatch.setattr(extraction, "_best_first", recording_best_first)
+    for bounds in GOLDEN_BOUNDS[5:7]:
+        streamed.clear()
+        counted["min_pairwise_diversity"].calls.clear()
+        counted["materialize_plan"].calls.clear()
         result = extract_plans(tree, bounds)
-        leave_one_out = sum(isinstance(first, Plan) for first in counted["min_pairwise_diversity"].firsts)
-        swap_attempts = len(counted["materialize_plan"].firsts) - len(result)
-        assert leave_one_out <= bounds.k * (1 + swap_attempts)
+        tested = counted["min_pairwise_diversity"].calls
+        assert not any(isinstance(args[0], Plan) for args in tested)
+        assert [args[0] for args in tested] == [stem_state_keys(tree, last) for last in streamed]
+        incumbents = [{p.nodes[-1] for p in args[1]} for args in tested[1:]]
+        incumbents.append({p.nodes[-1] for p in result})
+        entered = [last for last, after in zip(streamed, incumbents) if last in after]
+        assert [args[1] for args in counted["materialize_plan"].calls] == entered
+
+
+@pytest.mark.parametrize("bounds", TIE_HEAVY_BOUNDS, ids=lambda b: f"k{b.k}-q{b.q}-d{b.d}")
+@pytest.mark.parametrize("key", GOLDEN_MAX_KEYS, ids=lambda key: "-".join(map(str, key)))
+def test_diverse_sets_keep_the_ordered_contract_on_tie_heavy_trees(key, bounds):
+    tree = tie_heavy_tree(key)
+    plans = extract_plans(tree, bounds).plans
+    for i, plan in enumerate(plans):
+        assert min_pairwise_diversity(plan, plans[:i]) >= bounds.d
+    qualities = [p.relative_quality for p in plans]
+    assert all(a >= b for a, b in zip(qualities, qualities[1:]))
+    assert plans[0].nodes == extract_plans(tree, ExtractionConfig(k=1)).plans[0].nodes
+    # Criterion 4's Pareto check: no plan outside the set that is at least d
+    # from all of it beats the set's lowest quality.
+    inside = {p.nodes for p in plans}
+    for plan, quality in brute_force_enumerate(tree):
+        if plan.nodes not in inside and min_pairwise_diversity(plan, plans) >= bounds.d:
+            assert quality <= qualities[-1] + 1e-12

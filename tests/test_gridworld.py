@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bfs_shortest_path
 from planset.gridworld import (
     ACTION_NAMES,
     MOVES,
@@ -82,6 +83,13 @@ OUT_OF_RANGE_SETTINGS = {
     "radius": (
         lambda: GridWorld(5, 5, (0, 0), (2, 2), frozenset(), 0.0, detection_radius=-1),
         "detection_radius must be >= 0, got -1",
+    ),
+    # An off-grid start or goal would drop from render_map and fail the search.
+    "start off the grid": (
+        lambda: GridWorld(5, 5, (7, 2), (4, 2), frozenset(), 0.0), r"start \(7, 2\) is off the 5x5 grid"
+    ),
+    "goal off the grid": (
+        lambda: GridWorld(5, 5, (0, 2), (4, -1), frozenset(), 0.0), r"goal \(4, -1\) is off the 5x5 grid"
     ),
     "greedy_p above 1": (lambda: open_sim(rollout_greedy_p=1.7), r"rollout_greedy_p must lie in \[0, 1\], got 1.7"),
     "greedy_p below 0": (lambda: open_sim(rollout_greedy_p=-0.1), r"rollout_greedy_p must lie in \[0, 1\], got -0.1"),
@@ -325,8 +333,20 @@ def test_shortest_path_cases():
     assert shortest_unobstructed_path(neighbors) == 1
     identity = GridWorld(4, 4, (1, 1), (1, 1), frozenset(), 0.0)
     assert shortest_unobstructed_path(identity) == 0
+    corners = GridWorld(5, 3, (4, 0), (0, 2), frozenset(), 0.0)
+    assert shortest_unobstructed_path(corners) == 6
     world = generate_instance(20, 20, 0.5, rng=9)
     assert shortest_unobstructed_path(world) == 19  # enemies are ignored
+    for hand_built in (neighbors, identity, corners, world):
+        assert shortest_unobstructed_path(hand_built) == bfs_shortest_path(hand_built)
+
+
+@pytest.mark.parametrize("width", range(2, 13))
+def test_shortest_path_matches_breadth_first_search(width):
+    for height in range(2, 13):
+        for seed in range(3):
+            world = generate_instance(width, height, 0.3, rng=seed)
+            assert shortest_unobstructed_path(world) == bfs_shortest_path(world)
 
 
 def test_map_round_trip():
