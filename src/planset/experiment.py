@@ -22,7 +22,7 @@ import numpy as np
 
 from .extraction import EmptyTreeError, ExtractionConfig, extract_plans
 from .gridworld import PlanningSimulator, execute_plan, generate_instance, shortest_unobstructed_path
-from .mcts import BanditConfig, SearchConfig, _require_integers, run_search
+from .mcts import BanditConfig, SearchConfig, require_integers, run_search
 from .metrics import PlanSet, materialize_plan
 from .tree import SearchTree, ValueMode
 
@@ -107,7 +107,7 @@ class ExperimentConfig:
     def __post_init__(self):
         integers = ("replications_per_level", "width", "height", "workers", "detection_radius", "master_seed")
         try:
-            _require_integers(self, *integers)
+            require_integers(self, *integers)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.risk_levels or self.replications_per_level < 1:

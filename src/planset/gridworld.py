@@ -52,9 +52,15 @@ class GridWorld:
     def __post_init__(self):
         if self.detection_radius < 0:
             raise ValueError(f"detection_radius must be >= 0, got {self.detection_radius}")
-        for name, (x, y) in (("start", self.start), ("goal", self.goal)):
+        if not 0.0 <= self.risk <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"risk {self.risk} outside [0, 1]")
+        cells = [("start", self.start), ("goal", self.goal), *(("enemy", e) for e in self.enemies)]
+        for name, (x, y) in cells:
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ValueError(f"{name} {(x, y)} is off the {self.width}x{self.height} grid")
+        for name, cell in cells[:2]:
+            if cell in self.enemies:
+                raise ValueError(f"an enemy sits on the {name} cell {cell}")
 
 
 class DroneState(NamedTuple):

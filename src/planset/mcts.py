@@ -11,10 +11,11 @@ Expanded nodes keep their state and reward from the root, so an iteration
 costs one ``step`` per expansion plus its rollout's steps, and none to
 revisit a terminal node.
 
-Randomness is reproducible by construction: the tree builder and every
-rollout draw from their own generator (built on the rollout's first draw),
-derived from the master seed by fixed offsets, so replaying a seed replays
-the tree bit for bit.
+Randomness is reproducible by construction: each search builds one
+``numpy.random.Generator`` from its seed, draws every expansion from it and
+hands the same generator to ``default_action``.  A rollout's draws shift
+the draws of later expansions, but replaying a seed replays the tree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from .extraction import ExtractionConfig, extract_plans
 from .metrics import Plan
 from .tree import SearchTree, ValueMode
 
-_TREE_STREAM = 0
-_ROLLOUT_STREAM = 1
-
-
 class SimulatorError(RuntimeError):
     """A domain fault raised by the simulator, wrapped with search context."""
 
@@ -48,8 +45,11 @@ class Simulator(Protocol):
     given state.  An empty action list marks a terminal state.  The search
     keeps every expanded node's state and steps each edge once, so ``step``
     must leave its ``state`` argument unmodified.  Domains may
-    additionally expose ``default_action(state, rng)`` to drive rollouts;
-    without it, rollouts pick uniformly among legal actions.
+    additionally expose ``default_action(state, rng)`` to drive rollouts,
+    where ``rng`` is the search's one ``numpy.random.Generator``; without
+    it, rollouts pick uniformly among legal actions with that generator.
+    Its draws shift later expansions, but the tree stays a deterministic
+    function of the seed.
     """
 
     def initial_state(self) -> Any: ...
@@ -66,7 +66,7 @@ class Policy(Enum):
     DIVERSE_UCB1 = "diverse_ucb1"
 
 
-def _require_integers(config: Any, *names: str) -> None:
+def require_integers(config: Any, *names: str) -> None:
     """Refuse a field that is not an integer (a bool or numpy integer is one)."""
     for name in names:
         value = getattr(config, name)
@@ -98,7 +98,7 @@ class BanditConfig:
     def __post_init__(self):
         if not math.isfinite(self.exploration_c) or self.exploration_c < 0:
             raise ValueError(f"exploration_c must be finite and >= 0, got {self.exploration_c}")
-        _require_integers(self, "diversity_refresh_interval", "diversity_set_size")
+        require_integers(self, "diversity_refresh_interval", "diversity_set_size")
         if self.diversity_refresh_interval < 1 or self.diversity_set_size < 1:
             raise ValueError("diversity refresh interval and set size must be >= 1")
 
@@ -112,7 +112,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "iterations", "max_rollout_steps", "seed")
+        require_integers(self, "iterations", "max_rollout_steps", "seed")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.max_rollout_steps < 1:
@@ -166,11 +166,11 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         root_terminal=not root_actions,
     )
     nodes = tree.nodes
-    seed = config.seed
     bandit = config.bandit
     c = bandit.exploration_c
     diverse = bandit.policy is Policy.DIVERSE_UCB1
-    tree_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TREE_STREAM)))
+    # The entropy (seed, 0) is part of every pinned tree: keep it.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     reference: list[Plan] = []
     masks: dict[bytes, int] = {}
     # Per node id: the simulator state after the node's edge, and the reward
@@ -231,7 +231,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
 
         # Expansion: one seeded-uniform untried action, then a rollout.
         if rec.untried_actions:
-            action = rec.untried_actions[int(tree_rng.integers(len(rec.untried_actions)))]
+            action = rec.untried_actions[int(rng.integers(len(rec.untried_actions)))]
             state, reward, done = sim.step(state, action)
             acc += reward
             node_id = tree.add_child(
@@ -244,22 +244,8 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             states.append(state)
             prefix.append(acc)
             if not done:
-                rollout_rng = _LazyGenerator((seed, _ROLLOUT_STREAM, iteration))
-                acc += rollout(sim, state, rollout_rng, config.max_rollout_steps)
+                acc += rollout(sim, state, rng, config.max_rollout_steps)
 
         tree.backpropagate(node_id, min(max(acc, 0.0), 1.0))
     return tree
 
-
-class _LazyGenerator:
-    """``default_rng(SeedSequence(entropy))``, built on its first use."""
-
-    __slots__ = ("_entropy", "_rng")
-
-    def __init__(self, entropy: tuple[int, ...]):
-        self._entropy, self._rng = entropy, None
-
-    def __getattr__(self, name: str) -> Any:
-        if self._rng is None:
-            self._rng = np.random.default_rng(np.random.SeedSequence(entropy=self._entropy))
-        return getattr(self._rng, name)

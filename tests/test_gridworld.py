@@ -91,6 +91,20 @@ OUT_OF_RANGE_SETTINGS = {
     "goal off the grid": (
         lambda: GridWorld(5, 5, (0, 2), (4, -1), frozenset(), 0.0), r"goal \(4, -1\) is off the 5x5 grid"
     ),
+    # An enemy off the grid or under S or G would drop from render_map, and
+    # one on the start cell would never shoot the drone down.
+    "enemy off the grid": (
+        lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset({(9, 9)}), 0.1), r"enemy \(9, 9\) is off the 5x3 grid"
+    ),
+    "enemy on the start": (
+        lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset({(0, 1)}), 0.1), r"an enemy sits on the start cell \(0, 1\)"
+    ),
+    "enemy on the goal": (
+        lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset({(4, 1)}), 0.1), r"an enemy sits on the goal cell \(4, 1\)"
+    ),
+    "risk above 1": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), 7.5), r"risk 7.5 outside \[0, 1\]"),
+    "risk below 0": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), -0.1), r"risk -0.1 outside \[0, 1\]"),
+    "risk nan": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), math.nan), r"risk nan outside \[0, 1\]"),
     "greedy_p above 1": (lambda: open_sim(rollout_greedy_p=1.7), r"rollout_greedy_p must lie in \[0, 1\], got 1.7"),
     "greedy_p below 0": (lambda: open_sim(rollout_greedy_p=-0.1), r"rollout_greedy_p must lie in \[0, 1\], got -0.1"),
     "greedy_p nan": (lambda: open_sim(rollout_greedy_p=math.nan), r"rollout_greedy_p must lie in \[0, 1\], got nan"),
@@ -359,6 +373,14 @@ def test_map_round_trip():
     assert clone.risk == pytest.approx(world.risk, abs=0.02)
     assert text.count("S") == 1 and text.count("G") == 1
     assert text.count("E") == len(world.enemies)
+
+
+@pytest.mark.parametrize("risk", [0.0, 0.3, 1.0])
+def test_rendered_maps_keep_every_enemy(risk):
+    for width, height in ((2, 2), (3, 7), (9, 4), (12, 12)):
+        for seed in range(3):
+            world = generate_instance(width, height, risk, rng=seed)
+            assert parse_map(render_map(world)).enemies == world.enemies
 
 
 def test_map_parse_validation():

@@ -297,8 +297,8 @@ def test_rollout_adjacent_to_goal_pays_discounted_reward():
     world = generate_instance(6, 6, 0.0, rng=1)
     sim = PlanningSimulator(world)
     beside_goal = DroneState((world.goal[0] - 1, world.goal[1]), 5, False)
-    # seed 0's first uniform draw is < 0.8, so the greedy step (east, into
-    # the goal) is taken deterministically
+    # at the default rollout_greedy_p of 1.0 the policy draws nothing and
+    # takes the greedy step, east into the goal
     reward = rollout(sim, beside_goal, np.random.default_rng(0), 10)
     assert reward == pytest.approx(0.99**6)
 
@@ -373,21 +373,21 @@ def test_numpy_integer_search_settings_are_accepted():
 
 GOLDEN_TREES = {
     (0.7, ValueMode.AVERAGE, Policy.UCB1, 1.0): ('9dc59cbe3fdaf2ac', '09dd30e7e7ff27fc', '7ab55f69f2d64e84', '1b96f0fd859ecac4'),
-    (0.7, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('c62db86190cd7906', 'd34287d628b4e4b5', 'ffd6df79bf7a3b11', '5f272bea46eb209d'),
+    (0.7, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('91e89d2236beccfb', 'bcee6e10f7ee8c86', '077d0102d94f0e0b', 'ee2280bc8e792340'),
     (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 1.0): ('cd75506836cdf0a5', '876c93414aa82a72', '8c47576151d26dfd', 'e5cc73c5886f3272'),
-    (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('70e20c96c1f4038e', '5e290d1c08a39c1d', '154f4a5742574180', '0f45e17c1d0be83f'),
+    (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('7a97f3a1614d0cb7', '326b1f87a4afd39b', '04bb226c909fcd84', '2e95ad5d75f632ae'),
     (0.7, ValueMode.MAX, Policy.UCB1, 1.0): ('84bb6170896d3f70', '08f9a701d02c4385', 'cd60d87c42c4d981', '605d28053d6b595f'),
-    (0.7, ValueMode.MAX, Policy.UCB1, 0.8): ('d9eab18ada4fa246', '11635ca659371180', 'c7c0fd07fcdf509e', '691dadb477458bb2'),
+    (0.7, ValueMode.MAX, Policy.UCB1, 0.8): ('95542943c4321767', '22d7f092277e42b8', 'e09911ba05c4c458', 'eb9e58a78bd782c7'),
     (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 1.0): ('ece74a0ec9a78dd7', '5ba5be5c75aba937', 'aee75c64248fa884', 'f478b42f0e4878b5'),
-    (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('fda7a5f078f98813', '97967f0ac475bb6c', 'a5ebf9542c3d5184', 'fb5f30827e627e62'),
+    (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('bc9ced21b2d7db12', '9ce30faf117b4517', '178599d65736313d', 'cf3d36a6b83e7488'),
     (0.02, ValueMode.AVERAGE, Policy.UCB1, 1.0): ('969980a74b4e3932', 'c7a24bee544a559a', 'd2961df1bec29411', '76ee9358de897f7f'),
-    (0.02, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('c62b8dcf2d3c22ff', '8551d37cf155c1f2', '078d2a977878188b', '77913a3167250c47'),
+    (0.02, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('58bc61fcbe1e6fce', '7058ad1c2603d2a8', '061cf3cb40d9dbea', '7366bc17f2b1d510'),
     (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 1.0): ('ac5247353b5840e9', 'c2824668e94e5254', '89c24c183933a20d', '74aaff1a1556f9d0'),
-    (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('8d3f86ca54a161f2', '68fc5994ad292a6f', '549af4d0d71cca63', '1112e854ce93e920'),
+    (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('b76b4afb8b203bff', 'c3d4dfcfbff8347f', 'd803d7ce49f209ec', '7ad24dda3b86db35'),
     (0.02, ValueMode.MAX, Policy.UCB1, 1.0): ('168e8b40faf14769', '4076929dc9a5cd9c', '78a7ef85d4c510f4', 'b14fd6d1c0742133'),
-    (0.02, ValueMode.MAX, Policy.UCB1, 0.8): ('0db450e5302c4181', 'c1aafb957df5617e', '2e230bd014719f40', '10e6926b5b77735c'),
+    (0.02, ValueMode.MAX, Policy.UCB1, 0.8): ('002410bf05c6589b', '3ff3c1721038052d', '049c40655bfcfeae', '2bbb577f629e7aba'),
     (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 1.0): ('20033a5ded44680d', '321467247761f0d2', 'e92aace8f260f205', '3ff9bb282a5382fe'),
-    (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('f08e33450b332062', 'a6f26555052dc657', 'a0a9b9d1dd56e209', '33ea21befaa45128'),
+    (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('8590b5a5de53af2d', 'b69f1de82ed980d5', '3709e19ce76a7c8a', '78e7f283284439a5'),
 }
 
 
@@ -400,10 +400,11 @@ def golden_search(seed, c, mode, policy, greedy_p):
 
 @pytest.mark.parametrize("key", list(GOLDEN_TREES), ids=lambda key: "-".join(map(str, key)))
 def test_trees_match_the_pinned_hashes(key):
-    """The hashes were computed by the search that re-stepped every
-    descent from the root state, before node states were cached; caching
-    states, building rollout generators lazily and stopping the max
-    refresh early must leave every tree byte-identical."""
+    """The rows at ``rollout_greedy_p`` 1.0 were computed by the search
+    that re-stepped every descent from the root state, before node states
+    were cached; caching states and stopping the max refresh early left
+    them byte-identical.  The rows at 0.8 were re-pinned when rollouts
+    began to draw from the search's one generator."""
     got = tuple(
         hashlib.sha256(golden_search(seed, *key).to_text().encode()).hexdigest()[:16]
         for seed in range(4)
@@ -430,10 +431,10 @@ class DenseChain:
 
 
 DENSE_GOLDEN_TREES = {
-    (ValueMode.AVERAGE, Policy.UCB1): "3a4cad0d2e551ad5",
-    (ValueMode.AVERAGE, Policy.DIVERSE_UCB1): "34e33c58dd9fe0e2",
-    (ValueMode.MAX, Policy.UCB1): "dc65d63a28bea7e2",
-    (ValueMode.MAX, Policy.DIVERSE_UCB1): "ecc5d573fa38494a",
+    (ValueMode.AVERAGE, Policy.UCB1): "99e5215c265c9167",
+    (ValueMode.AVERAGE, Policy.DIVERSE_UCB1): "55d88b5e2b6dc8c7",
+    (ValueMode.MAX, Policy.UCB1): "f064736638617869",
+    (ValueMode.MAX, Policy.DIVERSE_UCB1): "cfa2252e239ea8dc",
 }
 
 
@@ -444,8 +445,9 @@ def dense_config(mode=ValueMode.MAX, policy=Policy.UCB1):
 
 @pytest.mark.parametrize("key", list(DENSE_GOLDEN_TREES), ids=lambda key: f"{key[0].name}-{key[1].name}")
 def test_dense_reward_trees_match_the_pinned_hashes(key):
-    """Pinned, like ``GOLDEN_TREES``, before node states were cached; every
-    edge pays, so the reward summed along a cached path is checked too."""
+    """Pinned, like the 0.8 rows of ``GOLDEN_TREES``, when rollouts began
+    to draw from the search's one generator; every edge pays, so the reward
+    summed along a cached path is checked too."""
     text = run_search(DenseChain(), dense_config(*key)).to_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DENSE_GOLDEN_TREES[key]
 
@@ -515,20 +517,42 @@ def count_generators(monkeypatch):
     return built
 
 
-def test_greedy_rollouts_build_no_generator(monkeypatch):
-    sim = PlanningSimulator(generate_instance(20, 20, 0.2, 3))
-    config = SearchConfig(
-        iterations=2000, max_rollout_steps=60, value_mode=ValueMode.MAX, bandit=BanditConfig(exploration_c=0.02)
-    )
+GRID_CONFIG = SearchConfig(
+    iterations=2000, max_rollout_steps=60, value_mode=ValueMode.MAX, bandit=BanditConfig(exploration_c=0.02)
+)
+
+
+@pytest.mark.parametrize(
+    "sim,config",
+    [
+        (PlanningSimulator(generate_instance(20, 20, 0.2, 3)), GRID_CONFIG),
+        (PlanningSimulator(generate_instance(20, 20, 0.2, 3), rollout_greedy_p=0.8), GRID_CONFIG),
+        (DenseChain(), dense_config()),
+    ],
+    ids=["greedy-1.0", "greedy-0.8", "dense"],
+)
+def test_each_search_builds_one_generator(monkeypatch, sim, config):
     built = count_generators(monkeypatch)
     tree = run_search(sim, config)
     assert len(tree) > 100
-    assert len(built) == 1  # the tree's own generator
+    assert len(built) == 1  # shared by expansions and rollouts
 
 
-def test_drawing_rollouts_build_their_generator_on_first_draw(monkeypatch):
-    key = (0.02, ValueMode.MAX, Policy.UCB1, 0.8)
-    built = count_generators(monkeypatch)
-    tree = golden_search(0, *key)
-    assert 1 < len(built) < len(tree)
-    assert hashlib.sha256(tree.to_text().encode()).hexdigest()[:16] == GOLDEN_TREES[key][0]
+class GeneratorCheckingChain(DenseChain):
+    def default_action(self, state, rng):
+        assert isinstance(rng, np.random.Generator)
+        return int(rng.integers(3))
+
+
+class ReseedingChain(DenseChain):
+    def default_action(self, state, rng):
+        return int(np.random.default_rng(rng).integers(3))  # a Generator comes back as itself
+
+
+@pytest.mark.parametrize("sim", [GeneratorCheckingChain(), ReseedingChain()], ids=["isinstance", "default_rng"])
+def test_rollouts_receive_the_search_generator(sim):
+    """A rollout policy may treat its ``rng`` as the ``Generator`` the
+    contract names.  Both policies make the draws of the uniform fallback,
+    so they grow the tree a search without ``default_action`` grows."""
+    text = run_search(sim, dense_config()).to_text()
+    assert text == run_search(DenseChain(), dense_config()).to_text()

@@ -2,7 +2,9 @@
 ``planset.__all__`` must show up as a change to this list.  The module
 bindings the benchmark's tracer patches are pinned here too."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import planset
 
@@ -83,3 +85,14 @@ def test_every_name_the_tracer_patches_is_bound_where_it_looks():
     for owner_name, names in TRACED_METHODS.items():
         for name in names:
             assert name in owners[owner_name].__dict__, f"{owner_name}.{name}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A name one module needs from another is that module's public name,
+    even when it stays out of ``__all__``."""
+    found = []
+    for path in sorted(Path(planset.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("planset")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []
