@@ -2,8 +2,8 @@
 
 Builds the tree with explicit backpropagated playouts, then pulls out the
 single best plan, the top-k set, a quality-bounded set, and a diverse set,
-and checks each against exhaustive enumeration; a failed check exits
-non-zero.
+and checks each against the tree's ranking, listed by hand; a failed check
+exits non-zero.
 
 Run:  python3 demos/plan_set_extraction_basics.py
 """
@@ -15,7 +15,6 @@ from planset import (
     ExtractionConfig,
     SearchTree,
     ValueMode,
-    brute_force_enumerate,
     extract_plans,
     min_pairwise_diversity,
     relative_plan_quality,
@@ -56,23 +55,22 @@ for nid, name in [(left, "left"), (mid, "mid"), (right, "right"), (r_hi, "right-
 
 # ---------------------------------------------------------------------------
 # Relative quality: the product over path steps of (chosen child's value /
-# best sibling's value).  The best path scores exactly 1.
-print("\nrelative plan qualities:")
-# A tree has one path to each node, so a plan is named by its last node.
-for last, name in [
-    (left, "root->left"),
-    (mid, "root->mid"),
-    (r_hi, "root->right->hi"),
-    (r_lo, "root->right->lo"),
-]:
+# best sibling's value).  The best path scores exactly 1.  A tree has one path
+# to each node, so a plan is named by its last node.  Ranked by hand from the
+# values above: left 0.9, mid 0.6 and right 0.6 (the mean of 0.8 and 0.4),
+# then right-hi 0.8 and right-lo 0.4 below right.  mid and right-hi tie at
+# 0.667 on paper, but in floating point 0.8 + 0.4 is 1.2000000000000002, so
+# right's mean sits just above mid's 0.6 and right-hi ranks first.
+ranking = [
+    (left, "root->left", 1.0),
+    (r_hi, "root->right->hi", 0.6 / 0.9),
+    (mid, "root->mid", 0.6 / 0.9),
+    (r_lo, "root->right->lo", 0.6 / 0.9 * 0.4 / 0.8),
+]
+print("\nrelative plan qualities, best first:")
+for last, name, quality in ranking:
     print(f"  {name:16s} {relative_plan_quality(tree, last):.4f}")
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration is the ground truth the extractor is tested against.
-ranking = brute_force_enumerate(tree)
-print("\nexhaustive ranking:")
-for plan, quality in ranking:
-    print(f"  quality={quality:.4f}  nodes={plan.nodes}  states={sorted(plan.state_keys)}")
+    check(math.isclose(relative_plan_quality(tree, last), quality), f"{name} has quality {quality:.4f}")
 
 # ---------------------------------------------------------------------------
 # The same queue-based extractor covers all three planning modes.
@@ -85,18 +83,25 @@ print("top-2 qualities:", [round(p.relative_quality, 4) for p in top2.plans])
 quality_bound = extract_plans(tree, ExtractionConfig(k=math.inf, q=0.8))
 print("all plans with quality >= 0.8:", [p.nodes for p in quality_bound.plans])
 
+everything = extract_plans(tree, ExtractionConfig())
+print("every plan, best first:", [p.nodes for p in everything.plans])
 
-def as_ranked(plans):
-    return [(plan.nodes, plan.relative_quality) for plan in plans]
+
+def follows(plans, entries) -> bool:
+    entries = list(entries)
+    return len(plans) == len(entries) and all(
+        plan.nodes[-1] == last and math.isclose(plan.relative_quality, quality)
+        for plan, (last, _, quality) in zip(plans, entries)
+    )
 
 
-# The two plans tied at 0.667 come out in the same order from both.
-check(as_ranked(single.plans) == as_ranked(p for p, _ in ranking[:1]), "single plan is the best ranked")
-check(as_ranked(top2.plans) == as_ranked(p for p, _ in ranking[:2]), "top-2 is the ranking's first two")
+check(follows(single.plans, ranking[:1]), "single plan is the best ranked")
+check(follows(top2.plans, ranking[:2]), "top-2 is the ranking's first two")
 check(
-    as_ranked(quality_bound.plans) == as_ranked(p for p, q in ranking if q >= 0.8),
+    follows(quality_bound.plans, (entry for entry in ranking if entry[2] >= 0.8)),
     "quality-bounded set is the ranking filtered at q >= 0.8",
 )
+check(follows(everything.plans, ranking), "with no bounds, every plan comes out in rank order")
 
 # Diversity: fraction of a candidate's states the accepted set never visits.
 # With d = 0.9 the second-best plan must be nearly disjoint from the first.

@@ -10,8 +10,6 @@ tree, so different bounds can be re-applied without searching again.
 from .extraction import (
     EmptyTreeError,
     ExtractionConfig,
-    TreeTooLargeError,
-    brute_force_enumerate,
     extract_plans,
 )
 from .gridworld import (
@@ -77,9 +75,7 @@ __all__ = [
     "SearchTree",
     "Simulator",
     "SimulatorError",
-    "TreeTooLargeError",
     "ValueMode",
-    "brute_force_enumerate",
     "desk_profile",
     "execute_plan",
     "extract_plans",

@@ -4,7 +4,6 @@ Subcommands:
   experiment  run a risk sweep from a config file and/or flags, write CSV
   plan        search one world map and print the best plan
   extract     extract a bounded plan set from a serialized tree (CSV)
-  oracle      exhaustively enumerate a serialized tree's plans (CSV)
 
 Config files and flags are cast through one key table, ``CONFIG_KEYS``.
 
@@ -19,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from .extraction import ExtractionConfig, brute_force_enumerate, extract_plans
+from .extraction import ExtractionConfig, extract_plans
 from .gridworld import ACTION_NAMES, DroneState, PlanningSimulator, parse_map, shortest_unobstructed_path
 from .mcts import BanditConfig, Policy, SearchConfig, run_search
 from .experiment import (
@@ -181,9 +180,6 @@ def _build_parser() -> _Parser:
     ext.add_argument("--k", type=float, default=float("inf"))
     ext.add_argument("--q", type=float, default=0.0)
     ext.add_argument("--d", type=float, default=0.0)
-
-    orc = sub.add_parser("oracle", help="exhaustively enumerate a serialized tree")
-    orc.add_argument("--tree", required=True, help="serialized tree file")
     return parser
 
 
@@ -198,9 +194,9 @@ def _load_tree(path: str) -> SearchTree:
 
 def _plan_lines(plans) -> list[str]:
     lines = ["rank,quality,actions"]
-    for rank, (plan, quality) in enumerate(plans, start=1):
+    for rank, plan in enumerate(plans, start=1):
         actions = " ".join(str(a) for a in plan.actions)
-        lines.append(f"{rank},{quality:.17g},{actions}")
+        lines.append(f"{rank},{plan.relative_quality:.17g},{actions}")
     return lines
 
 
@@ -244,13 +240,7 @@ def _cmd_extract(args) -> int:
         raise ConfigError(str(exc)) from exc
     tree = _load_tree(args.tree)
     result = extract_plans(tree, config)
-    print("\n".join(_plan_lines((p, p.relative_quality) for p in result.plans)))
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    tree = _load_tree(args.tree)
-    print("\n".join(_plan_lines(brute_force_enumerate(tree))))
+    print("\n".join(_plan_lines(result.plans)))
     return 0
 
 
@@ -258,7 +248,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "plan": _cmd_plan,
     "extract": _cmd_extract,
-    "oracle": _cmd_oracle,
 }
 
 

@@ -11,21 +11,23 @@ the tree as it stands.  Every bound consumes that one stream:
 - top-k and top-quality (d = 0) take its first k plans, or all of them at
   k = inf, and build one Plan each; there is no diversity work.
 - diverse (d > 0) filters it.  Each candidate's state keys, read by a walk
-  up its parents, get one test against the at most k incumbents, and a Plan
-  is built only for a candidate that enters the set.
+  up its parents, get one test against the at most k incumbents (the
+  candidate that ends a full set gets none), and a Plan is built only for a
+  candidate that enters the set.
 
 A diverse set keeps one contract: its plans are in acceptance order, their
 quality never increases, and each plan is at least d, one way, from every
 plan before it.  Each plan's *margin* is its distance to the set it joined.
-Once k plans are held, a candidate that passes d and ties the lowest quality
-takes the place of the tied incumbent with the smallest margin, if its own
-margin is strictly larger: that incumbent is deleted and the candidate
-appended.  The candidate was tested against every incumbent, and deleting a
-plan can only raise the distances of the plans after it, so the swap keeps
-the contract with no further check.
+Once k plans are held, only a candidate that ties the lowest quality can
+enter, so the first candidate below it ends the extraction, diverse or not.
+A tied candidate that passes d takes the place of the tied incumbent with
+the smallest margin, if its own margin is strictly larger: that incumbent is
+deleted and the candidate appended.  The candidate was tested against every
+incumbent, and deleting a plan can only raise the distances of the plans
+after it, so the swap keeps the contract with no further check.
 
-:func:`brute_force_enumerate` walks every root-to-leaf path instead and is
-the testing oracle the queue-based extractor is checked against.
+:func:`brute_force_enumerate` walks every root-to-leaf path instead.  It is
+the oracle the tests check the queue against, and no public name.
 """
 
 from __future__ import annotations
@@ -46,15 +48,10 @@ from .metrics import (
 from .tree import SearchTree
 
 QUALITY_TOL = 1e-12
-MAX_ENUMERATED_PATHS = 10_000  # the most leaf paths brute_force_enumerate walks
 
 
 class EmptyTreeError(ValueError):
     """Extraction from a tree whose root was never visited."""
-
-
-class TreeTooLargeError(ValueError):
-    """Exhaustive enumeration refused; the tree has too many leaf paths."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,9 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     accepted: list[Plan] = []
     margins: list[float] = []  # each plan's distance to the set it joined
     for last, logq, pops in stream:
+        full = len(accepted) >= k
+        if full and math.exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
+            break
         # A complete plan's state keys are tested against the incumbents
         # before any Plan is built for it.
         keys = []
@@ -109,21 +109,17 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
         diversity = min_pairwise_diversity(frozenset(keys), accepted)
         if diversity < d:
             continue
-        if len(accepted) < k:
-            accepted.append(materialize_plan(tree, last, logq))
-            margins.append(diversity)
-            continue
-        q_min = accepted[-1].relative_quality
-        if math.exp(logq) < q_min - QUALITY_TOL:
-            break
-        # Quality tie.  The candidate is appended, not put in the evicted
-        # plan's slot: no plan may precede one it was never tested against.
-        tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
-        weakest = min(tied, key=margins.__getitem__)
-        if diversity > margins[weakest]:
+        if full:
+            # Quality tie.  The candidate is appended, not put in the evicted
+            # plan's slot: no plan may precede one it was never tested against.
+            q_min = accepted[-1].relative_quality
+            tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
+            weakest = min(tied, key=margins.__getitem__)
+            if diversity <= margins[weakest]:
+                continue
             del accepted[weakest], margins[weakest]
-            accepted.append(materialize_plan(tree, last, logq))
-            margins.append(diversity)
+        accepted.append(materialize_plan(tree, last, logq))
+        margins.append(diversity)
     return PlanSet(plans=accepted, pops=pops)
 
 
@@ -155,9 +151,9 @@ def _best_first(tree: SearchTree, floor: float) -> Iterator[tuple[int, float, in
 def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:
     """Every root-to-leaf path over visited nodes, best quality first.
 
-    Ties keep lexicographic child-index order.  Refuses trees with more than
-    ``MAX_ENUMERATED_PATHS`` leaf paths.  This is the extraction oracle: an exhaustive
-    walk with none of the queue machinery.
+    Ties keep lexicographic child-index order.  This is the extraction
+    oracle: an exhaustive walk with none of the queue machinery.  Outside the
+    tests its one reader is ``perfbench``'s ``replan`` check.
     """
     nodes = tree.nodes
     if nodes[tree.root].visits == 0:
@@ -171,8 +167,6 @@ def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:
         ratios = child_log_ratios(tree, last)
         if not ratios:
             leaves.append((last, logq))
-            if len(leaves) > MAX_ENUMERATED_PATHS:
-                raise TreeTooLargeError(f"more than {MAX_ENUMERATED_PATHS} leaf paths")
             continue
         for cid, ratio in reversed(ratios.items()):
             stack.append((cid, logq + ratio))

@@ -30,7 +30,7 @@ Cell = tuple[int, int]
 
 
 class InvalidGeometryError(ValueError):
-    """Grid too small to host distinct start and goal cells."""
+    """Start and goal on one cell, or a grid too small to host two."""
 
 
 class InvalidPlanError(ValueError):
@@ -58,6 +58,8 @@ class GridWorld:
         for name, (x, y) in cells:
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ValueError(f"{name} {(x, y)} is off the {self.width}x{self.height} grid")
+        if self.start == self.goal:
+            raise InvalidGeometryError(f"start and goal share the cell {self.start}")
         for name, cell in cells[:2]:
             if cell in self.enemies:
                 raise ValueError(f"an enemy sits on the {name} cell {cell}")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .tree import SearchTree
+from .tree import SearchTree, UndefinedValueError
 
 
 class DegeneratePlanError(ValueError):
@@ -97,7 +97,7 @@ def relative_plan_quality(tree: SearchTree, last: int) -> float:
     while parent is not None:
         ratios = child_log_ratios(tree, parent)
         if child not in ratios and any(records[cid].value > 0.0 for cid in ratios):
-            tree.q_value(child)  # raises UndefinedValueError
+            raise UndefinedValueError(f"node {child} has no visits")
         steps.append(ratios.get(child, 0.0))
         child, parent = parent, records[parent].parent
     total = 0.0
@@ -116,7 +116,7 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
         tree.node(last)  # raises InvalidNodeError; a negative id must not index from the end
     root = records[tree.root]
     if not root.visits:
-        tree.q_value(tree.root)  # raises UndefinedValueError
+        raise UndefinedValueError(f"node {tree.root} has no visits")
     nodes, actions, keys = [last], [], []
     rec = records[last]
     while rec.parent is not None:

@@ -16,17 +16,23 @@ def tree_file(tmp_path):
     return tree, path
 
 
-def test_oracle_matches_brute_force(tree_file, capsys):
+def test_extract_without_bounds_prints_every_ranked_plan(tree_file, capsys):
+    # The exhaustive walk's ranking: the same quality at each rank, and the
+    # same action sequences within each quality tie.
     tree, path = tree_file
-    assert main(["oracle", "--tree", str(path)]) == 0
+    assert main(["extract", "--tree", str(path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "rank,quality,actions"
-    expected = brute_force_enumerate(tree)
-    assert len(out) == 1 + len(expected)
-    for line, (plan, quality) in zip(out[1:], expected):
-        rank, q_text, actions = line.split(",")
+    ranked = brute_force_enumerate(tree)
+    assert len(out) == 1 + len(ranked)
+    printed, expected = {}, {}
+    for rank, (line, (plan, quality)) in enumerate(zip(out[1:], ranked), start=1):
+        rank_text, q_text, actions = line.split(",")
+        assert int(rank_text) == rank
         assert float(q_text) == pytest.approx(quality, abs=1e-15)
-        assert actions == " ".join(str(a) for a in plan.actions)
+        printed.setdefault(quality, set()).add(actions)
+        expected.setdefault(quality, set()).add(" ".join(str(a) for a in plan.actions))
+    assert printed == expected
 
 
 def test_extract_matches_library(tree_file, capsys):
@@ -188,7 +194,8 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         ["plan", "--world", str(world_file), "--seed", "-1"],
         # Trees are read in the mode their header names.
         ["extract", "--tree", str(tree_path), "--mode", "max"],
-        ["oracle", "--tree", str(tree_path), "--mode", "average"],
+        # The exhaustive walk is a test oracle, not a command.
+        ["oracle", "--tree", str(tree_path)],
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
@@ -205,14 +212,12 @@ def test_runtime_fault_returns_two(tmp_path, capsys):
         ("0 -1 x 1 0.5 0 -",),  # a root action other than -1
     ):
         bad_tree.write_text("# planset-tree v1 mode=average\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
-        for command in ("oracle", "extract"):
-            assert main([command, "--tree", str(bad_tree)]) == 2, (command, rows)
-            assert capsys.readouterr().err.startswith("fault:"), (command, rows)
+        assert main(["extract", "--tree", str(bad_tree)]) == 2, rows
+        assert capsys.readouterr().err.startswith("fault:"), rows
     # Tree text must open with the exact header to_text writes.
     bad_tree.write_text("0 -1 -1 1 0.5 0 -\n", encoding="utf-8")
-    for command in ("oracle", "extract"):
-        assert main([command, "--tree", str(bad_tree)]) == 2, command
-        assert capsys.readouterr().err.startswith("fault: expected a '# planset-tree v1"), command
+    assert main(["extract", "--tree", str(bad_tree)]) == 2
+    assert capsys.readouterr().err.startswith("fault: expected a '# planset-tree v1")
     # So is a map that is not one start, one goal and known cells.
     bad_map = tmp_path / "map.txt"
     for text in ("S.\n..\n", "S.G\n..\n", "S?G\n...\n", "S.S.G\n.....\n", "S...G\n....G\n"):

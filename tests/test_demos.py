@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from planset.cli import CONFIG_KEYS
+from planset.cli import _COMMANDS, CONFIG_KEYS
 from planset.experiment import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,9 +45,12 @@ def test_readme_library_quickstart_runs():
 
 
 def test_readme_lists_every_config_key_and_the_csv_header():
-    # The README's "Keys:" list and its CSV header block, read as written,
-    # so a key or column added without the docs fails here.
+    # The README's CLI block, "Keys:" list and CSV header block, read as
+    # written, so a command, key or column added or dropped without the docs
+    # fails here.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n\n```bash\n", 1)[1].split("\n```", 1)[0]
+    assert [line.split()[1] for line in block.splitlines()] == list(_COMMANDS)
     keys = readme.split("\nKeys: `", 1)[1].split("`.", 1)[0]
     assert [key.strip() for key in keys.split(",")] == list(CONFIG_KEYS)
     header = readme.split("Output CSV header (exact order):\n\n```\n", 1)[1].split("\n```", 1)[0]

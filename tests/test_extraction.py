@@ -18,9 +18,9 @@ from conftest import (
 )
 from planset import extraction
 from planset.extraction import (
+    QUALITY_TOL,
     EmptyTreeError,
     ExtractionConfig,
-    TreeTooLargeError,
     brute_force_enumerate,
     extract_plans,
 )
@@ -140,18 +140,6 @@ def test_brute_force_counts_leaves_and_tops_at_one(seed):
     # oracle scores agree with direct metric recomputation
     for plan, quality in ranked[:5]:
         assert quality == pytest.approx(relative_plan_quality(tree, plan.nodes[-1]), abs=1e-15)
-
-
-def test_brute_force_guard():
-    # 101 * 100 = 10,100 leaf paths, just over the guard
-    tree = SearchTree(b"s0", root_actions=range(101))
-    for a in range(101):
-        mid = tree.add_child(tree.root, a, b"m%d" % a, untried_actions=range(100))
-        for b in range(100):
-            leaf = tree.add_child(mid, b, b"l%d-%d" % (a, b), terminal=True)
-            tree.backpropagate(leaf, 0.5)
-    with pytest.raises(TreeTooLargeError):
-        brute_force_enumerate(tree)
 
 
 def test_greedy_diverse_filter_trivials():
@@ -358,6 +346,21 @@ def counted(monkeypatch):
     return counters
 
 
+@pytest.fixture
+def streamed(monkeypatch):
+    """Record each (last node, log quality, pops) the best-first stream yields."""
+    items = []
+    best_first = extraction._best_first
+
+    def recording_best_first(*args):
+        for item in best_first(*args):
+            items.append(item)
+            yield item
+
+    monkeypatch.setattr(extraction, "_best_first", recording_best_first)
+    return items
+
+
 WIDE_FAN = {action: [f"b{action}-{i}" for i in range(1 + action % 3)] for action in range(40)}
 
 
@@ -417,17 +420,17 @@ GOLDEN_BOUNDS = (
 )
 
 GOLDEN_PLAN_SETS = {
-    (0.7, ValueMode.AVERAGE, 0): ('3720594b163ae63b', 'daa526dc43d1a560', '6d38204dfb4853c4', 'daa526dc43d1a560', 'a325181a8de95529', '18773c04937405c7', '9dad1d7db76ab066', 'd3f3d421478f3e4a'),
-    (0.7, ValueMode.AVERAGE, 1): ('b77a80516516ce08', 'daf1dfe89e14842d', 'cf8fb0dd955a1f0a', 'daf1dfe89e14842d', '7faf0472dd549a70', 'deacf137d3b9fbe6', '9d147476473deb11', '7621518592ca2de8'),
+    (0.7, ValueMode.AVERAGE, 0): ('3720594b163ae63b', 'daa526dc43d1a560', '6d38204dfb4853c4', 'daa526dc43d1a560', 'a325181a8de95529', '5b3f9ef796712ac7', '9dad1d7db76ab066', 'd3f3d421478f3e4a'),
+    (0.7, ValueMode.AVERAGE, 1): ('b77a80516516ce08', 'daf1dfe89e14842d', 'cf8fb0dd955a1f0a', 'daf1dfe89e14842d', '7faf0472dd549a70', '4d8e30331c3929bf', '1fb6f8abfaa227e1', '7621518592ca2de8'),
     (0.7, ValueMode.AVERAGE, 2): ('848765f123e04ae7', 'b10f0c140151ce3d', '0950c5b05b458edd', 'b10f0c140151ce3d', '007ac96e0a1b9bea', '933c7d1bc0691658', '1b8dbbdde0cf37a0', '07f29f01c2858a2a'),
-    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '32825315a547a7c2', 'b9841f7aac5b6a87', 'f1e246a631520d80'),
-    (0.7, ValueMode.MAX, 1): ('91712854cab38c1d', 'ba2c53a5e32ab595', '532c47be50cdcf79', 'ba2c53a5e32ab595', '1b03c8119d9b0186', '34c25ebdec990e9d', 'e2b9ddadcea6e0d1', 'c6b18a08be7a5b3e'),
-    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', '4c1dd03a7841bfa8', '377be8f37804e22d', '25f946e29cdbc56a'),
-    (0.02, ValueMode.AVERAGE, 0): ('156021d471af6818', 'f331190a9d0683b2', '1eecd6129f076708', 'f331190a9d0683b2', '3016e2614fcf803a', 'efb88d9d6199ddae', 'cecde2020572bcf7', '9e6831a58fc4aa95'),
-    (0.02, ValueMode.AVERAGE, 1): ('8af0b382526c5fdf', '37c2bde64262ff99', 'a22acef07b21c66b', '37c2bde64262ff99', '94ebd5d2a961a721', '07093774a65fb5b7', 'f2b80e4a7efa803b', '9b91477c9260c3f1'),
-    (0.02, ValueMode.AVERAGE, 2): ('635c3f1fbd24abee', 'd3068394b0858f7e', 'fdd1776e4c0189a0', 'd3068394b0858f7e', '2b4f698c01d59d47', 'da6da84090da8ae8', '58e29fa680f8cd6a', 'e339c0cd2fa6286e'),
-    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', '0d6a63387e2d308d', '43c4da488c84880b', 'e83599ddd93e232c'),
-    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', 'ab199049072a927f', '1b169439e963d358', 'b7991209361247a0'),
+    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '0fa6245e6d52e851', '61db5569bd8aa132', 'f1e246a631520d80'),
+    (0.7, ValueMode.MAX, 1): ('91712854cab38c1d', 'ba2c53a5e32ab595', '532c47be50cdcf79', 'ba2c53a5e32ab595', '1b03c8119d9b0186', 'd57bb3ea3b84d4b1', '3185176631e89309', 'c6b18a08be7a5b3e'),
+    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', 'f4759f8d353c5591', '377be8f37804e22d', '25f946e29cdbc56a'),
+    (0.02, ValueMode.AVERAGE, 0): ('156021d471af6818', 'f331190a9d0683b2', '1eecd6129f076708', 'f331190a9d0683b2', '3016e2614fcf803a', 'a537ac1462d45197', '100566945b8cbf42', '9e6831a58fc4aa95'),
+    (0.02, ValueMode.AVERAGE, 1): ('8af0b382526c5fdf', '37c2bde64262ff99', 'a22acef07b21c66b', '37c2bde64262ff99', '94ebd5d2a961a721', '8e5e17cf00e69950', 'd2ad56c6e838055d', '9b91477c9260c3f1'),
+    (0.02, ValueMode.AVERAGE, 2): ('635c3f1fbd24abee', 'd3068394b0858f7e', 'fdd1776e4c0189a0', 'd3068394b0858f7e', '2b4f698c01d59d47', 'c07d47b71b1f0841', 'fd16fa956ae5b5e6', 'e339c0cd2fa6286e'),
+    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', 'e9ae476c54604a60', 'ef067c4b90ed148d', 'e83599ddd93e232c'),
+    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', 'c41a481963d2ef93', '1b169439e963d358', 'b7991209361247a0'),
     (0.02, ValueMode.MAX, 2): ('f7594a203c58cf18', '71cf76c3bf8858c3', '4ff380524738151e', '71cf76c3bf8858c3', '2a386d4530b0cac3', 'ca40db2b08200da3', '6a973ac14e173485', 'b4ee1410c71553d7'),
 }
 
@@ -479,43 +482,56 @@ TIE_HEAVY_BOUNDS = (
 
 
 @functools.cache
-def tie_heavy_tree(key):
+def cached_golden_tree(key):
     return golden_plan_tree(*key)
 
 
 @pytest.mark.parametrize("key", GOLDEN_MAX_KEYS, ids=lambda key: "-".join(map(str, key)))
-def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, monkeypatch, key):
+def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, streamed, key):
     # Each candidate the stream yields gets one test, with its bare key set
-    # against the incumbents; a Plan is built exactly for the candidates that
-    # the next test's incumbents (or the result) hold.
-    tree = tie_heavy_tree(key)
-    streamed = []
-    best_first = extraction._best_first
-
-    def recording_best_first(*args):
-        for item in best_first(*args):
-            streamed.append(item[0])
-            yield item
-
-    monkeypatch.setattr(extraction, "_best_first", recording_best_first)
+    # against the incumbents, except the one that ends a full set, which gets
+    # none; a Plan is built exactly for the candidates that the next test's
+    # incumbents (or the result) hold.
+    tree = cached_golden_tree(key)
     for bounds in GOLDEN_BOUNDS[5:7]:
         streamed.clear()
         counted["min_pairwise_diversity"].calls.clear()
         counted["materialize_plan"].calls.clear()
         result = extract_plans(tree, bounds)
         tested = counted["min_pairwise_diversity"].calls
+        read = [last for last, _, _ in streamed]
         assert not any(isinstance(args[0], Plan) for args in tested)
-        assert [args[0] for args in tested] == [stem_state_keys(tree, last) for last in streamed]
+        assert len(read) - len(tested) in (0, 1)
+        assert [args[0] for args in tested] == [stem_state_keys(tree, last) for last in read[: len(tested)]]
         incumbents = [{p.nodes[-1] for p in args[1]} for args in tested[1:]]
         incumbents.append({p.nodes[-1] for p in result})
-        entered = [last for last, after in zip(streamed, incumbents) if last in after]
+        entered = [last for last, after in zip(read, incumbents) if last in after]
         assert [args[1] for args in counted["materialize_plan"].calls] == entered
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
+def test_a_full_diverse_set_tests_no_candidate_below_its_lowest_quality(counted, streamed, key):
+    # Once k plans are held, only a quality tie can enter, and the stream
+    # never rises again: the first candidate below the set's lowest quality
+    # ends the extraction without a diversity test, diverse or not.
+    tree = cached_golden_tree(key)
+    for bounds in TIE_HEAVY_BOUNDS:
+        streamed.clear()
+        counted["min_pairwise_diversity"].calls.clear()
+        result = extract_plans(tree, bounds)
+        tested = counted["min_pairwise_diversity"].calls
+        for (_, incumbents), (_, logq, _) in zip(tested, streamed):
+            if len(incumbents) == bounds.k:
+                assert math.exp(logq) >= incumbents[-1].relative_quality - QUALITY_TOL, bounds
+        if len(streamed) > len(tested):
+            assert math.exp(streamed[-1][1]) < result.plans[-1].relative_quality - QUALITY_TOL, bounds
+            assert result.pops == streamed[-1][2], bounds
 
 
 @pytest.mark.parametrize("bounds", TIE_HEAVY_BOUNDS, ids=lambda b: f"k{b.k}-q{b.q}-d{b.d}")
 @pytest.mark.parametrize("key", GOLDEN_MAX_KEYS, ids=lambda key: "-".join(map(str, key)))
 def test_diverse_sets_keep_the_ordered_contract_on_tie_heavy_trees(key, bounds):
-    tree = tie_heavy_tree(key)
+    tree = cached_golden_tree(key)
     plans = extract_plans(tree, bounds).plans
     for i, plan in enumerate(plans):
         assert min_pairwise_diversity(plan, plans[:i]) >= bounds.d

@@ -91,6 +91,11 @@ OUT_OF_RANGE_SETTINGS = {
     "goal off the grid": (
         lambda: GridWorld(5, 5, (0, 2), (4, -1), frozenset(), 0.0), r"goal \(4, -1\) is off the 5x5 grid"
     ),
+    # A start on the goal would render as S alone, and no plan reaches it in
+    # the 0 steps the shortest path would claim.
+    "start on the goal": (
+        lambda: GridWorld(3, 3, (1, 1), (1, 1), frozenset(), 0.0), r"start and goal share the cell \(1, 1\)"
+    ),
     # An enemy off the grid or under S or G would drop from render_map, and
     # one on the start cell would never shoot the drone down.
     "enemy off the grid": (
@@ -345,13 +350,11 @@ def test_detection_checked_before_goal():
 def test_shortest_path_cases():
     neighbors = GridWorld(4, 4, (1, 1), (1, 2), frozenset(), 0.0)
     assert shortest_unobstructed_path(neighbors) == 1
-    identity = GridWorld(4, 4, (1, 1), (1, 1), frozenset(), 0.0)
-    assert shortest_unobstructed_path(identity) == 0
     corners = GridWorld(5, 3, (4, 0), (0, 2), frozenset(), 0.0)
     assert shortest_unobstructed_path(corners) == 6
     world = generate_instance(20, 20, 0.5, rng=9)
     assert shortest_unobstructed_path(world) == 19  # enemies are ignored
-    for hand_built in (neighbors, identity, corners, world):
+    for hand_built in (neighbors, corners, world):
         assert shortest_unobstructed_path(hand_built) == bfs_shortest_path(hand_built)
 
 

@@ -28,9 +28,7 @@ PUBLIC_NAMES = [
     "SearchTree",
     "Simulator",
     "SimulatorError",
-    "TreeTooLargeError",
     "ValueMode",
-    "brute_force_enumerate",
     "desk_profile",
     "execute_plan",
     "extract_plans",
