@@ -16,8 +16,8 @@ from planset import (
     SearchTree,
     ValueMode,
     extract_plans,
+    materialize_plan,
     min_pairwise_diversity,
-    relative_plan_quality,
 )
 
 
@@ -69,8 +69,9 @@ ranking = [
 ]
 print("\nrelative plan qualities, best first:")
 for last, name, quality in ranking:
-    print(f"  {name:16s} {relative_plan_quality(tree, last):.4f}")
-    check(math.isclose(relative_plan_quality(tree, last), quality), f"{name} has quality {quality:.4f}")
+    relative = materialize_plan(tree, last).relative_quality
+    print(f"  {name:16s} {relative:.4f}")
+    check(math.isclose(relative, quality), f"{name} has quality {quality:.4f}")
 
 # ---------------------------------------------------------------------------
 # The same queue-based extractor covers all three planning modes.

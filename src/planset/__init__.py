@@ -38,7 +38,6 @@ from .metrics import (
     PlanSet,
     materialize_plan,
     min_pairwise_diversity,
-    relative_plan_quality,
 )
 from .experiment import (
     ExperimentConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "min_pairwise_diversity",
     "paper_profile",
     "parse_map",
-    "relative_plan_quality",
     "render_map",
     "rollout",
     "run_experiment",

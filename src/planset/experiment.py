@@ -12,6 +12,7 @@ instance order as they complete.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass, replace
@@ -55,6 +56,8 @@ class PlannerSpec:
     d: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, PlannerKind):  # each kind rule below tests `is`
+            raise ConfigError(f"invalid planner spec {self}: kind must be a PlannerKind, got {self.kind!r}")
         try:
             self.extraction_config()  # the one validator of k, q and d
         except ValueError as exc:
@@ -200,9 +203,11 @@ class ResultRecord:
 def run_random_baseline(tree: SearchTree, k: float, rng: np.random.Generator) -> PlanSet:
     """k root-to-leaf paths drawn uniformly over the visited tree's leaves,
     without replacement while enough leaves exist (every leaf at k=inf)."""
+    if k != math.inf and not (k >= 0 and int(k) == k):  # NaN fails k >= 0
+        raise ValueError(f"k must be 0, a positive integer or inf, got {k}")
     if tree.node(tree.root).visits == 0:
         raise EmptyTreeError("root has never been visited")
-    if k <= 0:
+    if k == 0:
         return PlanSet(plans=[])
     # Visited nodes without a visited child, in id order.
     parents = {rec.parent for rec in tree.nodes if rec.visits}

@@ -15,10 +15,13 @@ strictly more valuable, even though path length is never costed explicitly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .mcts import require_integers
 
 # Action alphabet, fixed order: indices are ActionIds everywhere.
 MOVES: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
@@ -50,12 +53,17 @@ class GridWorld:
     detection_radius: int = 0
 
     def __post_init__(self):
+        require_integers(self, "width", "height", "detection_radius")
         if self.detection_radius < 0:
             raise ValueError(f"detection_radius must be >= 0, got {self.detection_radius}")
         if not 0.0 <= self.risk <= 1.0:  # NaN fails both comparisons
             raise ValueError(f"risk {self.risk} outside [0, 1]")
         cells = [("start", self.start), ("goal", self.goal), *(("enemy", e) for e in self.enemies)]
-        for name, (x, y) in cells:
+        for name, cell in cells:
+            try:  # an off-lattice cell is never entered, and render_map drops it
+                x, y = map(operator.index, cell)
+            except TypeError:
+                raise ValueError(f"{name} {cell} must have integer coordinates") from None
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ValueError(f"{name} {(x, y)} is off the {self.width}x{self.height} grid")
         if self.start == self.goal:

@@ -1,10 +1,11 @@
 """Relative/absolute path quality and state-set diversity measures.
 
 A plan is a root-anchored path through a search tree, built from its last
-node (tree paths are unique).  Its *relative quality* is the product, over
-every step, of the chosen child's value divided by the best sibling's
-value -- 1.0 exactly when the path picks the best child everywhere, and
-shrinking with every regretful choice.
+node (tree paths are unique) by :func:`materialize_plan`, the one walk up a
+plan's parents.  Its *relative quality* is the product, over every step, of
+the chosen child's value divided by the best sibling's value -- 1.0 exactly
+when the path picks the best child everywhere, and shrinking with every
+regretful choice.
 A :class:`Plan` also holds its *absolute* quality, the relative quality
 times the root value: the plan's expected return.
 One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
@@ -79,38 +80,15 @@ def child_log_ratios(tree: SearchTree, parent_id: int) -> dict[int, float]:
     return ratios
 
 
-def relative_plan_quality(tree: SearchTree, last: int) -> float:
-    """Product over the steps of the path ending at node ``last`` of chosen
-    child value / best visited sibling value; the root alone is the empty
-    product, 1.0.  Raises :class:`InvalidNodeError` for an id outside the tree.
-
-    The step log-ratios are added root first, since products of many sub-1
-    ratios underflow and sums of logs do not.  A path through an unvisited
-    child steps at ratio 1 when every visited sibling is worthless; otherwise
-    it raises :class:`UndefinedValueError`.
-    """
-    records = tree.nodes
-    if not 0 <= last < len(records):
-        tree.node(last)  # raises InvalidNodeError; a negative id must not index from the end
-    steps = []
-    child, parent = last, records[last].parent
-    while parent is not None:
-        ratios = child_log_ratios(tree, parent)
-        if child not in ratios and any(records[cid].value > 0.0 for cid in ratios):
-            raise UndefinedValueError(f"node {child} has no visits")
-        steps.append(ratios.get(child, 0.0))
-        child, parent = parent, records[parent].parent
-    total = 0.0
-    for step in reversed(steps):
-        total += step
-    return math.exp(total)
-
-
 def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = None) -> Plan:
     """Build the :class:`Plan` that ends at node ``last`` in one walk up its
     parents; ``log_quality`` is its log relative quality, when the caller
-    holds it.  Raises :class:`InvalidNodeError` for an id outside the tree
-    and :class:`UndefinedValueError` when the root is unvisited."""
+    holds it, and else the sum of its step log-ratios, root first (a product
+    of many sub-1 ratios underflows; the root alone is the empty product).
+    A step to an unvisited child is at ratio 1 when every visited sibling is
+    worthless, and raises :class:`UndefinedValueError` otherwise, as does an
+    unvisited root.  Raises :class:`InvalidNodeError` for an id outside the
+    tree."""
     records = tree.nodes
     if not 0 <= last < len(records):
         tree.node(last)  # raises InvalidNodeError; a negative id must not index from the end
@@ -124,8 +102,16 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
         actions.append(rec.action)
         keys.append(rec.state_key)
         rec = records[rec.parent]
-    relative = relative_plan_quality(tree, last) if log_quality is None else math.exp(log_quality)
-    return Plan(tuple(reversed(nodes)), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
+    nodes.reverse()
+    if log_quality is None:
+        log_quality = 0.0
+        for parent, child in zip(nodes, nodes[1:]):
+            ratios = child_log_ratios(tree, parent)
+            if child not in ratios and any(records[cid].value > 0.0 for cid in ratios):
+                raise UndefinedValueError(f"node {child} has no visits")
+            log_quality += ratios.get(child, 0.0)
+    relative = math.exp(log_quality)
+    return Plan(tuple(nodes), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
 
 
 def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:

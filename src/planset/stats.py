@@ -17,6 +17,8 @@ def two_proportion_z_test(
     """One-sided pooled z-test of p_a > p_b; returns (z, p_value)."""
     if n_a < 1 or n_b < 1:
         raise ValueError("both groups need at least one observation")
+    if not (0 <= successes_a <= n_a and 0 <= successes_b <= n_b):
+        raise ValueError(f"success counts {successes_a}/{n_a} and {successes_b}/{n_b} must lie in [0, n]")
     pooled = (successes_a + successes_b) / (n_a + n_b)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
     if se == 0.0:

@@ -115,8 +115,8 @@ class InvalidPathError(ValueError):
 
 def path_relative_quality(tree: SearchTree, nodes: list[int]) -> float:
     """Relative quality of a root-anchored node list, its step log-ratios
-    added root first: the oracle for ``relative_plan_quality``, which names
-    the path by its last node."""
+    added root first: the oracle for the quality ``materialize_plan`` sums in
+    its own walk, from the path's last node."""
     if not nodes or nodes[0] != tree.root:
         raise InvalidPathError("path must start at the tree root")
     total = 0.0

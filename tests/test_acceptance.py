@@ -23,7 +23,7 @@ from conftest import (
 )
 from planset.experiment import PlannerKind, desk_profile, run_experiment
 from planset.extraction import ExtractionConfig, brute_force_enumerate, extract_plans
-from planset.metrics import min_pairwise_diversity, relative_plan_quality
+from planset.metrics import materialize_plan, min_pairwise_diversity
 from planset.stats import two_proportion_z_test
 
 QUALITY_TOL = 1e-12
@@ -103,8 +103,8 @@ def test_criterion_2_prefix_monotonicity():
             for _ in range(25):
                 path = random_root_path(rng, tree)
                 cut = int(rng.integers(1, len(path) + 1))
-                full = relative_plan_quality(tree, path[-1])
-                prefix = relative_plan_quality(tree, path[cut - 1])
+                full = materialize_plan(tree, path[-1]).relative_quality
+                prefix = materialize_plan(tree, path[cut - 1]).relative_quality
                 assert prefix >= full - QUALITY_TOL
                 checked += 1
         elapsed = time.perf_counter() - start

@@ -100,6 +100,15 @@ def test_random_baseline_k_zero():
     assert run_random_baseline(tree, 0, rng).plans == []
 
 
+@pytest.mark.parametrize("k", [2.5, -1, math.nan, -math.inf])
+def test_random_baseline_refuses_a_k_that_is_not_a_count(k):
+    # A draw count is a whole number: 2.5 must not quietly draw 2 plans, nor
+    # -1 draw none.
+    tree = random_backprop_tree(np.random.default_rng(1))
+    with pytest.raises(ValueError, match=f"^k must be 0, a positive integer or inf, got {k}$"):
+        run_random_baseline(tree, k, np.random.default_rng(0))
+
+
 def test_random_baseline_no_replacement():
     rng = np.random.default_rng(2)
     tree = random_backprop_tree(rng, max_nodes=30)
@@ -157,6 +166,13 @@ def test_z_test_degenerate_groups():
         two_proportion_z_test(1, 0, 0, 5)
 
 
+@pytest.mark.parametrize("counts", [(5, 3, 1, 3), (-1, 3, 0, 3), (1, 3, 4, 3), (1, 3, -2, 3)])
+def test_z_test_refuses_a_success_count_outside_its_group(counts):
+    # More successes than trials, or fewer than none, is no proportion.
+    with pytest.raises(ValueError, match=r"^success counts .* must lie in \[0, n\]$"):
+        two_proportion_z_test(*counts)
+
+
 def test_proportion_ci_boundaries():
     # Wilson score interval: never zero-width, with exact 0 and 1 ends.
     mean, lo, hi = proportion_ci(10, 10)
@@ -203,6 +219,14 @@ def test_planner_spec_invariants():
         with pytest.raises(ConfigError, match=f"{kind.value} requires"):
             PlannerSpec(kind, **bounds)
     PlannerSpec(PlannerKind.DIVERSE, k=5, q=0.8, d=0.5)
+
+
+@pytest.mark.parametrize("kind", ["single", None, 1])
+def test_planner_spec_refuses_a_kind_that_is_not_a_planner_kind(kind):
+    # Every kind rule tests `is PlannerKind.X`, so a bare string would pass
+    # them all and fail on `label` only once the sweep had started.
+    with pytest.raises(ConfigError, match=f"kind must be a PlannerKind, got {kind!r}$"):
+        PlannerSpec(kind, k=5, q=0.9, d=0.5)
 
 
 def test_parse_planners():

@@ -27,7 +27,7 @@ from planset.extraction import (
 from planset.experiment import run_random_baseline
 from planset.gridworld import PlanningSimulator, generate_instance
 from planset.mcts import BanditConfig, SearchConfig, run_search
-from planset.metrics import Plan, min_pairwise_diversity, relative_plan_quality
+from planset.metrics import Plan, materialize_plan, min_pairwise_diversity
 from planset.tree import SearchTree, ValueMode
 
 
@@ -139,7 +139,7 @@ def test_brute_force_counts_leaves_and_tops_at_one(seed):
     assert qualities == sorted(qualities, reverse=True)
     # oracle scores agree with direct metric recomputation
     for plan, quality in ranked[:5]:
-        assert quality == pytest.approx(relative_plan_quality(tree, plan.nodes[-1]), abs=1e-15)
+        assert quality == materialize_plan(tree, plan.nodes[-1]).relative_quality
 
 
 def test_greedy_diverse_filter_trivials():
@@ -507,6 +507,15 @@ def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, stre
         incumbents.append({p.nodes[-1] for p in result})
         entered = [last for last, after in zip(read, incumbents) if last in after]
         assert [args[1] for args in counted["materialize_plan"].calls] == entered
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
+def test_every_streamed_plan_has_the_quality_its_walk_gives(key):
+    # One quality rule: the stream and materialize_plan's own walk add the
+    # same step log-ratios root first, so they agree to the bit.
+    tree = cached_golden_tree(key)
+    for plan in extract_plans(tree, ExtractionConfig()):
+        assert materialize_plan(tree, plan.nodes[-1]).relative_quality == plan.relative_quality
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))

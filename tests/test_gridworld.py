@@ -107,6 +107,29 @@ OUT_OF_RANGE_SETTINGS = {
     "enemy on the goal": (
         lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset({(4, 1)}), 0.1), r"an enemy sits on the goal cell \(4, 1\)"
     ),
+    # A fractional radius or side passes every comparison, then fails in
+    # range() inside execute_plan or the simulator; a fractional enemy cell
+    # is never entered and drops from render_map.
+    "fractional radius": (
+        lambda: GridWorld(5, 5, (0, 0), (2, 2), frozenset(), 0.0, detection_radius=0.5),
+        "detection_radius must be an integer, got 0.5",
+    ),
+    "fractional radius via generate_instance": (
+        lambda: generate_instance(6, 6, 0.5, rng=1, detection_radius=0.5), "detection_radius must be an integer, got 0.5"
+    ),
+    "fractional width": (
+        lambda: GridWorld(5.0, 5, (0, 0), (2, 2), frozenset(), 0.0), "width must be an integer, got 5.0"
+    ),
+    "fractional height": (
+        lambda: GridWorld(5, 5.5, (0, 0), (2, 2), frozenset(), 0.0), "height must be an integer, got 5.5"
+    ),
+    "fractional enemy": (
+        lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset({(2.5, 1)}), 0.1),
+        r"enemy \(2.5, 1\) must have integer coordinates",
+    ),
+    "fractional start": (
+        lambda: GridWorld(5, 3, (0, 1.0), (4, 1), frozenset(), 0.0), r"start \(0, 1.0\) must have integer coordinates"
+    ),
     "risk above 1": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), 7.5), r"risk 7.5 outside \[0, 1\]"),
     "risk below 0": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), -0.1), r"risk -0.1 outside \[0, 1\]"),
     "risk nan": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), math.nan), r"risk nan outside \[0, 1\]"),
@@ -121,6 +144,14 @@ def test_out_of_range_settings_are_refused(case):
     make, message = OUT_OF_RANGE_SETTINGS[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+def test_numpy_and_bool_integers_are_integers():
+    world = GridWorld(
+        np.int64(5), np.int32(3), (np.int64(0), 1), (4, np.int8(1)), frozenset({(np.int64(2), 1)}), 0.1,
+        detection_radius=True,
+    )
+    assert parse_map(render_map(world)).enemies == world.enemies
 
 
 def test_legal_actions_respect_bounds():

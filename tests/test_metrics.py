@@ -12,13 +12,13 @@ from conftest import (
     visited_children,
     visited_ids,
 )
+from planset.extraction import ExtractionConfig, extract_plans
 from planset.metrics import (
     DegeneratePlanError,
     Plan,
     PlanSet,
     materialize_plan,
     min_pairwise_diversity,
-    relative_plan_quality,
 )
 from planset.tree import InvalidNodeError, SearchTree, UndefinedValueError, ValueMode
 
@@ -44,12 +44,12 @@ def make_plan(keys, quality=1.0):
 
 def test_best_path_has_quality_one():
     tree, left, _ = two_arm_tree()
-    assert relative_plan_quality(tree, left) == 1.0
+    assert materialize_plan(tree, left).relative_quality == 1.0
 
 
 def test_one_suboptimal_step():
     tree, _, right = two_arm_tree(0.8, 0.6)
-    assert relative_plan_quality(tree, right) == pytest.approx(0.75, abs=1e-12)
+    assert materialize_plan(tree, right).relative_quality == pytest.approx(0.75, abs=1e-12)
 
 
 def test_two_suboptimal_steps_multiply():
@@ -65,13 +65,13 @@ def test_two_suboptimal_steps_multiply():
     tree.backpropagate(good2, 1.0)
     tree.backpropagate(bad2, 0.5)
     assert tree.q_value(bad) == pytest.approx(0.5)
-    assert relative_plan_quality(tree, bad2) == pytest.approx(0.25, abs=1e-12)
+    assert materialize_plan(tree, bad2).relative_quality == pytest.approx(0.25, abs=1e-12)
 
 
 def test_single_node_path_is_empty_product():
     tree = SearchTree(b"s0")
     tree.backpropagate(tree.root, 0.4)
-    assert relative_plan_quality(tree, tree.root) == 1.0
+    assert materialize_plan(tree, tree.root).relative_quality == 1.0
 
 
 @pytest.mark.parametrize("last", [-1, -3, 3, 99])
@@ -79,7 +79,7 @@ def test_ids_outside_the_tree_are_rejected(last):
     # A negative id must not index the arena from its end.
     tree, _, _ = two_arm_tree()
     with pytest.raises(InvalidNodeError, match=f"^node {last} not in tree of size 3$"):
-        relative_plan_quality(tree, last)
+        materialize_plan(tree, last)
 
 
 def test_zero_denominator_contributes_no_regret():
@@ -88,8 +88,8 @@ def test_zero_denominator_contributes_no_regret():
     b = tree.add_child(tree.root, 1, b"b")
     tree.backpropagate(a, 0.0)
     tree.backpropagate(b, 0.0)
-    assert relative_plan_quality(tree, a) == 1.0
-    assert relative_plan_quality(tree, b) == 1.0
+    assert materialize_plan(tree, a).relative_quality == 1.0
+    assert materialize_plan(tree, b).relative_quality == 1.0
 
 
 def test_path_through_unvisited_child():
@@ -100,17 +100,17 @@ def test_path_through_unvisited_child():
     unvisited = tree.add_child(tree.root, 1, b"u")
     tree.backpropagate(visited, 0.7)
     with pytest.raises(UndefinedValueError):
-        relative_plan_quality(tree, unvisited)
+        materialize_plan(tree, unvisited)
     worthless = SearchTree(b"s0", root_actions=[0, 1])
     visited = worthless.add_child(worthless.root, 0, b"v")
     unvisited = worthless.add_child(worthless.root, 1, b"u")
     worthless.backpropagate(visited, 0.0)
-    assert relative_plan_quality(worthless, unvisited) == 1.0
+    assert materialize_plan(worthless, unvisited).relative_quality == 1.0
 
 
 def test_zero_numerator_gives_zero_quality():
     tree, _, right = two_arm_tree(0.8, 0.0)
-    assert relative_plan_quality(tree, right) == 0.0
+    assert materialize_plan(tree, right).relative_quality == 0.0
 
 
 def test_max_mode_metric_uses_max_values():
@@ -124,8 +124,8 @@ def test_max_mode_metric_uses_max_values():
     deep = tree.add_child(right, 0, b"D")
     tree.backpropagate(deep, 0.9)
     # max-mode: Q(right) = 0.9, Q(left) = 0.5
-    assert relative_plan_quality(tree, right) == 1.0
-    assert relative_plan_quality(tree, left) == pytest.approx(0.5 / 0.9, abs=1e-12)
+    assert materialize_plan(tree, right).relative_quality == 1.0
+    assert materialize_plan(tree, left).relative_quality == pytest.approx(0.5 / 0.9, abs=1e-12)
 
 
 def test_absolute_quality_scales_by_root():
@@ -193,8 +193,8 @@ def test_prefix_monotonicity(seed):
     for _ in range(20):
         path = random_root_path(rng, tree)
         cut = int(rng.integers(1, len(path) + 1))
-        q_full = relative_plan_quality(tree, path[-1])
-        q_prefix = relative_plan_quality(tree, path[cut - 1])
+        q_full = materialize_plan(tree, path[-1]).relative_quality
+        q_prefix = materialize_plan(tree, path[cut - 1]).relative_quality
         assert q_prefix >= q_full - 1e-12
         assert 0.0 <= q_full <= 1.0
         assert 0.0 <= q_prefix <= 1.0
@@ -208,8 +208,8 @@ def test_best_child_extension_preserves_quality(seed):
         path = random_root_path(rng, tree)
         if not visited_children(tree, path[-1]):
             continue
-        assert relative_plan_quality(tree, best_child(tree, path[-1])) == pytest.approx(
-            relative_plan_quality(tree, path[-1]), abs=1e-12
+        assert materialize_plan(tree, best_child(tree, path[-1])).relative_quality == pytest.approx(
+            materialize_plan(tree, path[-1]).relative_quality, abs=1e-12
         )
 
 
@@ -221,8 +221,8 @@ def test_materialize_plan_fields():
     assert plan.state_keys == frozenset({b"L"})  # root key excluded
     assert plan.relative_quality == 1.0
     assert plan.absolute_quality == pytest.approx(tree.q_value(tree.root))
-    # cached quality matches recomputation
-    assert plan.relative_quality == relative_plan_quality(tree, left)
+    # the walk's quality matches the node-list oracle
+    assert plan.relative_quality == path_relative_quality(tree, [tree.root, left])
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -230,7 +230,7 @@ def test_materialize_plan_matches_the_parent_walk_oracle(seed):
     tree = random_backprop_tree(np.random.default_rng(seed))
     for last in visited_ids(tree):
         path = path_to(tree, last)
-        relative = relative_plan_quality(tree, last)
+        relative = path_relative_quality(tree, path)
         expected = Plan(
             nodes=tuple(path),
             actions=tuple(tree.node(nid).action for nid in path[1:]),
@@ -242,10 +242,12 @@ def test_materialize_plan_matches_the_parent_walk_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_relative_plan_quality_matches_the_node_list_oracle(seed):
+def test_the_walks_quality_matches_the_extraction_streams(seed):
+    # The stream and the walk add the same step log-ratios root first, so
+    # the two qualities agree to the bit.
     tree = random_backprop_tree(np.random.default_rng(seed))
-    for last in visited_ids(tree):
-        assert relative_plan_quality(tree, last) == path_relative_quality(tree, path_to(tree, last))
+    for plan in extract_plans(tree, ExtractionConfig()):
+        assert materialize_plan(tree, plan.nodes[-1]).relative_quality == plan.relative_quality
 
 
 @pytest.mark.parametrize("path", [[0, 1, -1], [0, 3], [0, 1, 99], [0, -2, 1], [0, 7, -2]])

@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "min_pairwise_diversity",
     "paper_profile",
     "parse_map",
-    "relative_plan_quality",
     "render_map",
     "rollout",
     "run_experiment",
@@ -93,4 +92,35 @@ def test_no_module_imports_another_modules_private_names():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("planset")):
                 found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_no_module_keeps_an_unused_import_or_private_name():
+    """Dead code a deletion can leave behind: a name a module imports and
+    never reads, or a module-level ``_private`` name it never references.
+    ``__init__`` re-exports its imports through ``__all__``, and a string
+    annotation is read as the expression it spells."""
+    found = []
+    for path in sorted(Path(planset.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        nodes = list(ast.walk(module))
+        for node in nodes:
+            annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                nodes += ast.walk(ast.parse(annotation.value, mode="eval"))
+        read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set(getattr(importlib.import_module(f"planset.{path.stem}"), "__all__", ()))
+        for node in module.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                found += [f"{path.name}: import {name}" for name in bound if name not in read | exported]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+            found += [f"{path.name}: {name}" for name in private if name not in read]
     assert found == []
