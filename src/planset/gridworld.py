@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mcts import require_integers
+from .mcts import require_integer, require_integers
 
 # Action alphabet, fixed order: indices are ActionIds everywhere.
 MOVES: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
@@ -99,6 +99,8 @@ def generate_instance(
     ``round(risk * (width*height - 2))`` cells drawn without replacement
     from the rest.  Deterministic for a given generator state.
     """
+    require_integer("width", width)
+    require_integer("height", height)
     if width < 2 or height < 2:
         raise InvalidGeometryError(f"grid {width}x{height} cannot host start and goal")
     if not 0.0 <= risk <= 1.0:

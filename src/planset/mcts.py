@@ -9,7 +9,11 @@ ordering, rewards that sum into [0, 1].
 
 Expanded nodes keep their state and reward from the root, so an iteration
 costs one ``step`` per expansion plus its rollout's steps, and none to
-revisit a terminal node.
+revisit a terminal node.  A revisit draws nothing, and under UCB1 the same
+descent often follows it many times in a row (60 on average on desk
+trees).  After a revisit the search counts the next descents that provably
+repeat it and applies their playouts in one batch, so such a run costs about
+one descent, and the tree is the one a descent per iteration grows.
 
 Randomness is reproducible by construction: each search builds one
 ``numpy.random.Generator`` from its seed, draws every expansion from it and
@@ -66,14 +70,18 @@ class Policy(Enum):
     DIVERSE_UCB1 = "diverse_ucb1"
 
 
+def require_integer(name: str, value: Any) -> None:
+    """Refuse a value that is not an integer (a bool or numpy integer is one)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_integers(config: Any, *names: str) -> None:
-    """Refuse a field that is not an integer (a bool or numpy integer is one)."""
+    """Refuse a field of ``config`` that is not an integer."""
     for name in names:
-        value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        require_integer(name, getattr(config, name))
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     bandit = config.bandit
     c = bandit.exploration_c
     diverse = bandit.policy is Policy.DIVERSE_UCB1
+    average = config.value_mode is ValueMode.AVERAGE
     # The entropy (seed, 0) is part of every pinned tree: keep it.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     reference: list[Plan] = []
@@ -178,7 +187,8 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     states = [root_state]
     prefix = [0.0]
 
-    for iteration in range(config.iterations):
+    iteration = 0
+    while iteration < config.iterations:
         if diverse and iteration and iteration % bandit.diversity_refresh_interval == 0:
             reference = extract_plans(
                 tree, ExtractionConfig(k=bandit.diversity_set_size)
@@ -230,7 +240,8 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         acc = prefix[node_id]
 
         # Expansion: one seeded-uniform untried action, then a rollout.
-        if rec.untried_actions:
+        revisit = not rec.untried_actions
+        if not revisit:
             action = rec.untried_actions[int(rng.integers(len(rec.untried_actions)))]
             state, reward, done = sim.step(state, action)
             acc += reward
@@ -246,6 +257,70 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             if not done:
                 acc += rollout(sim, state, rng, config.max_rollout_steps)
 
-        tree.backpropagate(node_id, min(max(acc, 0.0), 1.0))
+        reward = min(max(acc, 0.0), 1.0)
+        tree.backpropagate(node_id, reward)
+        iteration += 1
+        if revisit and not diverse and iteration < config.iterations:
+            # The descent ended on a leaf with nothing to expand, so it drew
+            # nothing: skip the descents that provably repeat it.
+            path = [node_id]
+            while nodes[path[-1]].parent is not None:
+                path.append(nodes[path[-1]].parent)
+            repeats = _repeat_count(nodes, path, reward, c, average, config.iterations - iteration)
+            if repeats:
+                tree._backpropagate_repeats(path, reward, repeats)
+                iteration += repeats
     return tree
+
+
+# Scores within this share of each other are not told apart: far above the
+# rounding of a score (~1e-15) and the drift of a running sum (<= ~1e-12).
+_SLACK = 1e-9
+
+
+def _repeat_count(nodes, path, reward, c, average, cap) -> int:
+    """How many of the next ``cap`` descents provably end at ``path[0]``.
+
+    ``path`` runs from a leaf with nothing to expand up to the root, and
+    ``reward`` was just backpropagated along it.  A repeat of that descent
+    moves two counts per level by one: the parent's visits N and the path
+    child's n.  Each sibling's bonus rises with N.  A sibling also makes
+    n < N and N >= 2, where ln(N) / n falls as both grow, so the path
+    child's bonus falls.  Its value moves monotonically: toward ``reward``
+    in AVERAGE trees, not at all in MAX trees (every reward through the leaf
+    is ``reward``).  So one check per level at the last repeat, with the
+    lower end of the child's value, covers every repeat before it.  The count
+    is found by doubling, then bisection.
+    """
+    levels = []
+    for nid, parent_id in zip(path, path[1:]):
+        parent = nodes[parent_id]
+        child = nodes[nid]
+        rivals = [(nodes[s].value, nodes[s].visits) for s in parent.children if s != nid]
+        levels.append((parent.visits, child.visits, child.total_reward, child.value, rivals))
+
+    def repeats(t: int) -> bool:
+        x = t - 1  # playouts added before the t-th descent
+        for n_parent, n, total, value, rivals in levels:
+            two_log_n = 2.0 * math.log(n_parent + x)
+            if average:
+                value = min(value, (total + x * reward) / (n + x))
+            score = value + c * math.sqrt(two_log_n / (n + x))
+            floor = score - _SLACK * (1.0 + score)
+            for rival_value, rival_n in rivals:
+                if rival_value + c * math.sqrt(two_log_n / rival_n) >= floor:
+                    return False
+        return True
+
+    good, bad = 0, 1  # good repeats; bad does not, or is past the cap
+    while bad <= cap and repeats(bad):
+        good, bad = bad, 2 * bad
+    bad = min(bad, cap + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if repeats(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 

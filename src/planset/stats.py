@@ -7,6 +7,7 @@ import math
 from typing import Sequence
 
 from .experiment import ResultRecord
+from .mcts import require_integer
 
 _Z95 = 1.959963984540054
 
@@ -15,6 +16,8 @@ def two_proportion_z_test(
     successes_a: int, n_a: int, successes_b: int, n_b: int
 ) -> tuple[float, float]:
     """One-sided pooled z-test of p_a > p_b; returns (z, p_value)."""
+    for name, count in (("successes_a", successes_a), ("n_a", n_a), ("successes_b", successes_b), ("n_b", n_b)):
+        require_integer(name, count)
     if n_a < 1 or n_b < 1:
         raise ValueError("both groups need at least one observation")
     if not (0 <= successes_a <= n_a and 0 <= successes_b <= n_b):

@@ -6,7 +6,8 @@ stay valid for the lifetime of the tree (no deletion).  Node values come in
 two flavours selected per tree: the running average of backpropagated
 rewards, or the maximum value among visited children (the usual choice for
 single-player search, where there is no adversary to punish optimism).
-Only this module reads the mode; readers take :attr:`NodeRecord.value`.
+Only this module and the search's check for repeated descents read the
+mode; other readers take :attr:`NodeRecord.value`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class NodeRecord:
     """Statistics and links for one tree node.
 
     ``visits`` and ``total_reward`` are only ever touched by
-    ``backpropagate``, which with ``from_text`` keeps ``value`` current: 0.0
+    ``backpropagate`` and its batch form for repeated playouts, which with
+    ``from_text`` keep ``value`` current: 0.0
     until the first visit, then the average reward in AVERAGE trees, or in
     MAX trees the largest visited child's value (the node's own average while
     it has no visited child).
@@ -145,6 +147,29 @@ class SearchTree:
                 # it can change only if this node's did or this is its first visit.
                 refresh = self._refresh_max_value(rec) or rec.visits == 1
             nid = rec.parent
+
+    def _backpropagate_repeats(self, path: list[int], reward: float, times: int) -> None:
+        """Leave the tree as ``times`` calls of ``backpropagate(path[0],
+        reward)`` would, where ``path`` lists the node ids from that leaf up
+        to the root.  Each total adds ``reward`` once per call, in sequence,
+        so the sums are bit-identical; each value is then refreshed once,
+        bottom-up, which is where the calls' refreshes end."""
+        if not 0.0 <= reward <= 1.0:
+            raise ValueError(f"reward {reward!r} outside [0, 1]")
+        self.node(path[0])
+        nodes = self.nodes
+        average = self._value_mode is ValueMode.AVERAGE
+        for nid in path:
+            rec = nodes[nid]
+            total = rec.total_reward
+            for _ in range(times):
+                total += reward
+            rec.total_reward = total
+            rec.visits += times
+            if average:
+                rec.value = total / rec.visits
+            else:
+                self._refresh_max_value(rec)
 
     def _refresh_max_value(self, rec: NodeRecord) -> bool:
         """Recompute the MAX-tree value of the visited node ``rec`` from its

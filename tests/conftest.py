@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 
 from planset.gridworld import MOVES, GridWorld
+from planset.mcts import rollout
 from planset.metrics import Plan, PlanSet, child_log_ratios, min_pairwise_diversity
 from planset.tree import SearchTree, ValueMode
 
@@ -292,3 +293,48 @@ def diverse_ucb1_reference(
     """UCB1 plus the stem's diversity bonus against a reference plan set."""
     bonus = diversity_bonus_reference(stem_state_keys(tree, node_id), reference)
     return ucb1_reference(tree, node_id, exploration_c) + bonus
+
+
+# -- reference search ----------------------------------------------------------
+#
+# run_search under UCB1 with one full descent per iteration, and no skip of
+# the descents that provably repeat a terminal revisit.
+
+
+def reference_search(sim, config) -> SearchTree:
+    """``config.iterations`` UCB1 iterations, each a full descent from the
+    root, then one expansion and its rollout, then one backpropagation: the
+    oracle for ``run_search`` under the UCB1 policy."""
+    root_state = sim.initial_state()
+    root_actions = list(sim.legal_actions(root_state))
+    tree = SearchTree(sim.state_key(root_state), config.value_mode, root_actions, not root_actions)
+    nodes = tree.nodes
+    c = config.bandit.exploration_c
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
+    states = [root_state]
+    prefix = [0.0]
+    for _ in range(config.iterations):
+        node_id = tree.root
+        rec = nodes[node_id]
+        while not rec.untried_actions and rec.children:
+            two_log_n = 2.0 * math.log(rec.visits)
+            best_score = -math.inf
+            for cid in rec.children:
+                score = nodes[cid].value + c * math.sqrt(two_log_n / nodes[cid].visits)
+                if score > best_score:
+                    best_score, node_id = score, cid
+            rec = nodes[node_id]
+        acc = prefix[node_id]
+        if rec.untried_actions:
+            action = rec.untried_actions[int(rng.integers(len(rec.untried_actions)))]
+            state, reward, done = sim.step(states[node_id], action)
+            acc += reward
+            node_id = tree.add_child(
+                node_id, action, sim.state_key(state), done, () if done else sim.legal_actions(state)
+            )
+            states.append(state)
+            prefix.append(acc)
+            if not done:
+                acc += rollout(sim, state, rng, config.max_rollout_steps)
+        tree.backpropagate(node_id, min(max(acc, 0.0), 1.0))
+    return tree

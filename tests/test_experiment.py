@@ -173,6 +173,24 @@ def test_z_test_refuses_a_success_count_outside_its_group(counts):
         two_proportion_z_test(*counts)
 
 
+@pytest.mark.parametrize(
+    "counts,name,value",
+    [
+        ((1.5, 3, 1, 3), "successes_a", "1.5"),
+        ((True, 3, 1, 3.5), "n_b", "3.5"),
+        ((1, 3.0, 1, 3), "n_a", "3.0"),
+        ((1, 3, 0.5, 3), "successes_b", "0.5"),
+    ],
+)
+def test_z_test_refuses_a_count_that_is_not_an_integer(counts, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        two_proportion_z_test(*counts)
+
+
+def test_z_test_takes_bools_and_numpy_integers_as_counts():
+    assert two_proportion_z_test(True, np.int64(3), np.int32(0), np.uint8(3)) == two_proportion_z_test(1, 3, 0, 3)
+
+
 def test_proportion_ci_boundaries():
     # Wilson score interval: never zero-width, with exact 0 and 1 ends.
     mean, lo, hi = proportion_ci(10, 10)

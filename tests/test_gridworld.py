@@ -123,6 +123,12 @@ OUT_OF_RANGE_SETTINGS = {
     "fractional height": (
         lambda: GridWorld(5, 5.5, (0, 0), (2, 2), frozenset(), 0.0), "height must be an integer, got 5.5"
     ),
+    "fractional width via generate_instance": (
+        lambda: generate_instance(5.0, 5, 0.1, 1), "width must be an integer, got 5.0"
+    ),
+    "fractional height via generate_instance": (
+        lambda: generate_instance(5, 5.5, 0.1, 1), "height must be an integer, got 5.5"
+    ),
     "fractional enemy": (
         lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset({(2.5, 1)}), 0.1),
         r"enemy \(2.5, 1\) must have integer coordinates",
@@ -152,6 +158,7 @@ def test_numpy_and_bool_integers_are_integers():
         detection_radius=True,
     )
     assert parse_map(render_map(world)).enemies == world.enemies
+    assert generate_instance(np.int64(6), np.uint8(5), 0.3, 2) == generate_instance(6, 5, 0.3, 2)
 
 
 def test_legal_actions_respect_bounds():

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     best_child,
     diverse_ucb1_reference,
+    reference_search,
     visited_ids,
     stem_state_keys,
     ucb1_reference,
@@ -452,7 +453,73 @@ def test_dense_reward_trees_match_the_pinned_hashes(key):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DENSE_GOLDEN_TREES[key]
 
 
+class EqualArms:
+    """Three arms of two steps each, every step paying 0.05, so every
+    terminal pays 0.1 and the values tie up to the rounding of their running
+    sums: at c = 0 each descent hinges on child order and that rounding."""
+
+    def initial_state(self):
+        return ()
+
+    def legal_actions(self, state):
+        return (0, 1, 2) if len(state) < 2 else ()
+
+    def step(self, state, action):
+        nxt = state + (action,)
+        return nxt, 0.05, len(nxt) == 2
+
+    def state_key(self, state):
+        return bytes(state)
+
+
+ORACLE_DOMAINS = {
+    "grid-greedy-1.0": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1)),
+    "grid-greedy-0.8": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1), rollout_greedy_p=0.8),
+    "dense": DenseChain,
+    "bandit": TwoArmBandit,
+    "equal-arms": EqualArms,
+}
+
+
+@pytest.mark.parametrize("mode", list(ValueMode), ids=lambda mode: mode.name)
+@pytest.mark.parametrize("c", [0.0, 0.02, 0.7])
+@pytest.mark.parametrize("domain", list(ORACLE_DOMAINS))
+def test_search_matches_the_reference_search(domain, c, mode):
+    """Skipping the descents that repeat a terminal revisit grows the tree
+    one full descent per iteration grows, for short searches (the skip
+    capped at the iterations left) and long ones alike."""
+    sim = ORACLE_DOMAINS[domain]()
+    for iterations in (1, 2, 3, 50, 1500):
+        bandit = BanditConfig(exploration_c=c)
+        config = SearchConfig(iterations=iterations, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=5)
+        assert run_search(sim, config).to_text() == reference_search(sim, config).to_text(), iterations
+
+
 # -- cost contract -------------------------------------------------------------
+
+
+def test_repeated_terminal_revisits_are_skipped(monkeypatch):
+    """On the pinned geometry at c = 0.02 most iterations revisit a terminal
+    node.  A full descent ends in ``backpropagate``; the descents that would
+    repeat it are applied in one batch call.  The counts are pinned."""
+    calls = {"descents": 0, "batches": 0}
+    real_backpropagate = SearchTree.backpropagate
+    real_repeats = SearchTree._backpropagate_repeats
+
+    def backpropagate(tree, *args):
+        calls["descents"] += 1
+        return real_backpropagate(tree, *args)
+
+    def repeats(tree, *args):
+        calls["batches"] += 1
+        return real_repeats(tree, *args)
+
+    monkeypatch.setattr(SearchTree, "backpropagate", backpropagate)
+    monkeypatch.setattr(SearchTree, "_backpropagate_repeats", repeats)
+    tree = golden_search(0, 0.02, ValueMode.MAX, Policy.UCB1, 1.0)
+    assert tree.node(tree.root).visits == 1500
+    assert calls == {"descents": 515, "batches": 24}
+    assert sum(calls.values()) < 1500 // 2
 
 
 class CountingSim:

@@ -452,3 +452,36 @@ def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
     tree.backpropagate(below, 0.0)
     assert tree.q_value(other) == 0.0
     assert_values_fresh(tree)
+
+
+def node_stats(tree):
+    return [(rec.visits, rec.total_reward, rec.value) for rec in tree.nodes]
+
+
+@pytest.mark.parametrize("mode", list(ValueMode))
+@pytest.mark.parametrize("seed", range(10))
+def test_repeated_playouts_in_one_batch_match_one_call_each(mode, seed):
+    """The search's batch leaves every count, sum and value as that many
+    ``backpropagate`` calls do, bit for bit, at leaves and inner nodes."""
+    rng = np.random.default_rng(seed)
+    batched, called = (random_backprop_tree(np.random.default_rng(seed), value_mode=mode) for _ in range(2))
+    for _ in range(5):
+        leaf = int(rng.integers(len(batched)))
+        reward = float(rng.choice([0.0, 0.1, 1.0, rng.random()]))
+        times = int(rng.integers(1, 40))
+        batched._backpropagate_repeats(path_to(batched, leaf)[::-1], reward, times)
+        for _ in range(times):
+            called.backpropagate(leaf, reward)
+        assert node_stats(batched) == node_stats(called)
+    assert_values_fresh(batched)
+
+
+@pytest.mark.parametrize(
+    "path,reward,error",
+    [([0], 1.5, ValueError), ([0], math.nan, ValueError), ([7], 0.5, InvalidNodeError)],
+)
+def test_repeated_playouts_are_checked_like_one(path, reward, error):
+    tree = SearchTree(b"s0", root_actions=[0])
+    with pytest.raises(error):
+        tree._backpropagate_repeats(path, reward, 3)
+    assert node_stats(tree) == [(0, 0.0, 0.0)]
