@@ -177,7 +177,6 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     bandit = config.bandit
     c = bandit.exploration_c
     diverse = bandit.policy is Policy.DIVERSE_UCB1
-    average = config.value_mode is ValueMode.AVERAGE
     # The entropy (seed, 0) is part of every pinned tree: keep it.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     reference: list[Plan] = []
@@ -263,12 +262,9 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         if revisit and not diverse and iteration < config.iterations:
             # The descent ended on a leaf with nothing to expand, so it drew
             # nothing: skip the descents that provably repeat it.
-            path = [node_id]
-            while nodes[path[-1]].parent is not None:
-                path.append(nodes[path[-1]].parent)
-            repeats = _repeat_count(nodes, path, reward, c, average, config.iterations - iteration)
+            repeats = _repeat_count(tree, node_id, reward, c, config.iterations - iteration)
             if repeats:
-                tree._backpropagate_repeats(path, reward, repeats)
+                tree._add_playouts(node_id, reward, repeats)
                 iteration += repeats
     return tree
 
@@ -278,34 +274,32 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
 _SLACK = 1e-9
 
 
-def _repeat_count(nodes, path, reward, c, average, cap) -> int:
-    """How many of the next ``cap`` descents provably end at ``path[0]``.
+def _repeat_count(tree, leaf, reward, c, cap) -> int:
+    """How many of the next ``cap`` descents provably end at ``leaf``.
 
-    ``path`` runs from a leaf with nothing to expand up to the root, and
-    ``reward`` was just backpropagated along it.  A repeat of that descent
-    moves two counts per level by one: the parent's visits N and the path
-    child's n.  Each sibling's bonus rises with N.  A sibling also makes
+    ``leaf`` has nothing to expand, and ``reward`` was just backpropagated
+    from it.  A repeat of that descent moves two counts per level by one:
+    the parent's visits N and the path child's n.  Each sibling's bonus rises with N.  A sibling also makes
     n < N and N >= 2, where ln(N) / n falls as both grow, so the path
-    child's bonus falls.  Its value moves monotonically: toward ``reward``
-    in AVERAGE trees, not at all in MAX trees (every reward through the leaf
-    is ``reward``).  So one check per level at the last repeat, with the
-    lower end of the child's value, covers every repeat before it.  The count
-    is found by doubling, then bisection.
+    child's bonus falls.  Its value moves monotonically or not at all
+    (``SearchTree._value_floor``).  So one check per level at the last
+    repeat, with the lowest value the child takes up to it, covers every
+    repeat before it.  The count is found by doubling, then bisection.
     """
+    nodes = tree.nodes
     levels = []
-    for nid, parent_id in zip(path, path[1:]):
-        parent = nodes[parent_id]
-        child = nodes[nid]
+    nid = leaf
+    while nodes[nid].parent is not None:
+        parent = nodes[nodes[nid].parent]
         rivals = [(nodes[s].value, nodes[s].visits) for s in parent.children if s != nid]
-        levels.append((parent.visits, child.visits, child.total_reward, child.value, rivals))
+        levels.append((nid, parent.visits, nodes[nid].visits, rivals))
+        nid = nodes[nid].parent
 
     def repeats(t: int) -> bool:
         x = t - 1  # playouts added before the t-th descent
-        for n_parent, n, total, value, rivals in levels:
+        for nid, n_parent, n, rivals in levels:
             two_log_n = 2.0 * math.log(n_parent + x)
-            if average:
-                value = min(value, (total + x * reward) / (n + x))
-            score = value + c * math.sqrt(two_log_n / (n + x))
+            score = tree._value_floor(nid, reward, x) + c * math.sqrt(two_log_n / (n + x))
             floor = score - _SLACK * (1.0 + score)
             for rival_value, rival_n in rivals:
                 if rival_value + c * math.sqrt(two_log_n / rival_n) >= floor:

@@ -6,8 +6,7 @@ stay valid for the lifetime of the tree (no deletion).  Node values come in
 two flavours selected per tree: the running average of backpropagated
 rewards, or the maximum value among visited children (the usual choice for
 single-player search, where there is no adversary to punish optimism).
-Only this module and the search's check for repeated descents read the
-mode; other readers take :attr:`NodeRecord.value`.
+Only this module reads the mode; readers take :attr:`NodeRecord.value`.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ class NodeRecord:
     """Statistics and links for one tree node.
 
     ``visits`` and ``total_reward`` are only ever touched by
-    ``backpropagate`` and its batch form for repeated playouts, which with
-    ``from_text`` keep ``value`` current: 0.0
+    ``backpropagate``, which with ``from_text`` keeps ``value`` current: 0.0
     until the first visit, then the average reward in AVERAGE trees, or in
     MAX trees the largest visited child's value (the node's own average while
     it has no visited child).
@@ -129,6 +127,12 @@ class SearchTree:
 
     def backpropagate(self, leaf: int, reward: float) -> None:
         """Add one playout result to every node from ``leaf`` up to the root."""
+        self._add_playouts(leaf, reward, 1)
+
+    def _add_playouts(self, leaf: int, reward: float, times: int) -> None:
+        """Leave the tree as ``times`` calls of ``backpropagate(leaf, reward)``
+        would.  Each total adds ``reward`` once per playout, in sequence, so
+        the sums are bit-identical; each value is refreshed once."""
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward {reward!r} outside [0, 1]")
         self.node(leaf)
@@ -138,38 +142,33 @@ class SearchTree:
         nid: Optional[int] = leaf
         while nid is not None:
             rec = nodes[nid]
-            rec.visits += 1
-            rec.total_reward += reward
+            rec.visits += times
+            if times == 1:
+                rec.total_reward += reward
+            else:
+                total = rec.total_reward
+                for _ in range(times):
+                    total += reward
+                rec.total_reward = total
             if average:
                 rec.value = rec.total_reward / rec.visits
             elif refresh:
                 # A parent's max value depends only on its visited children's:
                 # it can change only if this node's did or this is its first visit.
-                refresh = self._refresh_max_value(rec) or rec.visits == 1
+                refresh = self._refresh_max_value(rec) or rec.visits == times
             nid = rec.parent
 
-    def _backpropagate_repeats(self, path: list[int], reward: float, times: int) -> None:
-        """Leave the tree as ``times`` calls of ``backpropagate(path[0],
-        reward)`` would, where ``path`` lists the node ids from that leaf up
-        to the root.  Each total adds ``reward`` once per call, in sequence,
-        so the sums are bit-identical; each value is then refreshed once,
-        bottom-up, which is where the calls' refreshes end."""
-        if not 0.0 <= reward <= 1.0:
-            raise ValueError(f"reward {reward!r} outside [0, 1]")
-        self.node(path[0])
-        nodes = self.nodes
-        average = self._value_mode is ValueMode.AVERAGE
-        for nid in path:
-            rec = nodes[nid]
-            total = rec.total_reward
-            for _ in range(times):
-                total += reward
-            rec.total_reward = total
-            rec.visits += times
-            if average:
-                rec.value = total / rec.visits
-            else:
-                self._refresh_max_value(rec)
+    def _value_floor(self, node_id: int, reward: float, times: int) -> float:
+        """The lowest value the node takes over the next ``times`` playouts
+        of ``reward`` through a leaf below it whose every playout so far was
+        ``reward``.  An AVERAGE value moves monotonically toward ``reward``,
+        so the floor lies at one end; a MAX value stays put, since the
+        leaf's value, and with it every max above it, stays ``reward``.
+        Within the rounding of a running sum (<= ~1e-12)."""
+        rec = self.nodes[node_id]
+        if self._value_mode is ValueMode.MAX:
+            return rec.value
+        return min(rec.value, (rec.total_reward + times * reward) / (rec.visits + times))
 
     def _refresh_max_value(self, rec: NodeRecord) -> bool:
         """Recompute the MAX-tree value of the visited node ``rec`` from its

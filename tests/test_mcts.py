@@ -501,25 +501,26 @@ def test_search_matches_the_reference_search(domain, c, mode):
 def test_repeated_terminal_revisits_are_skipped(monkeypatch):
     """On the pinned geometry at c = 0.02 most iterations revisit a terminal
     node.  A full descent ends in ``backpropagate``; the descents that would
-    repeat it are applied in one batch call.  The counts are pinned."""
-    calls = {"descents": 0, "batches": 0}
+    repeat it are applied in one batch walk.  The counts are pinned."""
+    calls = {"descents": 0, "walks": 0}
     real_backpropagate = SearchTree.backpropagate
-    real_repeats = SearchTree._backpropagate_repeats
+    real_add_playouts = SearchTree._add_playouts
 
     def backpropagate(tree, *args):
         calls["descents"] += 1
         return real_backpropagate(tree, *args)
 
-    def repeats(tree, *args):
-        calls["batches"] += 1
-        return real_repeats(tree, *args)
+    def add_playouts(tree, *args):
+        calls["walks"] += 1
+        return real_add_playouts(tree, *args)
 
     monkeypatch.setattr(SearchTree, "backpropagate", backpropagate)
-    monkeypatch.setattr(SearchTree, "_backpropagate_repeats", repeats)
+    monkeypatch.setattr(SearchTree, "_add_playouts", add_playouts)
     tree = golden_search(0, 0.02, ValueMode.MAX, Policy.UCB1, 1.0)
     assert tree.node(tree.root).visits == 1500
-    assert calls == {"descents": 515, "batches": 24}
-    assert sum(calls.values()) < 1500 // 2
+    # Each descent's backpropagate is one walk; the other walks are batches.
+    assert calls == {"descents": 515, "walks": 515 + 24}
+    assert calls["walks"] < 1500 // 2
 
 
 class CountingSim:

@@ -469,7 +469,7 @@ def test_repeated_playouts_in_one_batch_match_one_call_each(mode, seed):
         leaf = int(rng.integers(len(batched)))
         reward = float(rng.choice([0.0, 0.1, 1.0, rng.random()]))
         times = int(rng.integers(1, 40))
-        batched._backpropagate_repeats(path_to(batched, leaf)[::-1], reward, times)
+        batched._add_playouts(leaf, reward, times)
         for _ in range(times):
             called.backpropagate(leaf, reward)
         assert node_stats(batched) == node_stats(called)
@@ -477,11 +477,38 @@ def test_repeated_playouts_in_one_batch_match_one_call_each(mode, seed):
 
 
 @pytest.mark.parametrize(
-    "path,reward,error",
-    [([0], 1.5, ValueError), ([0], math.nan, ValueError), ([7], 0.5, InvalidNodeError)],
+    "leaf,reward,error",
+    [(0, 1.5, ValueError), (0, math.nan, ValueError), (7, 0.5, InvalidNodeError)],
 )
-def test_repeated_playouts_are_checked_like_one(path, reward, error):
+def test_repeated_playouts_are_checked_like_one(leaf, reward, error):
     tree = SearchTree(b"s0", root_actions=[0])
     with pytest.raises(error):
-        tree._backpropagate_repeats(path, reward, 3)
+        tree._add_playouts(leaf, reward, 3)
     assert node_stats(tree) == [(0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("mode", list(ValueMode))
+@pytest.mark.parametrize("reward", [0.0, 0.1, 0.55, 1.0])
+def test_value_floor_bounds_every_value_over_the_next_playouts(mode, reward):
+    """Through a leaf whose every playout was ``reward``, each node above it
+    stays at or above its floor for every playout up to the one asked for,
+    within a running sum's rounding, and the floor is reached: the value
+    itself in MAX trees, one end of the run in AVERAGE trees."""
+    tree = SearchTree(b"r", value_mode=mode, root_actions=[0, 1])
+    a = tree.add_child(tree.root, 0, b"a", untried_actions=[0, 1])
+    b = tree.add_child(tree.root, 1, b"b", terminal=True)
+    leaf = tree.add_child(a, 0, b"l", terminal=True)
+    other = tree.add_child(a, 1, b"o", terminal=True)
+    for nid, r in [(b, 0.3), (other, 0.8), (leaf, reward), (other, 0.2), (leaf, reward)]:
+        tree.backpropagate(nid, r)
+    path = [leaf, a, tree.root]
+    floors = {(nid, x): tree._value_floor(nid, reward, x) for nid in path for x in range(30)}
+    seen = {nid: [tree.nodes[nid].value] for nid in path}
+    for _ in range(29):
+        tree.backpropagate(leaf, reward)
+        for nid in path:
+            seen[nid].append(tree.nodes[nid].value)
+    for (nid, x), floor in floors.items():
+        lowest = min(seen[nid][: x + 1])
+        assert floor <= lowest + 1e-12
+        assert floor == pytest.approx(lowest, abs=1e-12)
