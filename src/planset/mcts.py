@@ -279,27 +279,29 @@ def _repeat_count(tree, leaf, reward, c, cap) -> int:
 
     ``leaf`` has nothing to expand, and ``reward`` was just backpropagated
     from it.  A repeat of that descent moves two counts per level by one:
-    the parent's visits N and the path child's n.  Each sibling's bonus rises with N.  A sibling also makes
-    n < N and N >= 2, where ln(N) / n falls as both grow, so the path
-    child's bonus falls.  Its value moves monotonically or not at all
-    (``SearchTree._value_floor``).  So one check per level at the last
-    repeat, with the lowest value the child takes up to it, covers every
-    repeat before it.  The count is found by doubling, then bisection.
+    the parent's visits N and the path child's n.  Each sibling's bonus
+    rises with N.  A sibling also makes n < N and N >= 2, where ln(N) / n
+    falls as both grow, so the path child's bonus falls.  Its value moves
+    monotonically or not at all (``SearchTree._value_floors``).  So one check
+    per level at the last repeat, with the lowest value the child takes up
+    to it, covers every repeat before it.  The count is found by doubling,
+    then bisection.
     """
     nodes = tree.nodes
-    levels = []
+    path, levels = [], []
     nid = leaf
     while nodes[nid].parent is not None:
         parent = nodes[nodes[nid].parent]
         rivals = [(nodes[s].value, nodes[s].visits) for s in parent.children if s != nid]
-        levels.append((nid, parent.visits, nodes[nid].visits, rivals))
+        path.append(nid)
+        levels.append((parent.visits, nodes[nid].visits, rivals))
         nid = nodes[nid].parent
 
     def repeats(t: int) -> bool:
         x = t - 1  # playouts added before the t-th descent
-        for nid, n_parent, n, rivals in levels:
+        for value, (n_parent, n, rivals) in zip(tree._value_floors(path, reward, x), levels):
             two_log_n = 2.0 * math.log(n_parent + x)
-            score = tree._value_floor(nid, reward, x) + c * math.sqrt(two_log_n / (n + x))
+            score = value + c * math.sqrt(two_log_n / (n + x))
             floor = score - _SLACK * (1.0 + score)
             for rival_value, rival_n in rivals:
                 if rival_value + c * math.sqrt(two_log_n / rival_n) >= floor:

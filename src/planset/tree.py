@@ -158,17 +158,21 @@ class SearchTree:
                 refresh = self._refresh_max_value(rec) or rec.visits == times
             nid = rec.parent
 
-    def _value_floor(self, node_id: int, reward: float, times: int) -> float:
-        """The lowest value the node takes over the next ``times`` playouts
-        of ``reward`` through a leaf below it whose every playout so far was
-        ``reward``.  An AVERAGE value moves monotonically toward ``reward``,
-        so the floor lies at one end; a MAX value stays put, since the
-        leaf's value, and with it every max above it, stays ``reward``.
-        Within the rounding of a running sum (<= ~1e-12)."""
-        rec = self.nodes[node_id]
+    def _value_floors(self, path: list[int], reward: float, times: int) -> list[float]:
+        """The lowest value each node of ``path`` takes over the next
+        ``times`` playouts of ``reward`` through a leaf below them whose every
+        playout so far was ``reward``.  An AVERAGE value moves monotonically
+        toward ``reward``, so its floor lies at one end; a MAX value stays
+        put, since the leaf's value, and with it every max above it, stays
+        ``reward``.  Within the rounding of a running sum (<= ~1e-12)."""
+        nodes = self.nodes
         if self._value_mode is ValueMode.MAX:
-            return rec.value
-        return min(rec.value, (rec.total_reward + times * reward) / (rec.visits + times))
+            return [nodes[nid].value for nid in path]
+        floors = []
+        for nid in path:
+            rec = nodes[nid]
+            floors.append(min(rec.value, (rec.total_reward + times * reward) / (rec.visits + times)))
+        return floors
 
     def _refresh_max_value(self, rec: NodeRecord) -> bool:
         """Recompute the MAX-tree value of the visited node ``rec`` from its

@@ -489,7 +489,7 @@ def test_repeated_playouts_are_checked_like_one(leaf, reward, error):
 
 @pytest.mark.parametrize("mode", list(ValueMode))
 @pytest.mark.parametrize("reward", [0.0, 0.1, 0.55, 1.0])
-def test_value_floor_bounds_every_value_over_the_next_playouts(mode, reward):
+def test_value_floors_bound_every_value_over_the_next_playouts(mode, reward):
     """Through a leaf whose every playout was ``reward``, each node above it
     stays at or above its floor for every playout up to the one asked for,
     within a running sum's rounding, and the floor is reached: the value
@@ -502,7 +502,7 @@ def test_value_floor_bounds_every_value_over_the_next_playouts(mode, reward):
     for nid, r in [(b, 0.3), (other, 0.8), (leaf, reward), (other, 0.2), (leaf, reward)]:
         tree.backpropagate(nid, r)
     path = [leaf, a, tree.root]
-    floors = {(nid, x): tree._value_floor(nid, reward, x) for nid in path for x in range(30)}
+    floors = {(nid, x): floor for x in range(30) for nid, floor in zip(path, tree._value_floors(path, reward, x))}
     seen = {nid: [tree.nodes[nid].value] for nid in path}
     for _ in range(29):
         tree.backpropagate(leaf, reward)
@@ -510,5 +510,4 @@ def test_value_floor_bounds_every_value_over_the_next_playouts(mode, reward):
             seen[nid].append(tree.nodes[nid].value)
     for (nid, x), floor in floors.items():
         lowest = min(seen[nid][: x + 1])
-        assert floor <= lowest + 1e-12
         assert floor == pytest.approx(lowest, abs=1e-12)
