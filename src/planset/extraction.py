@@ -44,6 +44,7 @@ from .metrics import (
     child_log_ratios,
     materialize_plan,
     min_pairwise_diversity,
+    stem_keys,
 )
 from .tree import SearchTree
 
@@ -83,8 +84,7 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     qualifying plan is found).
     """
     k, q, d = config.k, config.q, config.d
-    nodes = tree.nodes
-    if nodes[tree.root].visits == 0:
+    if tree.nodes[tree.root].visits == 0:
         raise EmptyTreeError("root has never been visited")
     stream = _best_first(tree, q - QUALITY_TOL)
     if not d:
@@ -101,12 +101,7 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
             break
         # A complete plan's state keys are tested against the incumbents
         # before any Plan is built for it.
-        keys = []
-        rec = nodes[last]
-        while rec.parent is not None:
-            keys.append(rec.state_key)
-            rec = nodes[rec.parent]
-        diversity = min_pairwise_diversity(frozenset(keys), accepted)
+        diversity = min_pairwise_diversity(stem_keys(tree, last), accepted)
         if diversity < d:
             continue
         if full:

@@ -9,11 +9,12 @@ ordering, rewards that sum into [0, 1].
 
 Expanded nodes keep their state and reward from the root, so an iteration
 costs one ``step`` per expansion plus its rollout's steps, and none to
-revisit a terminal node.  A revisit draws nothing, and under UCB1 the same
-descent often follows it many times in a row (60 on average on desk
-trees).  After a revisit the search counts the next descents that provably
-repeat it and applies their playouts in one batch, so such a run costs about
-one descent, and the tree is the one a descent per iteration grows.
+revisit a terminal node.  A revisit draws nothing, and the same descent
+often follows it many times in a row (60 on average on desk UCB1 trees).
+After a revisit the search counts the next descents, up to the next
+reference refresh, that provably repeat it and applies their playouts in one
+batch, so such a run costs about one descent, and the tree is the one a
+descent per iteration grows.
 
 Randomness is reproducible by construction: each search builds one
 ``numpy.random.Generator`` from its seed, draws every expansion from it and
@@ -25,6 +26,7 @@ for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +35,7 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .extraction import ExtractionConfig, extract_plans
-from .metrics import Plan
+from .metrics import Plan, min_pairwise_diversity, stem_keys
 from .tree import SearchTree, ValueMode
 
 class SimulatorError(RuntimeError):
@@ -92,10 +94,9 @@ class BanditConfig:
     plan set is re-extracted (top ``diversity_set_size``, no bounds) every
     ``diversity_refresh_interval`` iterations while the tree grows.  That
     policy adds to a child's UCB1 score its stem's distance to the nearest
-    reference plan, ``min_j |stem - plan_j| / |stem|`` (1.0 against none),
-    where the stem is the state keys from below the root down to the child.
-    It equals ``(|stem| - top) / |stem|``, ``top`` being the stem's largest
-    overlap with one plan, so the descent keeps ``top`` and the plans at it.
+    reference plan, ``min_pairwise_diversity`` of the state keys from below
+    the root down to the child (1.0 against none).  Tree paths are unique,
+    so the bonus is fixed per node between refreshes.
     """
 
     exploration_c: float = 0.7
@@ -104,8 +105,11 @@ class BanditConfig:
     diversity_set_size: int = 5
 
     def __post_init__(self):
-        if not math.isfinite(self.exploration_c) or self.exploration_c < 0:
-            raise ValueError(f"exploration_c must be finite and >= 0, got {self.exploration_c}")
+        if not isinstance(self.policy, Policy):  # the search tests `is`
+            raise ValueError(f"policy must be a Policy, got {self.policy!r}")
+        c = self.exploration_c
+        if not isinstance(c, numbers.Real) or not math.isfinite(c) or c < 0:
+            raise ValueError(f"exploration_c must be a finite real number >= 0, got {c!r}")
         require_integers(self, "diversity_refresh_interval", "diversity_set_size")
         if self.diversity_refresh_interval < 1 or self.diversity_set_size < 1:
             raise ValueError("diversity refresh interval and set size must be >= 1")
@@ -120,6 +124,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.value_mode, ValueMode):
+            raise ValueError(f"value_mode must be a ValueMode, got {self.value_mode!r}")
         require_integers(self, "iterations", "max_rollout_steps", "seed")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -177,64 +183,42 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     bandit = config.bandit
     c = bandit.exploration_c
     diverse = bandit.policy is Policy.DIVERSE_UCB1
+    # Under UCB1 every bonus is 0.0 and the reference is never refreshed:
+    # its first refresh would fall at the end of the search.
+    interval = bandit.diversity_refresh_interval if diverse else config.iterations
     # The entropy (seed, 0) is part of every pinned tree: keep it.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     reference: list[Plan] = []
-    masks: dict[bytes, int] = {}
-    # Per node id: the simulator state after the node's edge, and the reward
-    # summed from the root along the same additions a replay would make.
+    # Per node id: the simulator state after the node's edge, the reward
+    # summed from the root along the same additions a replay would make, and
+    # the bonus added to the node's UCB1 score (the root is never scored).
     states = [root_state]
     prefix = [0.0]
+    bonus = [0.0]
 
     iteration = 0
     while iteration < config.iterations:
-        if diverse and iteration and iteration % bandit.diversity_refresh_interval == 0:
+        if iteration and iteration % interval == 0:
             reference = extract_plans(
                 tree, ExtractionConfig(k=bandit.diversity_set_size)
             ).plans
-            # Per state key: a bitmask of the reference plans that visit it.
-            masks = {}
-            for j, plan in enumerate(reference):
-                for key in plan.state_keys:
-                    masks[key] = masks.get(key, 0) | 1 << j
+            bonus[1:] = [min_pairwise_diversity(stem_keys(tree, n), reference) for n in range(1, len(nodes))]
 
         node_id = tree.root
         rec = nodes[node_id]
-        stem_keys: set[bytes] = set()
-        overlaps = [0] * len(reference)
-        # The largest overlap and the bitmask of the plans that reach it.
-        top, top_mask = 0, (1 << len(reference)) - 1
-
         # Selection: descend through visited children while the node is
         # fully expanded; any untried action makes it expandable first.
         while not rec.untried_actions and rec.children:
             two_log_n = 2.0 * math.log(rec.visits)
-            if diverse:
-                stem = len(stem_keys)
-                size = stem + 1
             best_score = -math.inf
             for cid in rec.children:
                 child = nodes[cid]
-                score = child.value + c * math.sqrt(two_log_n / child.visits)
-                if diverse:
-                    key = child.state_key
-                    if key in stem_keys:
-                        score += (stem - top) / stem
-                    else:
-                        score += (size - top - bool(masks.get(key, 0) & top_mask)) / size
+                score = child.value + c * math.sqrt(two_log_n / child.visits) + bonus[cid]
                 if score > best_score:
                     best_score = score
                     best_id = cid
-            child = nodes[best_id]
-            if diverse and child.state_key not in stem_keys:
-                stem_keys.add(child.state_key)
-                hits = masks.get(child.state_key, 0)
-                if hits:
-                    overlaps = [o + (hits >> j & 1) for j, o in enumerate(overlaps)]
-                    top = max(overlaps)
-                    top_mask = sum(1 << j for j, o in enumerate(overlaps) if o == top)
             node_id = best_id
-            rec = child
+            rec = nodes[node_id]
         state = states[node_id]
         acc = prefix[node_id]
 
@@ -253,16 +237,19 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             )
             states.append(state)
             prefix.append(acc)
+            bonus.append(min_pairwise_diversity(stem_keys(tree, node_id), reference) if diverse else 0.0)
             if not done:
                 acc += rollout(sim, state, rng, config.max_rollout_steps)
 
         reward = min(max(acc, 0.0), 1.0)
         tree.backpropagate(node_id, reward)
         iteration += 1
-        if revisit and not diverse and iteration < config.iterations:
+        # The bonuses hold until the next refresh (under UCB1, the end).
+        cap = min(config.iterations - iteration, -iteration % interval)
+        if revisit and cap:
             # The descent ended on a leaf with nothing to expand, so it drew
             # nothing: skip the descents that provably repeat it.
-            repeats = _repeat_count(tree, node_id, reward, c, config.iterations - iteration)
+            repeats = _repeat_count(tree, node_id, reward, c, bonus, cap)
             if repeats:
                 tree._add_playouts(node_id, reward, repeats)
                 iteration += repeats
@@ -274,37 +261,37 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
 _SLACK = 1e-9
 
 
-def _repeat_count(tree, leaf, reward, c, cap) -> int:
+def _repeat_count(tree, leaf, reward, c, bonus, cap) -> int:
     """How many of the next ``cap`` descents provably end at ``leaf``.
 
     ``leaf`` has nothing to expand, and ``reward`` was just backpropagated
-    from it.  A repeat of that descent moves two counts per level by one:
-    the parent's visits N and the path child's n.  Each sibling's bonus
-    rises with N.  A sibling also makes n < N and N >= 2, where ln(N) / n
-    falls as both grow, so the path child's bonus falls.  Its value moves
-    monotonically or not at all (``SearchTree._value_floors``).  So one check
-    per level at the last repeat, with the lowest value the child takes up
-    to it, covers every repeat before it.  The count is found by doubling,
-    then bisection.
+    from it; each node's ``bonus`` is fixed over the ``cap`` descents.  A
+    repeat of that descent moves two counts per level by one: the parent's
+    visits N and the path child's n.  Each sibling's exploration term rises
+    with N.  A sibling also makes n < N and N >= 2, where ln(N) / n falls as
+    both grow, so the path child's term falls.  Its value moves monotonically
+    or not at all (``SearchTree._value_floors``).  So one check per level at
+    the last repeat, with the lowest value the child takes up to it, covers
+    every repeat before it.  The count is found by doubling, then bisection.
     """
     nodes = tree.nodes
     path, levels = [], []
     nid = leaf
     while nodes[nid].parent is not None:
         parent = nodes[nodes[nid].parent]
-        rivals = [(nodes[s].value, nodes[s].visits) for s in parent.children if s != nid]
+        rivals = [(nodes[s].value, nodes[s].visits, bonus[s]) for s in parent.children if s != nid]
         path.append(nid)
-        levels.append((parent.visits, nodes[nid].visits, rivals))
+        levels.append((parent.visits, nodes[nid].visits, bonus[nid], rivals))
         nid = nodes[nid].parent
 
     def repeats(t: int) -> bool:
         x = t - 1  # playouts added before the t-th descent
-        for value, (n_parent, n, rivals) in zip(tree._value_floors(path, reward, x), levels):
+        for value, (n_parent, n, own_bonus, rivals) in zip(tree._value_floors(path, reward, x), levels):
             two_log_n = 2.0 * math.log(n_parent + x)
-            score = value + c * math.sqrt(two_log_n / (n + x))
+            score = value + c * math.sqrt(two_log_n / (n + x)) + own_bonus
             floor = score - _SLACK * (1.0 + score)
-            for rival_value, rival_n in rivals:
-                if rival_value + c * math.sqrt(two_log_n / rival_n) >= floor:
+            for rival_value, rival_n, rival_bonus in rivals:
+                if rival_value + c * math.sqrt(two_log_n / rival_n) + rival_bonus >= floor:
                     return False
         return True
 

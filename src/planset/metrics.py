@@ -11,7 +11,8 @@ times the root value: the plan's expected return.
 One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
 Diversity between plans is the fraction of one plan's visited states that
 the other plan never touches (one-way, and deliberately asymmetric);
-:func:`min_pairwise_diversity` is the one place that distance is computed.
+:func:`min_pairwise_diversity` is the one place that distance is computed,
+and :func:`stem_keys` reads the state keys of a stem it is measured from.
 """
 
 from __future__ import annotations
@@ -112,6 +113,18 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
             log_quality += ratios.get(child, 0.0)
     relative = math.exp(log_quality)
     return Plan(tuple(nodes), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
+
+
+def stem_keys(tree: SearchTree, last: int) -> frozenset[bytes]:
+    """State keys of the stem that ends at node ``last``, root excluded: the
+    ``state_keys`` of a plan ending there, read by one walk up its parents."""
+    nodes = tree.nodes
+    keys = []
+    rec = nodes[last]
+    while rec.parent is not None:
+        keys.append(rec.state_key)
+        rec = nodes[rec.parent]
+    return frozenset(keys)
 
 
 def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:

@@ -66,6 +66,8 @@ class SearchTree:
         root_actions: Iterable[int] = (),
         root_terminal: bool = False,
     ):
+        if not isinstance(value_mode, ValueMode):  # each mode rule tests `is`
+            raise ValueError(f"value_mode must be a ValueMode, got {value_mode!r}")
         self._value_mode = value_mode
         self.nodes: list[NodeRecord] = [
             NodeRecord(

@@ -6,8 +6,9 @@ from collections import deque
 
 import numpy as np
 
+from planset.extraction import ExtractionConfig, extract_plans
 from planset.gridworld import MOVES, GridWorld
-from planset.mcts import rollout
+from planset.mcts import Policy, rollout
 from planset.metrics import Plan, PlanSet, child_log_ratios, min_pairwise_diversity
 from planset.tree import SearchTree, ValueMode
 
@@ -250,7 +251,7 @@ def bfs_shortest_path(world: GridWorld) -> int:
 # -- reference bandit scorer -------------------------------------------------
 #
 # Set-based, node-at-a-time restatement of the score that run_search's
-# selection loop computes inline (with an incremental diversity bonus).
+# selection loop reads from its per-node bonuses.
 
 
 def ucb1_reference(tree: SearchTree, node_id: int, exploration_c: float) -> float:
@@ -297,30 +298,39 @@ def diverse_ucb1_reference(
 
 # -- reference search ----------------------------------------------------------
 #
-# run_search under UCB1 with one full descent per iteration, and no skip of
-# the descents that provably repeat a terminal revisit.
+# run_search with one full descent per iteration, and no skip of the descents
+# that provably repeat a terminal revisit.
 
 
 def reference_search(sim, config) -> SearchTree:
-    """``config.iterations`` UCB1 iterations, each a full descent from the
-    root, then one expansion and its rollout, then one backpropagation: the
-    oracle for ``run_search`` under the UCB1 policy."""
+    """``config.iterations`` iterations, each a full descent from the root,
+    then one expansion and its rollout, then one backpropagation: the oracle
+    for ``run_search``.  Under diverse-UCB1 the top ``diversity_set_size``
+    plans are re-extracted at each multiple of the refresh interval, and
+    each child is scored by ``diverse_ucb1_reference`` against them."""
     root_state = sim.initial_state()
     root_actions = list(sim.legal_actions(root_state))
     tree = SearchTree(sim.state_key(root_state), config.value_mode, root_actions, not root_actions)
     nodes = tree.nodes
-    c = config.bandit.exploration_c
+    bandit = config.bandit
+    c = bandit.exploration_c
+    diverse = bandit.policy is Policy.DIVERSE_UCB1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     states = [root_state]
     prefix = [0.0]
-    for _ in range(config.iterations):
+    reference: list[Plan] = []
+    for iteration in range(config.iterations):
+        if diverse and iteration and iteration % bandit.diversity_refresh_interval == 0:
+            reference = extract_plans(tree, ExtractionConfig(k=bandit.diversity_set_size)).plans
         node_id = tree.root
         rec = nodes[node_id]
         while not rec.untried_actions and rec.children:
-            two_log_n = 2.0 * math.log(rec.visits)
             best_score = -math.inf
             for cid in rec.children:
-                score = nodes[cid].value + c * math.sqrt(two_log_n / nodes[cid].visits)
+                if diverse:
+                    score = diverse_ucb1_reference(tree, cid, c, reference)
+                else:
+                    score = ucb1_reference(tree, cid, c)
                 if score > best_score:
                     best_score, node_id = score, cid
             rec = nodes[node_id]

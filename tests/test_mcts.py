@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,24 @@ def test_out_of_range_search_settings_are_refused(case):
         make()
 
 
+MISTYPED_SETTINGS = {
+    "policy": (lambda: BanditConfig(policy="diverse_ucb1"), "policy must be a Policy, got 'diverse_ucb1'"),
+    "exploration_c": (lambda: BanditConfig(exploration_c="0.7"), "exploration_c must be a finite real number >= 0, got '0.7'"),
+    "value_mode": (lambda: SearchConfig(value_mode="max"), "value_mode must be a ValueMode, got 'max'"),
+    "tree value_mode": (lambda: SearchTree(value_mode="max"), "value_mode must be a ValueMode, got 'max'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISTYPED_SETTINGS))
+def test_mistyped_search_settings_are_refused(case):
+    """An enum setting's string spelling is refused, not read as another
+    member (a ``policy`` string grew the UCB1 tree, a ``value_mode`` string
+    a tree read as MAX by one method and AVERAGE by another)."""
+    make, message = MISTYPED_SETTINGS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_numpy_integer_search_settings_are_accepted():
     bandit = BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=np.int64(50),
                           diversity_set_size=np.int32(3))
@@ -486,22 +505,25 @@ ORACLE_DOMAINS = {
 @pytest.mark.parametrize("domain", list(ORACLE_DOMAINS))
 def test_search_matches_the_reference_search(domain, c, mode):
     """Skipping the descents that repeat a terminal revisit grows the tree
-    one full descent per iteration grows, for short searches (the skip
-    capped at the iterations left) and long ones alike."""
+    one full descent per iteration grows, under both policies, for short
+    searches (the skip capped at the iterations left) and long ones alike.
+    Under diverse-UCB1 the skip also stops at each refresh of the reference
+    set: in the dense and bandit domains at c = 0.02 runs of repeats reach
+    across refreshes, and the grid domains score many distinct bonuses."""
     sim = ORACLE_DOMAINS[domain]()
-    for iterations in (1, 2, 3, 50, 1500):
-        bandit = BanditConfig(exploration_c=c)
-        config = SearchConfig(iterations=iterations, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=5)
-        assert run_search(sim, config).to_text() == reference_search(sim, config).to_text(), iterations
+    for policy in Policy:
+        for iterations in (1, 2, 3, 50, 1500):
+            bandit = BanditConfig(exploration_c=c, policy=policy, diversity_refresh_interval=20)
+            config = SearchConfig(iterations=iterations, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=5)
+            assert run_search(sim, config).to_text() == reference_search(sim, config).to_text(), (policy, iterations)
 
 
 # -- cost contract -------------------------------------------------------------
 
 
-def test_repeated_terminal_revisits_are_skipped(monkeypatch):
-    """On the pinned geometry at c = 0.02 most iterations revisit a terminal
-    node.  A full descent ends in ``backpropagate``; the descents that would
-    repeat it are applied in one batch walk.  The counts are pinned."""
+def count_walks(monkeypatch) -> dict[str, int]:
+    """Count full descents, each ending in one ``backpropagate``, and
+    backpropagation walks, which also apply the skipped descents' batches."""
     calls = {"descents": 0, "walks": 0}
     real_backpropagate = SearchTree.backpropagate
     real_add_playouts = SearchTree._add_playouts
@@ -516,11 +538,31 @@ def test_repeated_terminal_revisits_are_skipped(monkeypatch):
 
     monkeypatch.setattr(SearchTree, "backpropagate", backpropagate)
     monkeypatch.setattr(SearchTree, "_add_playouts", add_playouts)
+    return calls
+
+
+def test_repeated_terminal_revisits_are_skipped(monkeypatch):
+    """On the pinned geometry at c = 0.02 most iterations revisit a terminal
+    node.  A full descent ends in ``backpropagate``; the descents that would
+    repeat it are applied in one batch walk.  The counts are pinned."""
+    calls = count_walks(monkeypatch)
     tree = golden_search(0, 0.02, ValueMode.MAX, Policy.UCB1, 1.0)
     assert tree.node(tree.root).visits == 1500
     # Each descent's backpropagate is one walk; the other walks are batches.
     assert calls == {"descents": 515, "walks": 515 + 24}
     assert calls["walks"] < 1500 // 2
+
+
+def test_repeated_terminal_revisits_are_skipped_under_diverse_ucb1(monkeypatch):
+    """The bonuses hold between refreshes of the reference set, so the skip
+    runs under diverse-UCB1 too, up to the next refresh.  The counts are
+    pinned on the dense chain at c = 0.02, refreshing every 20 iterations."""
+    calls = count_walks(monkeypatch)
+    bandit = BanditConfig(exploration_c=0.02, policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=20)
+    config = SearchConfig(iterations=1500, max_rollout_steps=10, value_mode=ValueMode.MAX, bandit=bandit, seed=3)
+    tree = run_search(DenseChain(), config)
+    assert tree.node(tree.root).visits == 1500
+    assert calls == {"descents": 169, "walks": 169 + 77}
 
 
 class CountingSim:

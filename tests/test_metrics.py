@@ -9,6 +9,7 @@ from conftest import (
     path_to,
     random_backprop_tree,
     random_root_path,
+    stem_state_keys,
     visited_children,
     visited_ids,
 )
@@ -19,6 +20,7 @@ from planset.metrics import (
     PlanSet,
     materialize_plan,
     min_pairwise_diversity,
+    stem_keys,
 )
 from planset.tree import InvalidNodeError, SearchTree, UndefinedValueError, ValueMode
 
@@ -239,6 +241,13 @@ def test_materialize_plan_matches_the_parent_walk_oracle(seed):
             absolute_quality=relative * tree.q_value(tree.root),
         )
         assert materialize_plan(tree, last) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stem_keys_are_the_state_keys_of_the_plan_ending_there(seed):
+    tree = random_backprop_tree(np.random.default_rng(seed))
+    for last in range(len(tree)):
+        assert stem_keys(tree, last) == stem_state_keys(tree, last) == materialize_plan(tree, last).state_keys
 
 
 @pytest.mark.parametrize("seed", range(30))
