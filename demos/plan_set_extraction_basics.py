@@ -51,7 +51,7 @@ tree.backpropagate(r_lo, 0.4)
 
 print("node values:")
 for nid, name in [(left, "left"), (mid, "mid"), (right, "right"), (r_hi, "right-hi"), (r_lo, "right-lo")]:
-    print(f"  {name:9s} visits={tree.node(nid).visits}  Q={tree.q_value(nid):.3f}")
+    print(f"  {name:9s} visits={tree.node(nid).visits}  Q={tree.node(nid).value:.3f}")
 
 # ---------------------------------------------------------------------------
 # Relative quality: the product over path steps of (chosen child's value /

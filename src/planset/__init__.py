@@ -26,7 +26,6 @@ from .gridworld import (
 )
 from .mcts import (
     BanditConfig,
-    Policy,
     SearchConfig,
     Simulator,
     SimulatorError,
@@ -68,7 +67,6 @@ __all__ = [
     "PlannerKind",
     "PlannerSpec",
     "PlanningSimulator",
-    "Policy",
     "ResultRecord",
     "SearchConfig",
     "SearchTree",

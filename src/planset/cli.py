@@ -20,7 +20,7 @@ from typing import Callable
 
 from .extraction import ExtractionConfig, extract_plans
 from .gridworld import ACTION_NAMES, DroneState, PlanningSimulator, parse_map, shortest_unobstructed_path
-from .mcts import BanditConfig, Policy, SearchConfig, run_search
+from .mcts import BanditConfig, SearchConfig, run_search
 from .experiment import (
     PROFILES,
     ConfigError,
@@ -110,10 +110,7 @@ CONFIG_KEYS: dict[str, tuple[type | None, Callable[[str], object]]] = {
     "iterations": (SearchConfig, int),
     "max_rollout_steps": (SearchConfig, int),
     "value_mode": (SearchConfig, ValueMode),
-    "policy": (BanditConfig, Policy),
     "exploration_c": (BanditConfig, float),
-    "diversity_refresh_interval": (BanditConfig, int),
-    "diversity_set_size": (BanditConfig, int),
     "master_seed": (ExperimentConfig, int),
     "detection_radius": (ExperimentConfig, int),
     "rollout_greedy_p": (ExperimentConfig, float),

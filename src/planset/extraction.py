@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -68,12 +69,13 @@ class ExtractionConfig:
     d: float = 0.0
 
     def __post_init__(self):
-        if self.k != math.inf and not (self.k >= 1 and int(self.k) == self.k):
-            raise ValueError(f"k must be a positive integer or inf, got {self.k}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError(f"d must lie in [0, 1], got {self.d}")
+        k, q, d = self.k, self.q, self.d  # each must be a number before it is compared
+        if not isinstance(k, numbers.Real) or (k != math.inf and not (k >= 1 and int(k) == k)):
+            raise ValueError(f"k must be a positive integer or inf, got {k!r}")
+        if not isinstance(q, numbers.Real) or not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must lie in [0, 1], got {q!r}")
+        if not isinstance(d, numbers.Real) or not 0.0 <= d <= 1.0:
+            raise ValueError(f"d must lie in [0, 1], got {d!r}")
 
 
 def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:

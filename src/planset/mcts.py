@@ -1,20 +1,18 @@
 """Monte Carlo tree search over a black-box simulator contract.
 
-One search iteration selects a path through the tree with a bandit rule
-(UCB1, optionally augmented with a plan-stem diversity bonus), expands one
-untried action, plays the domain's default policy out from the new state,
-and backpropagates the accumulated reward.  The simulator is any object
-satisfying :class:`Simulator`: deterministic transitions, stable action
-ordering, rewards that sum into [0, 1].
+One search iteration selects a path through the tree with the UCB1 bandit
+rule, expands one untried action, plays the domain's default policy out from
+the new state, and backpropagates the accumulated reward.  The simulator is
+any object satisfying :class:`Simulator`: deterministic transitions, stable
+action ordering, rewards that sum into [0, 1].
 
 Expanded nodes keep their state and reward from the root, so an iteration
 costs one ``step`` per expansion plus its rollout's steps, and none to
 revisit a terminal node.  A revisit draws nothing, and the same descent
-often follows it many times in a row (60 on average on desk UCB1 trees).
-After a revisit the search counts the next descents, up to the next
-reference refresh, that provably repeat it and applies their playouts in one
-batch, so such a run costs about one descent, and the tree is the one a
-descent per iteration grows.
+often follows it many times in a row (60 on average on desk trees).  After
+a revisit the search counts the next descents that provably repeat it and
+applies their playouts in one batch, so such a run costs about one descent,
+and the tree is the one a descent per iteration grows.
 
 Randomness is reproducible by construction: each search builds one
 ``numpy.random.Generator`` from its seed, draws every expansion from it and
@@ -34,8 +32,6 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .extraction import ExtractionConfig, extract_plans
-from .metrics import Plan, min_pairwise_diversity, stem_keys
 from .tree import SearchTree, ValueMode
 
 class SimulatorError(RuntimeError):
@@ -67,9 +63,8 @@ class Simulator(Protocol):
     def state_key(self, state: Any) -> bytes: ...
 
 
-class Policy(Enum):
+class Policy(Enum):  # one member, kept while perfbench binds Policy.UCB1 and BanditConfig.policy
     UCB1 = "ucb1"
-    DIVERSE_UCB1 = "diverse_ucb1"
 
 
 def require_integer(name: str, value: Any) -> None:
@@ -88,31 +83,22 @@ def require_integers(config: Any, *names: str) -> None:
 
 @dataclass(frozen=True)
 class BanditConfig:
-    """Tree-policy settings: exploration constant and selection rule.
+    """Tree-policy settings: the UCB1 exploration constant.
 
-    The diversity fields only matter for the diverse policy: the reference
-    plan set is re-extracted (top ``diversity_set_size``, no bounds) every
-    ``diversity_refresh_interval`` iterations while the tree grows.  That
-    policy adds to a child's UCB1 score its stem's distance to the nearest
-    reference plan, ``min_pairwise_diversity`` of the state keys from below
-    the root down to the child (1.0 against none).  Tree paths are unique,
-    so the bonus is fixed per node between refreshes.
+    A child scores its value plus ``exploration_c * sqrt(2 ln N / n)``, N
+    and n the parent's and the child's visits.  Diversity comes from
+    extraction, never from the search.
     """
 
     exploration_c: float = 0.7
     policy: Policy = Policy.UCB1
-    diversity_refresh_interval: int = 500
-    diversity_set_size: int = 5
 
     def __post_init__(self):
-        if not isinstance(self.policy, Policy):  # the search tests `is`
+        if not isinstance(self.policy, Policy):
             raise ValueError(f"policy must be a Policy, got {self.policy!r}")
         c = self.exploration_c
         if not isinstance(c, numbers.Real) or not math.isfinite(c) or c < 0:
             raise ValueError(f"exploration_c must be a finite real number >= 0, got {c!r}")
-        require_integers(self, "diversity_refresh_interval", "diversity_set_size")
-        if self.diversity_refresh_interval < 1 or self.diversity_set_size < 1:
-            raise ValueError("diversity refresh interval and set size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,6 +127,7 @@ def rollout(sim: Simulator, state: Any, rng: np.random.Generator, max_steps: int
     Stops at a terminal state or after ``max_steps`` steps; an already
     terminal state adds nothing.  The result is clamped into [0, 1].
     """
+    require_integer("max_steps", max_steps)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     pick = getattr(sim, "default_action", None)
@@ -180,30 +167,16 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         root_terminal=not root_actions,
     )
     nodes = tree.nodes
-    bandit = config.bandit
-    c = bandit.exploration_c
-    diverse = bandit.policy is Policy.DIVERSE_UCB1
-    # Under UCB1 every bonus is 0.0 and the reference is never refreshed:
-    # its first refresh would fall at the end of the search.
-    interval = bandit.diversity_refresh_interval if diverse else config.iterations
+    c = config.bandit.exploration_c
     # The entropy (seed, 0) is part of every pinned tree: keep it.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
-    reference: list[Plan] = []
-    # Per node id: the simulator state after the node's edge, the reward
-    # summed from the root along the same additions a replay would make, and
-    # the bonus added to the node's UCB1 score (the root is never scored).
+    # Per node id: the simulator state after the node's edge, and the reward
+    # summed from the root along the same additions a replay would make.
     states = [root_state]
     prefix = [0.0]
-    bonus = [0.0]
 
     iteration = 0
     while iteration < config.iterations:
-        if iteration and iteration % interval == 0:
-            reference = extract_plans(
-                tree, ExtractionConfig(k=bandit.diversity_set_size)
-            ).plans
-            bonus[1:] = [min_pairwise_diversity(stem_keys(tree, n), reference) for n in range(1, len(nodes))]
-
         node_id = tree.root
         rec = nodes[node_id]
         # Selection: descend through visited children while the node is
@@ -213,7 +186,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             best_score = -math.inf
             for cid in rec.children:
                 child = nodes[cid]
-                score = child.value + c * math.sqrt(two_log_n / child.visits) + bonus[cid]
+                score = child.value + c * math.sqrt(two_log_n / child.visits)
                 if score > best_score:
                     best_score = score
                     best_id = cid
@@ -237,19 +210,17 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             )
             states.append(state)
             prefix.append(acc)
-            bonus.append(min_pairwise_diversity(stem_keys(tree, node_id), reference) if diverse else 0.0)
             if not done:
                 acc += rollout(sim, state, rng, config.max_rollout_steps)
 
         reward = min(max(acc, 0.0), 1.0)
         tree.backpropagate(node_id, reward)
         iteration += 1
-        # The bonuses hold until the next refresh (under UCB1, the end).
-        cap = min(config.iterations - iteration, -iteration % interval)
-        if revisit and cap:
+        left = config.iterations - iteration
+        if revisit and left:
             # The descent ended on a leaf with nothing to expand, so it drew
             # nothing: skip the descents that provably repeat it.
-            repeats = _repeat_count(tree, node_id, reward, c, bonus, cap)
+            repeats = _repeat_count(tree, node_id, reward, c, left)
             if repeats:
                 tree._add_playouts(node_id, reward, repeats)
                 iteration += repeats
@@ -261,37 +232,36 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
 _SLACK = 1e-9
 
 
-def _repeat_count(tree, leaf, reward, c, bonus, cap) -> int:
+def _repeat_count(tree, leaf, reward, c, cap) -> int:
     """How many of the next ``cap`` descents provably end at ``leaf``.
 
     ``leaf`` has nothing to expand, and ``reward`` was just backpropagated
-    from it; each node's ``bonus`` is fixed over the ``cap`` descents.  A
-    repeat of that descent moves two counts per level by one: the parent's
-    visits N and the path child's n.  Each sibling's exploration term rises
-    with N.  A sibling also makes n < N and N >= 2, where ln(N) / n falls as
-    both grow, so the path child's term falls.  Its value moves monotonically
-    or not at all (``SearchTree._value_floors``).  So one check per level at
-    the last repeat, with the lowest value the child takes up to it, covers
-    every repeat before it.  The count is found by doubling, then bisection.
+    from it.  A repeat of that descent moves two counts per level by one: the
+    parent's visits N and the path child's n.  Each sibling's exploration
+    term rises with N.  A sibling also makes n < N and N >= 2, where ln(N) / n
+    falls as both grow, so the path child's term falls.  Its value moves
+    monotonically or not at all (``SearchTree._value_floors``).  So one check
+    per level at the last repeat, with the lowest value the child takes up to
+    it, covers every repeat before it.  Found by doubling, then bisection.
     """
     nodes = tree.nodes
     path, levels = [], []
     nid = leaf
     while nodes[nid].parent is not None:
         parent = nodes[nodes[nid].parent]
-        rivals = [(nodes[s].value, nodes[s].visits, bonus[s]) for s in parent.children if s != nid]
+        rivals = [(nodes[s].value, nodes[s].visits) for s in parent.children if s != nid]
         path.append(nid)
-        levels.append((parent.visits, nodes[nid].visits, bonus[nid], rivals))
+        levels.append((parent.visits, nodes[nid].visits, rivals))
         nid = nodes[nid].parent
 
     def repeats(t: int) -> bool:
         x = t - 1  # playouts added before the t-th descent
-        for value, (n_parent, n, own_bonus, rivals) in zip(tree._value_floors(path, reward, x), levels):
+        for value, (n_parent, n, rivals) in zip(tree._value_floors(path, reward, x), levels):
             two_log_n = 2.0 * math.log(n_parent + x)
-            score = value + c * math.sqrt(two_log_n / (n + x)) + own_bonus
+            score = value + c * math.sqrt(two_log_n / (n + x))
             floor = score - _SLACK * (1.0 + score)
-            for rival_value, rival_n, rival_bonus in rivals:
-                if rival_value + c * math.sqrt(two_log_n / rival_n) + rival_bonus >= floor:
+            for rival_value, rival_n in rivals:
+                if rival_value + c * math.sqrt(two_log_n / rival_n) >= floor:
                     return False
         return True
 

@@ -117,7 +117,8 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
 
 def stem_keys(tree: SearchTree, last: int) -> frozenset[bytes]:
     """State keys of the stem that ends at node ``last``, root excluded: the
-    ``state_keys`` of a plan ending there, read by one walk up its parents."""
+    ``state_keys`` of a plan ending there, read by one walk up its parents.
+    The diverse filter tests each candidate by them before building its Plan."""
     nodes = tree.nodes
     keys = []
     rec = nodes[last]

@@ -190,14 +190,6 @@ class SearchTree:
         rec.value = value
         return changed
 
-    def q_value(self, node_id: int) -> float:
-        """The node's ``value`` (see :class:`NodeRecord`); unvisited nodes
-        carry no estimate and raise :class:`UndefinedValueError`."""
-        rec = self.node(node_id)
-        if rec.visits == 0:
-            raise UndefinedValueError(f"node {node_id} has no visits")
-        return rec.value
-
     def check_consistency(self) -> list[int]:
         """Ids of nodes whose statistics cannot arise from backpropagation.
 

@@ -6,11 +6,10 @@ from collections import deque
 
 import numpy as np
 
-from planset.extraction import ExtractionConfig, extract_plans
 from planset.gridworld import MOVES, GridWorld
-from planset.mcts import Policy, rollout
+from planset.mcts import rollout
 from planset.metrics import Plan, PlanSet, child_log_ratios, min_pairwise_diversity
-from planset.tree import SearchTree, ValueMode
+from planset.tree import SearchTree, UndefinedValueError, ValueMode
 
 
 def visited_children(tree: SearchTree, node_id: int) -> list[int]:
@@ -128,8 +127,8 @@ def path_relative_quality(tree: SearchTree, nodes: list[int]) -> float:
         ratios = child_log_ratios(tree, parent_id)
         # An unvisited child has no value, so its step is ratio 1 only when
         # every visited sibling is worthless; otherwise this raises.
-        if child_id not in ratios and any(tree.q_value(cid) > 0.0 for cid in ratios):
-            tree.q_value(child_id)
+        if not tree.node(child_id).visits and any(tree.node(cid).value > 0.0 for cid in ratios):
+            raise UndefinedValueError(f"node {child_id} has no visits")
         total += ratios.get(child_id, 0.0)
     return math.exp(total)
 
@@ -199,7 +198,7 @@ def best_child(tree: SearchTree, node_id: int) -> int:
     best_id = -1
     best_q = -1.0
     for cid in visited_children(tree, node_id):
-        q = tree.q_value(cid)
+        q = tree.node(cid).value
         if q > best_q:
             best_q = q
             best_id = cid
@@ -250,12 +249,12 @@ def bfs_shortest_path(world: GridWorld) -> int:
 
 # -- reference bandit scorer -------------------------------------------------
 #
-# Set-based, node-at-a-time restatement of the score that run_search's
-# selection loop reads from its per-node bonuses.
+# Node-at-a-time restatement of the score run_search's selection loop
+# computes inline.
 
 
 def ucb1_reference(tree: SearchTree, node_id: int, exploration_c: float) -> float:
-    """Value estimate plus exploration bonus shrinking with visits.
+    """Value estimate plus an exploration term shrinking with visits.
 
     Unvisited nodes score +inf so they are tried before any visited sibling.
     """
@@ -265,7 +264,7 @@ def ucb1_reference(tree: SearchTree, node_id: int, exploration_c: float) -> floa
     if rec.visits == 0:
         return math.inf
     n_parent = tree.node(rec.parent).visits
-    return tree.q_value(node_id) + exploration_c * math.sqrt(
+    return rec.value + exploration_c * math.sqrt(
         2.0 * math.log(n_parent) / rec.visits
     )
 
@@ -280,22 +279,6 @@ def stem_state_keys(tree: SearchTree, node_id: int) -> frozenset[bytes]:
     return frozenset(keys)
 
 
-def diversity_bonus_reference(keys: frozenset[bytes], reference: list[Plan]) -> float:
-    """Min fraction of ``keys`` that a reference plan never visits; 1.0
-    against an empty reference set or an empty stem."""
-    if not reference or not keys:
-        return 1.0
-    return min(len(keys - plan.state_keys) / len(keys) for plan in reference)
-
-
-def diverse_ucb1_reference(
-    tree: SearchTree, node_id: int, exploration_c: float, reference: list[Plan]
-) -> float:
-    """UCB1 plus the stem's diversity bonus against a reference plan set."""
-    bonus = diversity_bonus_reference(stem_state_keys(tree, node_id), reference)
-    return ucb1_reference(tree, node_id, exploration_c) + bonus
-
-
 # -- reference search ----------------------------------------------------------
 #
 # run_search with one full descent per iteration, and no skip of the descents
@@ -305,32 +288,22 @@ def diverse_ucb1_reference(
 def reference_search(sim, config) -> SearchTree:
     """``config.iterations`` iterations, each a full descent from the root,
     then one expansion and its rollout, then one backpropagation: the oracle
-    for ``run_search``.  Under diverse-UCB1 the top ``diversity_set_size``
-    plans are re-extracted at each multiple of the refresh interval, and
-    each child is scored by ``diverse_ucb1_reference`` against them."""
+    for ``run_search``.  Each child is scored by ``ucb1_reference``."""
     root_state = sim.initial_state()
     root_actions = list(sim.legal_actions(root_state))
     tree = SearchTree(sim.state_key(root_state), config.value_mode, root_actions, not root_actions)
     nodes = tree.nodes
-    bandit = config.bandit
-    c = bandit.exploration_c
-    diverse = bandit.policy is Policy.DIVERSE_UCB1
+    c = config.bandit.exploration_c
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     states = [root_state]
     prefix = [0.0]
-    reference: list[Plan] = []
-    for iteration in range(config.iterations):
-        if diverse and iteration and iteration % bandit.diversity_refresh_interval == 0:
-            reference = extract_plans(tree, ExtractionConfig(k=bandit.diversity_set_size)).plans
+    for _ in range(config.iterations):
         node_id = tree.root
         rec = nodes[node_id]
         while not rec.untried_actions and rec.children:
             best_score = -math.inf
             for cid in rec.children:
-                if diverse:
-                    score = diverse_ucb1_reference(tree, cid, c, reference)
-                else:
-                    score = ucb1_reference(tree, cid, c)
+                score = ucb1_reference(tree, cid, c)
                 if score > best_score:
                     best_score, node_id = score, cid
             rec = nodes[node_id]

@@ -174,6 +174,16 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         assert main(["experiment", *flags, *small]) == 1, flags
         assert capsys.readouterr().err.startswith("error:"), flags
         assert not out_csv.exists(), flags
+    # The keys of the deleted diverse-UCB1 search policy are unknown keys,
+    # in a config file and as flags alike.
+    for key, value in (("policy", "diverse_ucb1"), ("diversity_refresh_interval", "50"), ("diversity_set_size", "3")):
+        old = tmp_path / f"{key}.conf"
+        old.write_text(f"{key} = {value}\n", encoding="utf-8")
+        for flags in (["--config", str(old)], [f"--{key}", value]):
+            assert main(["experiment", *flags, *small]) == 1, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, flags
+            assert not out_csv.exists(), flags
     # extract and plan check their bounds before reading any tree or map:
     # the mangled tree would be a runtime fault (exit 2) if it were loaded.
     _, tree_path = tree_file

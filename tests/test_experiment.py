@@ -223,18 +223,20 @@ def test_profiles_match_documented_scale():
 
 
 def test_planner_spec_invariants():
-    for kind, bounds in (
-        (PlannerKind.SINGLE, dict(k=3)),
-        (PlannerKind.TOP_K, dict(k=5, q=0.5)),
-        (PlannerKind.TOP_QUALITY, dict(k=5, q=0.5, d=0.2)),
+    for kind, bounds, message in (
+        (PlannerKind.SINGLE, dict(k=3), "single requires"),
+        (PlannerKind.TOP_K, dict(k=5, q=0.5), "top_k requires"),
+        (PlannerKind.TOP_QUALITY, dict(k=5, q=0.5, d=0.2), "top_quality requires"),
         # The random baseline reads k alone, and a diverse planner without d
         # would run as top-k or top-quality under the label "diverse".
-        (PlannerKind.RANDOM, dict(k=5, q=0.5)),
-        (PlannerKind.RANDOM, dict(k=5, d=0.3)),
-        (PlannerKind.DIVERSE, dict(k=5)),
-        (PlannerKind.DIVERSE, dict(k=5, q=0.8)),
+        (PlannerKind.RANDOM, dict(k=5, q=0.5), "random requires"),
+        (PlannerKind.RANDOM, dict(k=5, d=0.3), "random requires"),
+        (PlannerKind.DIVERSE, dict(k=5), "diverse requires"),
+        (PlannerKind.DIVERSE, dict(k=5, q=0.8), "diverse requires"),
+        # A bound that is no number is a ConfigError too, not a TypeError.
+        (PlannerKind.TOP_K, dict(k="5"), "k must be a positive integer or inf, got '5'"),
     ):
-        with pytest.raises(ConfigError, match=f"{kind.value} requires"):
+        with pytest.raises(ConfigError, match=message):
             PlannerSpec(kind, **bounds)
     PlannerSpec(PlannerKind.DIVERSE, k=5, q=0.8, d=0.5)
 
@@ -402,20 +404,18 @@ def test_deterministic_with_injected_clock(tmp_path):
 
 
 # sha256 prefixes of the micro sweep's CSV bytes under a counting clock, per
-# (policy, value mode).  The diverse run refreshes its reference set three
-# times in its 400 iterations.  The two UCB1 sweeps happen to write the same
-# rows; a broken AVERAGE value read changes the second.
+# (policy, value mode).  The two sweeps happen to write the same rows; a
+# broken AVERAGE value read changes the second.
 GOLDEN_CSVS = {
     (Policy.UCB1, ValueMode.MAX): "31923d4e473810cc",
     (Policy.UCB1, ValueMode.AVERAGE): "31923d4e473810cc",
-    (Policy.DIVERSE_UCB1, ValueMode.MAX): "2e92a849b1f7876b",
 }
 
 
 @pytest.mark.parametrize("policy, mode", list(GOLDEN_CSVS), ids=lambda v: v.name)
 def test_csv_bytes_match_the_pinned_hashes(tmp_path, policy, mode):
     search = micro_config().search
-    bandit = replace(search.bandit, policy=policy, diversity_refresh_interval=100)
+    bandit = replace(search.bandit, policy=policy)
     out = tmp_path / "out.csv"
     config = micro_config(None, search=replace(search, value_mode=mode, bandit=bandit), output_path=str(out))
     run_experiment(config, clock=CountingClock())

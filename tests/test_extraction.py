@@ -2,6 +2,7 @@ import functools
 import hashlib
 import heapq
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,11 +390,14 @@ def test_diverse_mode_tests_each_candidate_once_and_builds_only_accepted_plans(c
         assert len(counted["materialize_plan"].calls) == len(result)
 
 
+@pytest.mark.parametrize("value", [math.nan, "0.5"], ids=["nan", "str"])
 @pytest.mark.parametrize("field", ["k", "q", "d"])
-def test_nan_bounds_are_rejected_with_their_own_message(field):
+def test_bad_bounds_are_rejected_with_their_own_message(field, value):
+    """A NaN or a string is refused with the bound's own ValueError, not a
+    TypeError from comparing it."""
     message = {"k": "k must be a positive integer or inf", "q": "q must lie in", "d": "d must lie in"}[field]
-    with pytest.raises(ValueError, match=message):
-        ExtractionConfig(**{field: math.nan})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}.*, got {re.escape(repr(value))}$"):
+        ExtractionConfig(**{field: value})
 
 
 # -- pinned extraction output -----------------------------------------------------

@@ -7,14 +7,11 @@ import pytest
 
 from conftest import (
     best_child,
-    diverse_ucb1_reference,
     reference_search,
     visited_ids,
-    stem_state_keys,
     ucb1_reference,
     visited_children,
 )
-from planset.extraction import ExtractionConfig, extract_plans
 from planset.gridworld import DroneState, PlanningSimulator, generate_instance
 from planset.mcts import (
     BanditConfig,
@@ -25,7 +22,6 @@ from planset.mcts import (
     rollout,
     run_search,
 )
-from planset.metrics import Plan
 from planset.tree import SearchTree, ValueMode
 
 
@@ -65,7 +61,7 @@ def scored_tree():
 
 def test_ucb1_zero_exploration_is_q():
     tree, child = scored_tree()
-    assert ucb1_reference(tree, child, 0.0) == pytest.approx(tree.q_value(child))
+    assert ucb1_reference(tree, child, 0.0) == pytest.approx(tree.node(child).value)
 
 
 def test_ucb1_hand_value():
@@ -88,36 +84,6 @@ def test_ucb1_root_rejected():
     tree = SearchTree(b"s0")
     with pytest.raises(ValueError):
         ucb1_reference(tree, tree.root, 1.0)
-
-
-def stem_plan(keys):
-    return Plan((0,), (), frozenset(k.encode() for k in keys), 1.0, 1.0)
-
-
-def test_diverse_score_empty_reference():
-    tree, child = scored_tree()
-    base = ucb1_reference(tree, child, 1.0)
-    assert diverse_ucb1_reference(tree, child, 1.0, []) == pytest.approx(base + 1.0)
-
-
-def test_diverse_score_self_reference_is_zero_bonus():
-    tree, child = scored_tree()
-    base = ucb1_reference(tree, child, 1.0)
-    own = stem_plan(["s1"])
-    assert stem_state_keys(tree, child) == own.state_keys
-    assert diverse_ucb1_reference(tree, child, 1.0, [own]) == pytest.approx(base)
-
-
-def test_diverse_score_partial_overlap():
-    # stem of 4 states, best reference shares 2 of them -> bonus 0.5
-    tree = SearchTree(b"s0", root_actions=[0])
-    nid = tree.root
-    for i in range(4):
-        nid = tree.add_child(nid, 0, b"k%d" % i, untried_actions=[0])
-        tree.backpropagate(nid, 0.5)
-    ref = stem_plan(["k0", "k1", "x", "y"])
-    base = ucb1_reference(tree, nid, 1.0)
-    assert diverse_ucb1_reference(tree, nid, 1.0, [ref]) == pytest.approx(base + 0.5)
 
 
 def visits_rose(before: SearchTree, after: SearchTree) -> list[int]:
@@ -143,27 +109,13 @@ def reference_descent(tree: SearchTree, score) -> list[int]:
     return path
 
 
-@pytest.mark.parametrize(
-    "mode,policy,set_size",
-    [
-        pytest.param(ValueMode.AVERAGE, Policy.UCB1, 3, id="ValueMode.AVERAGE-Policy.UCB1"),
-        pytest.param(ValueMode.MAX, Policy.UCB1, 3, id="ValueMode.MAX-Policy.UCB1"),
-        pytest.param(ValueMode.MAX, Policy.DIVERSE_UCB1, 3, id="ValueMode.MAX-Policy.DIVERSE_UCB1"),
-        pytest.param(
-            ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 3, id="ValueMode.AVERAGE-Policy.DIVERSE_UCB1"
-        ),
-        # More plans asked for than the early trees hold: short reference sets.
-        pytest.param(ValueMode.MAX, Policy.DIVERSE_UCB1, 20, id="short-reference"),
-    ],
-)
-def test_search_selects_the_reference_argmax(mode, policy, set_size):
+@pytest.mark.parametrize("mode", list(ValueMode), ids=lambda mode: mode.name)
+def test_search_selects_the_reference_argmax(mode):
     # Iteration n of an (n+1)-iteration search runs on the n-iteration tree;
     # its selection path is where visits rose, minus a node it expanded.
     world = generate_instance(5, 5, 0.1, rng=4)
     c = 0.05
-    bandit = BanditConfig(
-        exploration_c=c, policy=policy, diversity_refresh_interval=20, diversity_set_size=set_size
-    )
+    bandit = BanditConfig(exploration_c=c)
 
     def grow(iterations):
         config = SearchConfig(
@@ -172,35 +124,15 @@ def test_search_selects_the_reference_argmax(mode, policy, set_size):
         return run_search(PlanningSimulator(world), config)
 
     ends = set()
-    short_sets = repeated_keys = 0
     for n in range(1, 300, 7):
         before, after = grow(n), grow(n + 1)
-        reference = []
-        last_refresh = n - n % bandit.diversity_refresh_interval
-        if policy is Policy.DIVERSE_UCB1 and last_refresh:
-            reference = extract_plans(grow(last_refresh), ExtractionConfig(k=set_size)).plans
-            short_sets += len(reference) < set_size
-
-        def score(cid):
-            if policy is Policy.DIVERSE_UCB1:
-                nonlocal repeated_keys
-                parent = before.node(cid).parent
-                repeated_keys += before.node(cid).state_key in stem_state_keys(before, parent)
-                return diverse_ucb1_reference(before, cid, c, reference)
-            return ucb1_reference(before, cid, c)
-
-        path = reference_descent(before, score)
+        path = reference_descent(before, lambda cid: ucb1_reference(before, cid, c))
         rose = visits_rose(before, after)
         assert rose in (path, path + [len(before)]), n
         ends.add((len(rose) > len(path), len(path) > 2))
     # expansions and revisits both occur, and some descents go below depth 1
     assert {end for end, _ in ends} == {False, True}
     assert any(deep for _, deep in ends)
-    if policy is Policy.DIVERSE_UCB1:
-        # some descents score a child that revisits a cell of its stem, and
-        # only the short-reference row scores against fewer plans than asked
-        assert repeated_keys
-        assert bool(short_sets) == (set_size > 3)
 
 
 def test_two_arm_bandit_converges():
@@ -250,37 +182,6 @@ def test_visited_nodes_reachable_and_root_visits_match_iterations():
     assert set(visited_ids(tree)) == reachable
 
 
-def test_diverse_policy_with_constant_bonus_matches_ucb1():
-    # Reference set never refreshes (interval > iterations), so the bonus is
-    # the constant 1.0 and every argmax agrees with plain UCB1.
-    world = generate_instance(6, 6, 0.0, rng=8)
-    base = SearchConfig(iterations=120, max_rollout_steps=60, seed=21)
-    diverse = SearchConfig(
-        iterations=120,
-        max_rollout_steps=60,
-        seed=21,
-        bandit=BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=10_000),
-    )
-    assert run_search(PlanningSimulator(world), diverse).to_text() == run_search(
-        PlanningSimulator(world), base
-    ).to_text()
-
-
-def test_diverse_policy_with_refresh_builds_valid_tree():
-    world = generate_instance(6, 6, 0.2, rng=13)
-    config = SearchConfig(
-        iterations=300,
-        max_rollout_steps=60,
-        seed=3,
-        bandit=BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=50, diversity_set_size=3),
-    )
-    tree = run_search(PlanningSimulator(world), config)
-    assert tree.node(tree.root).visits == 300
-    assert tree.check_consistency() == []
-    # diversity pressure spreads visits: still extractable
-    assert len(extract_plans(tree, ExtractionConfig(k=3)).plans) >= 1
-
-
 def test_simulator_fault_is_wrapped():
     with pytest.raises(SimulatorError) as info:
         run_search(FaultySim(), SearchConfig(iterations=5, seed=0))
@@ -321,8 +222,7 @@ NON_INTEGER_SETTINGS = {
     "iterations": lambda: SearchConfig(iterations=2.5),
     "max_rollout_steps": lambda: SearchConfig(max_rollout_steps=2.5),
     "seed": lambda: SearchConfig(seed=1.5),
-    "diversity_set_size": lambda: BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_set_size=2.5),
-    "diversity_refresh_interval": lambda: BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=2.5),
+    "max_steps": lambda: rollout(TwoArmBandit(), "start", np.random.default_rng(0), 2.5),
 }
 
 
@@ -335,10 +235,6 @@ def test_non_integer_search_settings_are_refused(field):
 
 
 OUT_OF_RANGE_SETTINGS = {
-    "diversity_refresh_interval": (
-        lambda: BanditConfig(diversity_refresh_interval=0), "diversity refresh interval and set size must be >= 1"
-    ),
-    "diversity_set_size": (lambda: BanditConfig(diversity_set_size=0), "diversity refresh interval and set size must be >= 1"),
     "max_rollout_steps": (lambda: SearchConfig(max_rollout_steps=0), "max_rollout_steps must be >= 1"),
     "rollout max_steps": (lambda: rollout(TwoArmBandit(), "start", np.random.default_rng(0), 0), "max_steps must be >= 1"),
 }
@@ -370,13 +266,8 @@ def test_mistyped_search_settings_are_refused(case):
 
 
 def test_numpy_integer_search_settings_are_accepted():
-    bandit = BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=np.int64(50),
-                          diversity_set_size=np.int32(3))
-    config = SearchConfig(iterations=np.int64(120), max_rollout_steps=np.uint8(60), bandit=bandit,
-                          seed=np.uint32(21))
-    plain = SearchConfig(iterations=120, max_rollout_steps=60, seed=21,
-                         bandit=BanditConfig(policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=50,
-                                             diversity_set_size=3))
+    config = SearchConfig(iterations=np.int64(120), max_rollout_steps=np.uint8(60), seed=np.uint32(21))
+    plain = SearchConfig(iterations=120, max_rollout_steps=60, seed=21)
     world = generate_instance(8, 8, 0.2, rng=2)
     assert run_search(PlanningSimulator(world), config).to_text() == \
         run_search(PlanningSimulator(world), plain).to_text()
@@ -385,35 +276,26 @@ def test_numpy_integer_search_settings_are_accepted():
 # -- pinned trees --------------------------------------------------------------
 #
 # SHA-256 (first 16 hex digits) of ``run_search(...).to_text()`` on
-# ``generate_instance(12, 12, 0.2, seed)`` for seeds 0-3, 1,500 iterations,
-# rollouts of at most 60 steps and a diversity refresh every 200 iterations.
-# Keyed by (exploration_c, value mode, policy, rollout_greedy_p): c = 0.7
+# ``generate_instance(12, 12, 0.2, seed)`` for seeds 0-3, 1,500 iterations
+# and rollouts of at most 60 steps.  Keyed by (exploration_c, value mode, policy, rollout_greedy_p): c = 0.7
 # expands on almost every iteration, c = 0.02 converges and spends most
 # iterations revisiting terminal nodes.
 
 GOLDEN_TREES = {
     (0.7, ValueMode.AVERAGE, Policy.UCB1, 1.0): ('9dc59cbe3fdaf2ac', '09dd30e7e7ff27fc', '7ab55f69f2d64e84', '1b96f0fd859ecac4'),
     (0.7, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('91e89d2236beccfb', 'bcee6e10f7ee8c86', '077d0102d94f0e0b', 'ee2280bc8e792340'),
-    (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 1.0): ('cd75506836cdf0a5', '876c93414aa82a72', '8c47576151d26dfd', 'e5cc73c5886f3272'),
-    (0.7, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('7a97f3a1614d0cb7', '326b1f87a4afd39b', '04bb226c909fcd84', '2e95ad5d75f632ae'),
     (0.7, ValueMode.MAX, Policy.UCB1, 1.0): ('84bb6170896d3f70', '08f9a701d02c4385', 'cd60d87c42c4d981', '605d28053d6b595f'),
     (0.7, ValueMode.MAX, Policy.UCB1, 0.8): ('95542943c4321767', '22d7f092277e42b8', 'e09911ba05c4c458', 'eb9e58a78bd782c7'),
-    (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 1.0): ('ece74a0ec9a78dd7', '5ba5be5c75aba937', 'aee75c64248fa884', 'f478b42f0e4878b5'),
-    (0.7, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('bc9ced21b2d7db12', '9ce30faf117b4517', '178599d65736313d', 'cf3d36a6b83e7488'),
     (0.02, ValueMode.AVERAGE, Policy.UCB1, 1.0): ('969980a74b4e3932', 'c7a24bee544a559a', 'd2961df1bec29411', '76ee9358de897f7f'),
     (0.02, ValueMode.AVERAGE, Policy.UCB1, 0.8): ('58bc61fcbe1e6fce', '7058ad1c2603d2a8', '061cf3cb40d9dbea', '7366bc17f2b1d510'),
-    (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 1.0): ('ac5247353b5840e9', 'c2824668e94e5254', '89c24c183933a20d', '74aaff1a1556f9d0'),
-    (0.02, ValueMode.AVERAGE, Policy.DIVERSE_UCB1, 0.8): ('b76b4afb8b203bff', 'c3d4dfcfbff8347f', 'd803d7ce49f209ec', '7ad24dda3b86db35'),
     (0.02, ValueMode.MAX, Policy.UCB1, 1.0): ('168e8b40faf14769', '4076929dc9a5cd9c', '78a7ef85d4c510f4', 'b14fd6d1c0742133'),
     (0.02, ValueMode.MAX, Policy.UCB1, 0.8): ('002410bf05c6589b', '3ff3c1721038052d', '049c40655bfcfeae', '2bbb577f629e7aba'),
-    (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 1.0): ('20033a5ded44680d', '321467247761f0d2', 'e92aace8f260f205', '3ff9bb282a5382fe'),
-    (0.02, ValueMode.MAX, Policy.DIVERSE_UCB1, 0.8): ('8590b5a5de53af2d', 'b69f1de82ed980d5', '3709e19ce76a7c8a', '78e7f283284439a5'),
 }
 
 
 def golden_search(seed, c, mode, policy, greedy_p):
     sim = PlanningSimulator(generate_instance(12, 12, 0.2, seed), rollout_greedy_p=greedy_p)
-    bandit = BanditConfig(exploration_c=c, policy=policy, diversity_refresh_interval=200)
+    bandit = BanditConfig(exploration_c=c, policy=policy)
     config = SearchConfig(iterations=1500, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=seed)
     return run_search(sim, config)
 
@@ -452,14 +334,12 @@ class DenseChain:
 
 DENSE_GOLDEN_TREES = {
     (ValueMode.AVERAGE, Policy.UCB1): "99e5215c265c9167",
-    (ValueMode.AVERAGE, Policy.DIVERSE_UCB1): "55d88b5e2b6dc8c7",
     (ValueMode.MAX, Policy.UCB1): "f064736638617869",
-    (ValueMode.MAX, Policy.DIVERSE_UCB1): "cfa2252e239ea8dc",
 }
 
 
 def dense_config(mode=ValueMode.MAX, policy=Policy.UCB1):
-    bandit = BanditConfig(exploration_c=0.3, policy=policy, diversity_refresh_interval=100)
+    bandit = BanditConfig(exploration_c=0.3, policy=policy)
     return SearchConfig(iterations=600, max_rollout_steps=10, value_mode=mode, bandit=bandit, seed=3)
 
 
@@ -505,17 +385,13 @@ ORACLE_DOMAINS = {
 @pytest.mark.parametrize("domain", list(ORACLE_DOMAINS))
 def test_search_matches_the_reference_search(domain, c, mode):
     """Skipping the descents that repeat a terminal revisit grows the tree
-    one full descent per iteration grows, under both policies, for short
-    searches (the skip capped at the iterations left) and long ones alike.
-    Under diverse-UCB1 the skip also stops at each refresh of the reference
-    set: in the dense and bandit domains at c = 0.02 runs of repeats reach
-    across refreshes, and the grid domains score many distinct bonuses."""
+    one full descent per iteration grows, for short searches (the skip
+    capped at the iterations left) and long ones alike."""
     sim = ORACLE_DOMAINS[domain]()
-    for policy in Policy:
-        for iterations in (1, 2, 3, 50, 1500):
-            bandit = BanditConfig(exploration_c=c, policy=policy, diversity_refresh_interval=20)
-            config = SearchConfig(iterations=iterations, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=5)
-            assert run_search(sim, config).to_text() == reference_search(sim, config).to_text(), (policy, iterations)
+    for iterations in (1, 2, 3, 50, 1500):
+        bandit = BanditConfig(exploration_c=c)
+        config = SearchConfig(iterations=iterations, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=5)
+        assert run_search(sim, config).to_text() == reference_search(sim, config).to_text(), iterations
 
 
 # -- cost contract -------------------------------------------------------------
@@ -551,18 +427,6 @@ def test_repeated_terminal_revisits_are_skipped(monkeypatch):
     # Each descent's backpropagate is one walk; the other walks are batches.
     assert calls == {"descents": 515, "walks": 515 + 24}
     assert calls["walks"] < 1500 // 2
-
-
-def test_repeated_terminal_revisits_are_skipped_under_diverse_ucb1(monkeypatch):
-    """The bonuses hold between refreshes of the reference set, so the skip
-    runs under diverse-UCB1 too, up to the next refresh.  The counts are
-    pinned on the dense chain at c = 0.02, refreshing every 20 iterations."""
-    calls = count_walks(monkeypatch)
-    bandit = BanditConfig(exploration_c=0.02, policy=Policy.DIVERSE_UCB1, diversity_refresh_interval=20)
-    config = SearchConfig(iterations=1500, max_rollout_steps=10, value_mode=ValueMode.MAX, bandit=bandit, seed=3)
-    tree = run_search(DenseChain(), config)
-    assert tree.node(tree.root).visits == 1500
-    assert calls == {"descents": 169, "walks": 169 + 77}
 
 
 class CountingSim:

@@ -66,7 +66,7 @@ def test_two_suboptimal_steps_multiply():
     # average: (0.0 + 1.0 + 0.5) / 3 = 0.5, half of its best sibling.
     tree.backpropagate(good2, 1.0)
     tree.backpropagate(bad2, 0.5)
-    assert tree.q_value(bad) == pytest.approx(0.5)
+    assert tree.node(bad).value == pytest.approx(0.5)
     assert materialize_plan(tree, bad2).relative_quality == pytest.approx(0.25, abs=1e-12)
 
 
@@ -222,7 +222,7 @@ def test_materialize_plan_fields():
     assert plan.actions == (0,)
     assert plan.state_keys == frozenset({b"L"})  # root key excluded
     assert plan.relative_quality == 1.0
-    assert plan.absolute_quality == pytest.approx(tree.q_value(tree.root))
+    assert plan.absolute_quality == pytest.approx(tree.node(tree.root).value)
     # the walk's quality matches the node-list oracle
     assert plan.relative_quality == path_relative_quality(tree, [tree.root, left])
 
@@ -238,7 +238,7 @@ def test_materialize_plan_matches_the_parent_walk_oracle(seed):
             actions=tuple(tree.node(nid).action for nid in path[1:]),
             state_keys=frozenset(tree.node(nid).state_key for nid in path[1:]),
             relative_quality=relative,
-            absolute_quality=relative * tree.q_value(tree.root),
+            absolute_quality=relative * tree.node(tree.root).value,
         )
         assert materialize_plan(tree, last) == expected
 

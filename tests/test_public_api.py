@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "PlannerKind",
     "PlannerSpec",
     "PlanningSimulator",
-    "Policy",
     "ResultRecord",
     "SearchConfig",
     "SearchTree",

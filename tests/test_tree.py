@@ -20,7 +20,6 @@ from planset.tree import (
     DuplicateEdgeError,
     InvalidNodeError,
     SearchTree,
-    UndefinedValueError,
     ValueMode,
 )
 
@@ -114,7 +113,7 @@ def test_two_playouts_average_to_half():
     child = tree.add_child(tree.root, 0, b"s1")
     tree.backpropagate(child, 1.0)
     tree.backpropagate(child, 0.0)
-    assert tree.q_value(child) == 0.5
+    assert tree.node(child).value == 0.5
 
 
 def test_reward_range_enforced():
@@ -125,20 +124,20 @@ def test_reward_range_enforced():
         tree.backpropagate(tree.root, -0.1)
 
 
-def test_q_value_average():
+def test_value_average():
     tree = SearchTree(b"root")
     for r in (1.0, 1.0, 1.0, 0.0):
         tree.backpropagate(tree.root, r)
-    assert tree.q_value(tree.root) == 0.75
+    assert tree.node(tree.root).value == 0.75
 
 
-def test_q_value_max_mode_takes_best_child():
+def test_value_max_mode_takes_best_child():
     tree = SearchTree(b"root", ValueMode.MAX, root_actions=[0, 1])
     a = tree.add_child(tree.root, 0, b"a")
     b = tree.add_child(tree.root, 1, b"b")
     tree.backpropagate(a, 0.2)
     tree.backpropagate(b, 0.9)
-    assert tree.q_value(tree.root) == 0.9
+    assert tree.node(tree.root).value == 0.9
     assert mean_reward(tree, tree.root) == pytest.approx(0.55)
 
 
@@ -148,18 +147,19 @@ def test_value_mode_is_fixed():
         tree.value_mode = ValueMode.MAX
 
 
-def test_q_value_max_mode_falls_back_to_average_at_frontier():
+def test_value_max_mode_falls_back_to_average_at_frontier():
     tree = SearchTree(b"root", ValueMode.MAX)
     tree.backpropagate(tree.root, 0.4)
     tree.backpropagate(tree.root, 0.8)
-    assert tree.q_value(tree.root) == pytest.approx(0.6)
+    assert tree.node(tree.root).value == pytest.approx(0.6)
 
 
-def test_q_value_requires_visits():
+def test_value_is_zero_until_the_first_visit():
     tree = SearchTree(b"root", root_actions=[0])
     child = tree.add_child(tree.root, 0, b"s1")
-    with pytest.raises(UndefinedValueError):
-        tree.q_value(child)
+    assert (tree.node(child).visits, tree.node(child).value) == (0, 0.0)
+    tree.backpropagate(child, 0.5)
+    assert tree.node(child).value == 0.5
 
 
 def test_best_child_argmax_and_ties():
@@ -224,7 +224,7 @@ def test_max_mode_dominates_average(seed):
     assert tree.check_consistency() == []
     for nid in visited_ids(tree):
         if visited_children(tree, nid):
-            assert tree.q_value(nid) >= mean_reward(tree, nid) - 1e-12
+            assert tree.node(nid).value >= mean_reward(tree, nid) - 1e-12
 
 
 def test_serialization_round_trip():
@@ -235,7 +235,7 @@ def test_serialization_round_trip():
         assert clone.to_text() == text
         assert clone.value_mode is mode
         for nid in visited_ids(tree):
-            assert clone.q_value(nid) == tree.q_value(nid)
+            assert clone.node(nid).value == tree.node(nid).value
 
 
 def test_loaded_desk_tree_shares_equal_state_keys():
@@ -440,8 +440,8 @@ def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
     for _ in range(6):
         # Identical rewards, yet the running average moves by an ulp.
         tree.backpropagate(leaf, 0.1)
-        averages.add(tree.q_value(leaf))
-        assert tree.q_value(tree.root) == tree.q_value(leaf)
+        averages.add(tree.node(leaf).value)
+        assert tree.node(tree.root).value == tree.node(leaf).value
         assert_values_fresh(tree)
     assert len(averages) > 1
     # A first visit at reward 0 leaves the new node's cached value at 0.0,
@@ -450,7 +450,7 @@ def test_refresh_follows_one_ulp_moves_and_first_visits_at_zero():
     tree.backpropagate(other, 0.5)
     below = tree.add_child(other, 0, b"below")
     tree.backpropagate(below, 0.0)
-    assert tree.q_value(other) == 0.0
+    assert tree.node(other).value == 0.0
     assert_values_fresh(tree)
 
 
