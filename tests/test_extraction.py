@@ -390,11 +390,14 @@ def test_diverse_mode_tests_each_candidate_once_and_builds_only_accepted_plans(c
         assert len(counted["materialize_plan"].calls) == len(result)
 
 
-@pytest.mark.parametrize("value", [math.nan, "0.5"], ids=["nan", "str"])
+@pytest.mark.parametrize(
+    "value", [math.nan, "0.5", None, -1, 2.5], ids=["nan", "str", "none", "negative", "above-one"]
+)
 @pytest.mark.parametrize("field", ["k", "q", "d"])
 def test_bad_bounds_are_rejected_with_their_own_message(field, value):
-    """A NaN or a string is refused with the bound's own ValueError, not a
-    TypeError from comparing it."""
+    """A NaN, a string or None is refused with the bound's own ValueError,
+    not a TypeError from comparing it; so is a number out of the bound's
+    range (2.5 is no whole k, and above 1 for q and d)."""
     message = {"k": "k must be a positive integer or inf", "q": "q must lie in", "d": "d must lie in"}[field]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}.*, got {re.escape(repr(value))}$"):
         ExtractionConfig(**{field: value})

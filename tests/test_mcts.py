@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import math
 import re
 
@@ -12,6 +14,7 @@ from conftest import (
     ucb1_reference,
     visited_children,
 )
+import planset.mcts
 from planset.gridworld import DroneState, PlanningSimulator, generate_instance
 from planset.mcts import (
     BanditConfig,
@@ -218,23 +221,52 @@ def test_simulator_protocol_match():
     assert isinstance(TwoArmBandit(), Simulator)
 
 
+def test_search_imports_no_plan_layer():
+    """The search only grows a tree; plan sets come from the finished tree,
+    so the search module imports the tree layer and nothing else of the
+    package."""
+    module = ast.parse(inspect.getsource(planset.mcts))
+    local = {node.module for node in ast.walk(module) if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {
+        alias.name for node in ast.walk(module) if isinstance(node, ast.Import) for alias in node.names
+    } | {node.module for node in ast.walk(module) if isinstance(node, ast.ImportFrom) and not node.level}
+    assert local == {"tree"}
+    assert not {name for name in absolute if name.split(".")[0] == "planset"}
+
+
 NON_INTEGER_SETTINGS = {
     "iterations": lambda: SearchConfig(iterations=2.5),
     "max_rollout_steps": lambda: SearchConfig(max_rollout_steps=2.5),
     "seed": lambda: SearchConfig(seed=1.5),
     "max_steps": lambda: rollout(TwoArmBandit(), "start", np.random.default_rng(0), 2.5),
+    "iterations str": lambda: SearchConfig(iterations="5"),
+    "seed None": lambda: SearchConfig(seed=None),
+    "max_steps None": lambda: rollout(TwoArmBandit(), "start", np.random.default_rng(0), None),
 }
 
 
 @pytest.mark.parametrize("field", list(NON_INTEGER_SETTINGS))
 def test_non_integer_search_settings_are_refused(field):
     """Refused with the field's name, not left for the search to fail on
-    and blame the simulator."""
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+    and blame the simulator.  A row's key is the field, then the kind of
+    value when it is not a float."""
+    name = field.split()[0]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         NON_INTEGER_SETTINGS[field]()
 
 
 OUT_OF_RANGE_SETTINGS = {
+    "iterations": (lambda: SearchConfig(iterations=0), "iterations must be >= 1"),
+    "seed": (lambda: SearchConfig(seed=-1), "seed must be >= 0, got -1"),
+    "exploration_c negative": (
+        lambda: BanditConfig(exploration_c=-0.1), r"exploration_c must be a finite real number >= 0, got -0\.1"
+    ),
+    "exploration_c nan": (
+        lambda: BanditConfig(exploration_c=math.nan), "exploration_c must be a finite real number >= 0, got nan"
+    ),
+    "exploration_c inf": (
+        lambda: BanditConfig(exploration_c=math.inf), "exploration_c must be a finite real number >= 0, got inf"
+    ),
     "max_rollout_steps": (lambda: SearchConfig(max_rollout_steps=0), "max_rollout_steps must be >= 1"),
     "rollout max_steps": (lambda: rollout(TwoArmBandit(), "start", np.random.default_rng(0), 0), "max_steps must be >= 1"),
 }
@@ -252,6 +284,12 @@ MISTYPED_SETTINGS = {
     "exploration_c": (lambda: BanditConfig(exploration_c="0.7"), "exploration_c must be a finite real number >= 0, got '0.7'"),
     "value_mode": (lambda: SearchConfig(value_mode="max"), "value_mode must be a ValueMode, got 'max'"),
     "tree value_mode": (lambda: SearchTree(value_mode="max"), "value_mode must be a ValueMode, got 'max'"),
+    "policy None": (lambda: BanditConfig(policy=None), "policy must be a Policy, got None"),
+    "exploration_c None": (
+        lambda: BanditConfig(exploration_c=None), "exploration_c must be a finite real number >= 0, got None"
+    ),
+    "value_mode None": (lambda: SearchConfig(value_mode=None), "value_mode must be a ValueMode, got None"),
+    "tree value_mode None": (lambda: SearchTree(value_mode=None), "value_mode must be a ValueMode, got None"),
 }
 
 
