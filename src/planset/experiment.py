@@ -23,7 +23,7 @@ import numpy as np
 
 from .extraction import EmptyTreeError, ExtractionConfig, extract_plans
 from .gridworld import PlanningSimulator, execute_plan, generate_instance, shortest_unobstructed_path
-from .mcts import BanditConfig, SearchConfig, require_integers, run_search
+from .mcts import BanditConfig, SearchConfig, require_integers, require_real, run_search
 from .metrics import PlanSet, materialize_plan
 from .tree import SearchTree, ValueMode
 
@@ -109,8 +109,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         integers = ("replications_per_level", "width", "height", "workers", "detection_radius", "master_seed")
+        if not isinstance(self.risk_levels, (tuple, list)):
+            raise ConfigError(f"risk_levels must be a tuple of real numbers, got {self.risk_levels!r}")
         try:
             require_integers(self, *integers)
+            for risk in self.risk_levels:
+                require_real("risk level", risk)
+            require_real("rollout_greedy_p", self.rollout_greedy_p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.risk_levels or self.replications_per_level < 1:
@@ -303,7 +308,7 @@ def run_experiment(
         if config.workers == 1:
             consume(map(work, range(config.instances)))
         else:
-            with multiprocessing.Pool(config.workers) as pool:
+            with multiprocessing.Pool(min(config.workers, config.instances)) as pool:
                 consume(pool.imap(work, range(config.instances)))
     finally:
         if sink:

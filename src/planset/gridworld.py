@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mcts import require_integer, require_integers
+from .mcts import require_integer, require_integers, require_real
 
 # Action alphabet, fixed order: indices are ActionIds everywhere.
 MOVES: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
@@ -56,6 +56,7 @@ class GridWorld:
         require_integers(self, "width", "height", "detection_radius")
         if self.detection_radius < 0:
             raise ValueError(f"detection_radius must be >= 0, got {self.detection_radius}")
+        require_real("risk", self.risk)
         if not 0.0 <= self.risk <= 1.0:  # NaN fails both comparisons
             raise ValueError(f"risk {self.risk} outside [0, 1]")
         cells = [("start", self.start), ("goal", self.goal), *(("enemy", e) for e in self.enemies)]
@@ -103,6 +104,7 @@ def generate_instance(
     require_integer("height", height)
     if width < 2 or height < 2:
         raise InvalidGeometryError(f"grid {width}x{height} cannot host start and goal")
+    require_real("risk", risk)
     if not 0.0 <= risk <= 1.0:
         raise ValueError(f"risk {risk} outside [0, 1]")
     rng = np.random.default_rng(rng)
@@ -133,6 +135,7 @@ class PlanningSimulator:
     """
 
     def __init__(self, world: GridWorld, rollout_greedy_p: float = 1.0):
+        require_real("rollout_greedy_p", rollout_greedy_p)
         if not 0.0 <= rollout_greedy_p <= 1.0:
             raise ValueError(f"rollout_greedy_p must lie in [0, 1], got {rollout_greedy_p}")
         self.world = world

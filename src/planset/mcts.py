@@ -4,15 +4,22 @@ One search iteration selects a path through the tree with the UCB1 bandit
 rule, expands one untried action, plays the domain's default policy out from
 the new state, and backpropagates the accumulated reward.  The simulator is
 any object satisfying :class:`Simulator`: deterministic transitions, stable
-action ordering, rewards that sum into [0, 1].
+action ordering, rewards that sum into [0, 1], equal states interchangeable.
 
 Expanded nodes keep their state and reward from the root, so an iteration
 costs one ``step`` per expansion plus its rollout's steps, and none to
-revisit a terminal node.  A revisit draws nothing, and the same descent
-often follows it many times in a row (60 on average on desk trees).  After
-a revisit the search counts the next descents that provably repeat it and
-applies their playouts in one batch, so such a run costs about one descent,
-and the tree is the one a descent per iteration grows.
+revisit a terminal node.  A rollout that draws nothing from the generator
+returns a function of its start state, so while no rollout has drawn the
+search keeps each state's return and reuses it when an expansion reaches an
+equal state again (many paths reach one grid cell at one step count); such
+an expansion costs one ``step``.  The first rollout that draws, or a state
+that cannot be hashed, turns the reuse off for the rest of the search.
+
+A terminal revisit draws nothing, and the same descent often follows it
+many times in a row (60 on average on desk trees).  After a revisit the
+search counts the next descents that provably repeat it and applies their
+playouts in one batch, so such a run costs about one descent.  Either way
+the tree is the one a descent and a rollout per iteration grow.
 
 Randomness is reproducible by construction: each search builds one
 ``numpy.random.Generator`` from its seed, draws every expansion from it and
@@ -44,7 +51,9 @@ class Simulator(Protocol):
 
     Transitions must be deterministic (same state and action, same
     successor) and ``legal_actions`` must return the same ordering for a
-    given state.  An empty action list marks a terminal state.  The search
+    given state.  States that compare equal must be interchangeable: the
+    search reuses the return of a rollout that drew nothing for any equal
+    hashable state.  An empty action list marks a terminal state.  The search
     keeps every expanded node's state and steps each edge once, so ``step``
     must leave its ``state`` argument unmodified.  Domains may
     additionally expose ``default_action(state, rng)`` to drive rollouts,
@@ -73,6 +82,12 @@ def require_integer(name: str, value: Any) -> None:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_real(name: str, value: Any) -> None:
+    """Refuse a value that is not a real number (a bool or numpy float is one)."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def require_integers(config: Any, *names: str) -> None:
@@ -174,6 +189,11 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     # summed from the root along the same additions a replay would make.
     states = [root_state]
     prefix = [0.0]
+    # Rollout returns by start state, kept while no rollout has drawn: such a
+    # return is a function of the state alone, and reusing it leaves the
+    # generator where the rollout would.  None once a rollout draws or a
+    # state cannot be hashed.
+    returns: dict[Any, float] | None = {}
 
     iteration = 0
     while iteration < config.iterations:
@@ -211,7 +231,21 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
             states.append(state)
             prefix.append(acc)
             if not done:
-                acc += rollout(sim, state, rng, config.max_rollout_steps)
+                value = None
+                if returns is not None:
+                    try:
+                        value = returns.get(state)
+                    except TypeError:  # an unhashable state: roll out every time
+                        returns = None
+                if value is None:
+                    before = None if returns is None else rng.bit_generator.state
+                    value = rollout(sim, state, rng, config.max_rollout_steps)
+                    if returns is not None:
+                        if rng.bit_generator.state == before:
+                            returns[state] = value
+                        else:  # the rollouts draw: roll out every time
+                            returns = None
+                acc += value
 
         reward = min(max(acc, 0.0), 1.0)
         tree.backpropagate(node_id, reward)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import math
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -323,8 +325,12 @@ def test_config_explicit_risk_list():
         ({"profile": "bogus"}, r"unknown profile 'bogus' \(choose from \['desk', 'paper'\]\)"),
         ({"speed": "11"}, "unknown key 'speed'"),
         ({"width": "abc"}, "bad config value: invalid literal for int"),
+        ({"risk_levels": "0.1, x"}, "bad config value: could not convert string to float: 'x'"),
+        ({"risk_levels": "0.1, nan"}, r"risk levels must lie in \[0, 1\], got \(0.1, nan\)"),
+        ({"rollout_greedy_p": "x"}, "bad config value: could not convert string to float: 'x'"),
+        ({"rollout_greedy_p": "nan"}, r"rollout_greedy_p must lie in \[0, 1\], got nan"),
     ],
-    ids=["profile", "key", "cast"],
+    ids=["profile", "key", "cast", "risk token", "risk nan", "greedy_p token", "greedy_p nan"],
 )
 def test_config_from_mapping_refusals(values, message):
     with pytest.raises(ConfigError, match=message):
@@ -494,6 +500,41 @@ def test_non_integer_fields_are_refused_before_any_output(tmp_path, field, value
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         run_experiment(micro_config(None, output_path=str(out), **{field: value}))
     assert not out.exists()
+
+
+NON_REAL_SETTINGS = {
+    "risk level string": ({"risk_levels": (0.1, "x")}, "risk level must be a real number, got 'x'"),
+    "risk level None": ({"risk_levels": (None,)}, "risk level must be a real number, got None"),
+    "risk_levels a number": ({"risk_levels": 0.5}, "risk_levels must be a tuple of real numbers, got 0.5"),
+    "risk_levels a string": ({"risk_levels": "0.5"}, "risk_levels must be a tuple of real numbers, got '0.5'"),
+    "greedy_p string": ({"rollout_greedy_p": "x"}, "rollout_greedy_p must be a real number, got 'x'"),
+    "greedy_p None": ({"rollout_greedy_p": None}, "rollout_greedy_p must be a real number, got None"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_REAL_SETTINGS))
+def test_non_real_risk_and_greedy_p_are_refused(case):
+    """Each escaped as a bare ``TypeError`` from a comparison or a loop."""
+    overrides, message = NON_REAL_SETTINGS[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        desk_profile(**overrides)
+
+
+def test_worker_pool_is_capped_at_the_instance_count(monkeypatch):
+    """Three workers for two instances fork two, with the same records."""
+    sizes = []
+    real_pool = multiprocessing.Pool
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    config = micro_config(risk_levels=(0.1,))
+    untimed = lambda records: [replace(r, tree_build_seconds=0.0, extraction_seconds=0.0) for r in records]
+    fanned = run_experiment(replace(config, workers=3))
+    assert sizes == [2]
+    assert untimed(fanned) == untimed(run_experiment(config))
 
 
 @pytest.mark.parametrize(

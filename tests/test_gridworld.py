@@ -142,6 +142,16 @@ OUT_OF_RANGE_SETTINGS = {
     "greedy_p above 1": (lambda: open_sim(rollout_greedy_p=1.7), r"rollout_greedy_p must lie in \[0, 1\], got 1.7"),
     "greedy_p below 0": (lambda: open_sim(rollout_greedy_p=-0.1), r"rollout_greedy_p must lie in \[0, 1\], got -0.1"),
     "greedy_p nan": (lambda: open_sim(rollout_greedy_p=math.nan), r"rollout_greedy_p must lie in \[0, 1\], got nan"),
+    # A risk or greedy_p that is no number escaped as a bare TypeError.
+    "risk string": (
+        lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), "0.1"), "risk must be a real number, got '0.1'"
+    ),
+    "risk None": (lambda: GridWorld(5, 3, (0, 1), (4, 1), frozenset(), None), "risk must be a real number, got None"),
+    "risk string via generate_instance": (
+        lambda: generate_instance(4, 4, "0.1", 0), "risk must be a real number, got '0.1'"
+    ),
+    "greedy_p None": (lambda: open_sim(rollout_greedy_p=None), "rollout_greedy_p must be a real number, got None"),
+    "greedy_p string": (lambda: open_sim(rollout_greedy_p="1"), "rollout_greedy_p must be a real number, got '1'"),
 }
 
 

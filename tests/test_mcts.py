@@ -409,9 +409,47 @@ class EqualArms:
         return bytes(state)
 
 
+class ListStateGrid:
+    """A grid whose states are lists, which cannot be hashed: its greedy
+    rollouts draw nothing, yet every one of them must run."""
+
+    def __init__(self, world):
+        self.sim = PlanningSimulator(world)
+
+    def initial_state(self):
+        return list(self.sim.initial_state())
+
+    def legal_actions(self, state):
+        return self.sim.legal_actions(DroneState(*state))
+
+    def step(self, state, action):
+        nxt, reward, done = self.sim.step(DroneState(*state), action)
+        return list(nxt), reward, done
+
+    def state_key(self, state):
+        return self.sim.state_key(DroneState(*state))
+
+    def default_action(self, state, rng):
+        return self.sim.default_action(DroneState(*state), rng)
+
+
+class TopRowDrawingGrid(PlanningSimulator):
+    """A grid whose rollouts draw only on the top row: the search reuses
+    returns until its first rollout that passes there (at c = 0.7 after
+    about 80 rollouts of 1,500 iterations), and none after it."""
+
+    def default_action(self, state, rng):
+        if state.position[1] == 0:
+            legal = self.legal_actions(state)
+            return legal[int(rng.integers(len(legal)))]
+        return super().default_action(state, rng)
+
+
 ORACLE_DOMAINS = {
     "grid-greedy-1.0": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1)),
     "grid-greedy-0.8": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1), rollout_greedy_p=0.8),
+    "grid-list-states": lambda: ListStateGrid(generate_instance(12, 12, 0.2, 1)),
+    "grid-draws-on-top-row": lambda: TopRowDrawingGrid(generate_instance(12, 12, 0.2, 1)),
     "dense": DenseChain,
     "bandit": TwoArmBandit,
     "equal-arms": EqualArms,
@@ -422,9 +460,10 @@ ORACLE_DOMAINS = {
 @pytest.mark.parametrize("c", [0.0, 0.02, 0.7])
 @pytest.mark.parametrize("domain", list(ORACLE_DOMAINS))
 def test_search_matches_the_reference_search(domain, c, mode):
-    """Skipping the descents that repeat a terminal revisit grows the tree
-    one full descent per iteration grows, for short searches (the skip
-    capped at the iterations left) and long ones alike."""
+    """Skipping the descents that repeat a terminal revisit, and the
+    rollouts that repeat one that drew nothing, grows the tree one full
+    descent and one rollout per iteration grow, for short searches (the
+    skip capped at the iterations left) and long ones alike."""
     sim = ORACLE_DOMAINS[domain]()
     for iterations in (1, 2, 3, 50, 1500):
         bandit = BanditConfig(exploration_c=c)
@@ -465,6 +504,47 @@ def test_repeated_terminal_revisits_are_skipped(monkeypatch):
     # Each descent's backpropagate is one walk; the other walks are batches.
     assert calls == {"descents": 515, "walks": 515 + 24}
     assert calls["walks"] < 1500 // 2
+
+
+def count_rollouts(monkeypatch) -> list[int]:
+    """Count the rollouts the search runs (one-element list)."""
+    calls = [0]
+
+    def counted_rollout(*args):
+        calls[0] += 1
+        return rollout(*args)
+
+    monkeypatch.setattr("planset.mcts.rollout", counted_rollout)
+    return calls
+
+
+def non_terminal_expansions(tree: SearchTree) -> int:
+    return sum(not rec.terminal for rec in tree.nodes[1:])
+
+
+def test_rollouts_from_a_repeated_state_are_reused(monkeypatch):
+    """Greedy rollouts draw nothing, so a return is a function of its start
+    state: on the pinned geometry each of the 475 non-terminal expansions
+    reaches one of 132 states, and one rollout per state runs.  The counts
+    are pinned."""
+    calls = count_rollouts(monkeypatch)
+    tree = golden_search(0, 0.02, ValueMode.MAX, Policy.UCB1, 1.0)
+    assert (calls[0], non_terminal_expansions(tree)) == (132, 475)
+
+
+@pytest.mark.parametrize(
+    "sim",
+    [
+        PlanningSimulator(generate_instance(12, 12, 0.2, 0), rollout_greedy_p=0.8),
+        ListStateGrid(generate_instance(12, 12, 0.2, 0)),
+    ],
+    ids=["greedy-0.8", "list-states"],
+)
+def test_no_return_is_reused_from_rollouts_that_draw_or_unhashable_states(monkeypatch, sim):
+    calls = count_rollouts(monkeypatch)
+    bandit = BanditConfig(exploration_c=0.02)
+    tree = run_search(sim, SearchConfig(iterations=1500, max_rollout_steps=60, value_mode=ValueMode.MAX, bandit=bandit))
+    assert calls[0] == non_terminal_expansions(tree) > 400
 
 
 class CountingSim:
