@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import numbers
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -120,6 +121,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not self.risk_levels or self.replications_per_level < 1:
             raise ConfigError("need at least one risk level and one replication")
+        if not isinstance(self.planners, (tuple, list)):
+            raise ConfigError(f"planners must be a tuple of PlannerSpecs, got {self.planners!r}")
+        for spec in self.planners:
+            if not isinstance(spec, PlannerSpec):
+                raise ConfigError(f"planner must be a PlannerSpec, got {spec!r}")
+        if not isinstance(self.search, SearchConfig):
+            raise ConfigError(f"search must be a SearchConfig, got {self.search!r}")
         kinds = [spec.kind for spec in self.planners]
         if not kinds:
             raise ConfigError("need at least one planner")
@@ -208,8 +216,8 @@ class ResultRecord:
 def run_random_baseline(tree: SearchTree, k: float, rng: np.random.Generator) -> PlanSet:
     """k root-to-leaf paths drawn uniformly over the visited tree's leaves,
     without replacement while enough leaves exist (every leaf at k=inf)."""
-    if k != math.inf and not (k >= 0 and int(k) == k):  # NaN fails k >= 0
-        raise ValueError(f"k must be 0, a positive integer or inf, got {k}")
+    if not isinstance(k, numbers.Real) or (k != math.inf and not (k >= 0 and int(k) == k)):  # NaN fails k >= 0
+        raise ValueError(f"k must be 0, a positive integer or inf, got {k!r}")
     if tree.node(tree.root).visits == 0:
         raise EmptyTreeError("root has never been visited")
     if k == 0:

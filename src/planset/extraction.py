@@ -26,6 +26,21 @@ deleted and the candidate appended.  The candidate was tested against every
 incumbent, and deleting a plan can only raise the distances of the plans
 after it, so the swap keeps the contract with no further check.
 
+The diverse filter also refuses whole stems.  A plan below a stem S adds at
+most h keys to S's, h the height of S's visited subtree, so its distance to
+an incumbent B is at most ``(|keys(S) - B| + h) / (|keys(S)| + h)``.  When
+that bound falls below d, every plan below S fails against B, as long as B
+is still held when they are tested.  A tie swap evicts only a plan tied
+with the set's lowest quality, so B counts if its quality exceeds S's by
+more than ``QUALITY_TOL`` (every later entrant is no better than S) and,
+once k plans are held, B is not tied with the lowest of them.  Such a stem
+is popped and dropped, with every plan below it: the set comes out as the
+unpruned filter's, and ``PlanSet.pops`` counts each dropped stem as one pop.
+A stem with ``(depth + 1) * d <= 1`` is never refused (the bound is at least
+``1 / (depth + 1)``), so it skips the test.  Once k plans are held, the
+first stem below the lowest of them ends the extraction, complete or not,
+so no extraction pops more than the unpruned filter does.
+
 :func:`brute_force_enumerate` walks every root-to-leaf path instead.  It is
 the oracle the tests check the queue against, and no public name.
 """
@@ -37,7 +52,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .metrics import (
     Plan,
@@ -88,16 +103,47 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     k, q, d = config.k, config.q, config.d
     if tree.nodes[tree.root].visits == 0:
         raise EmptyTreeError("root has never been visited")
-    stream = _best_first(tree, q - QUALITY_TOL)
     if not d:
         plans = []
+        stream = _best_first(tree, q - QUALITY_TOL)
         for last, logq, pops in islice(stream, None if k == math.inf else int(k)):
             plans.append(materialize_plan(tree, last, logq))
         return PlanSet(plans=plans, pops=pops)
 
     accepted: list[Plan] = []
     margins: list[float] = []  # each plan's distance to the set it joined
-    for last, logq, pops in stream:
+    heights: list[int] = []  # per node, its visited subtree's height; built on first need
+
+    def refused(last: int, logq: float, depth: int) -> bool | None:
+        if not accepted:
+            return False
+        quality = math.exp(logq)
+        q_min = accepted[-1].relative_quality if len(accepted) >= k else -math.inf
+        if quality < q_min - QUALITY_TOL:
+            return None  # below a full set: so is every later stem
+        # Whether an incumbent no tie swap can evict is within d of every
+        # plan below the stem (the module docstring's bound).
+        if (depth + 1) * d <= 1.0 or accepted[0].relative_quality - quality <= QUALITY_TOL:
+            return False
+        if not heights:
+            heights.extend(_visited_heights(tree))
+        h = heights[last]
+        # A complete plan gets its own test; and since |keys(S)| <= depth, the
+        # bound is at least h / (depth + h) for every incumbent.
+        if not h or h / (depth + h) >= d:
+            return False
+        keys = stem_keys(tree, last)
+        size = len(keys) + h
+        # Incumbents are in non-increasing quality order, so the ones a swap
+        # can never evict are a prefix.
+        for plan in accepted:
+            if plan.relative_quality - quality <= QUALITY_TOL or plan.relative_quality - q_min <= QUALITY_TOL:
+                break
+            if (len(keys - plan.state_keys) + h) / size < d:
+                return True
+        return False
+
+    for last, logq, pops in _best_first(tree, q - QUALITY_TOL, refused):
         full = len(accepted) >= k
         if full and math.exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
             break
@@ -120,29 +166,57 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     return PlanSet(plans=accepted, pops=pops)
 
 
-def _best_first(tree: SearchTree, floor: float) -> Iterator[tuple[int, float, int]]:
+def _best_first(
+    tree: SearchTree, floor: float, refused: Callable[[int, float, int], bool | None] | None = None
+) -> Iterator[tuple[int, float, int]]:
     """Every complete plan whose quality reaches ``floor``, best first, as
-    (last node, log quality, pops so far)."""
-    # Heap entries: (-log quality, insertion seq, last node of the stem).  The
-    # seq pops ties FIFO, which fixes who wins exact ties and the pop count.
-    heap: list[tuple[float, int, int]] = [(-0.0, 0, tree.root)]
+    (last node, log quality, pops so far).  ``refused(last node, log
+    quality, depth)`` is asked about each popped stem that has children:
+    True drops it, with every plan below it; None makes it the stream's last
+    item, since no later stem holds a plan the caller takes."""
+    # Heap entries: (-log quality, insertion seq, last node of the stem, its
+    # depth).  The seq pops ties FIFO, which fixes who wins exact ties and
+    # the pop count.
+    heap: list[tuple[float, int, int, int]] = [(-0.0, 0, tree.root, 0)]
     seq = 1
     pops = 0
     exp = math.exp
     heappush, heappop = heapq.heappush, heapq.heappop
+    nodes = tree.nodes
     while heap:
-        neg_logq, _, last = heappop(heap)
+        neg_logq, _, last, depth = heappop(heap)
         logq = -neg_logq
         pops += 1
+        if refused is not None and nodes[last].children:
+            verdict = refused(last, logq, depth)
+            if verdict is None:
+                yield last, logq, pops
+                return
+            if verdict:
+                continue
         expanded = False
+        depth += 1
         for cid, ratio in child_log_ratios(tree, last).items():
             child_logq = logq + ratio
             if exp(child_logq) >= floor:
-                heappush(heap, (-child_logq, seq, cid))
+                heappush(heap, (-child_logq, seq, cid, depth))
                 seq += 1
                 expanded = True
         if not expanded:
             yield last, logq, pops
+
+
+def _visited_heights(tree: SearchTree) -> list[int]:
+    """Per node id, the most edges from the node down to a visited
+    descendant (0 without a visited child)."""
+    nodes = tree.nodes
+    heights = [0] * len(nodes)
+    # A child's id is above its parent's, so each node is done before its parent.
+    for nid in range(len(nodes) - 1, 0, -1):
+        rec = nodes[nid]
+        if rec.visits and heights[nid] >= heights[rec.parent]:
+            heights[rec.parent] = heights[nid] + 1
+    return heights
 
 
 def brute_force_enumerate(tree: SearchTree) -> list[tuple[Plan, float]]:

@@ -15,6 +15,7 @@ strictly more valuable, even though path length is never costed explicitly.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -141,24 +142,7 @@ class PlanningSimulator:
         self.world = world
         self.rollout_greedy_p = rollout_greedy_p
         self.horizon = 4 * (world.width + world.height)
-        w, h = world.width, world.height
-        gx, gy = world.goal
-        self._legal: dict[Cell, tuple[int, ...]] = {}
-        self._moves: dict[Cell, dict[int, Cell]] = {}  # each legal move's successor cell
-        self._keys: dict[Cell, bytes] = {}
-        self._greedy: dict[Cell, int] = {}  # default_action's greedy move per cell
-        for y in range(h):
-            for x in range(w):
-                cell = (x, y)
-                legal = tuple(
-                    a for a, (dx, dy) in enumerate(MOVES) if 0 <= x + dx < w and 0 <= y + dy < h
-                )
-                self._legal[cell] = legal
-                self._moves[cell] = {a: (x + MOVES[a][0], y + MOVES[a][1]) for a in legal}
-                self._keys[cell] = f"{x},{y}".encode()
-                self._greedy[cell] = min(
-                    legal, key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy)
-                )
+        self._legal, self._moves, self._keys, self._greedy = _cell_tables(world.width, world.height, world.goal)
 
     def initial_state(self) -> DroneState:
         return DroneState(self.world.start, 0, False)
@@ -198,6 +182,28 @@ class PlanningSimulator:
             return self._greedy[state.position]
         legal = self._legal[state.position]
         return legal[int(rng.integers(len(legal)))]
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_tables(width: int, height: int, goal: Cell) -> tuple[dict, dict, dict, dict]:
+    """Per cell of a ``width`` x ``height`` grid: its legal moves, each legal
+    move's successor cell, its state key, and the greedy move toward
+    ``goal``.  Built once per geometry and shared, read-only, by every
+    simulator of it (a sweep's instances differ in their enemies alone)."""
+    gx, gy = goal
+    legal: dict[Cell, tuple[int, ...]] = {}
+    moves: dict[Cell, dict[int, Cell]] = {}
+    keys: dict[Cell, bytes] = {}
+    greedy: dict[Cell, int] = {}  # ties to the lowest action index
+    for y in range(height):
+        for x in range(width):
+            cell = (x, y)
+            acts = tuple(a for a, (dx, dy) in enumerate(MOVES) if 0 <= x + dx < width and 0 <= y + dy < height)
+            legal[cell] = acts
+            moves[cell] = {a: (x + MOVES[a][0], y + MOVES[a][1]) for a in acts}
+            keys[cell] = f"{x},{y}".encode()
+            greedy[cell] = min(acts, key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy))
+    return legal, moves, keys, greedy
 
 
 def execute_plan(world: GridWorld, actions: Sequence[int]) -> ExecutionOutcome:

@@ -12,8 +12,10 @@ revisit a terminal node.  A rollout that draws nothing from the generator
 returns a function of its start state, so while no rollout has drawn the
 search keeps each state's return and reuses it when an expansion reaches an
 equal state again (many paths reach one grid cell at one step count); such
-an expansion costs one ``step``.  The first rollout that draws, or a state
-that cannot be hashed, turns the reuse off for the rest of the search.
+an expansion costs one ``step``.  A rollout that draws nothing and ends at a
+terminal state leaves a return for every state it passed, too: the rest of
+its path is that state's own rollout.  The first rollout that draws, or a
+state that cannot be hashed, turns the reuse off for the rest of the search.
 
 A terminal revisit draws nothing, and the same descent often follows it
 many times in a row (60 on average on desk trees).  After a revisit the
@@ -35,6 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -53,7 +56,9 @@ class Simulator(Protocol):
     successor) and ``legal_actions`` must return the same ordering for a
     given state.  States that compare equal must be interchangeable: the
     search reuses the return of a rollout that drew nothing for any equal
-    hashable state.  An empty action list marks a terminal state.  The search
+    hashable state, and when such a rollout ends at a terminal state, the
+    return it leaves for every state it passed.  An empty action list marks
+    a terminal state.  The search
     keeps every expanded node's state and steps each edge once, so ``step``
     must leave its ``state`` argument unmodified.  Domains may
     additionally expose ``default_action(state, rng)`` to drive rollouts,
@@ -127,6 +132,8 @@ class SearchConfig:
     def __post_init__(self):
         if not isinstance(self.value_mode, ValueMode):
             raise ValueError(f"value_mode must be a ValueMode, got {self.value_mode!r}")
+        if not isinstance(self.bandit, BanditConfig):
+            raise ValueError(f"bandit must be a BanditConfig, got {self.bandit!r}")
         require_integers(self, "iterations", "max_rollout_steps", "seed")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -136,11 +143,17 @@ class SearchConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def rollout(sim: Simulator, state: Any, rng: np.random.Generator, max_steps: int) -> float:
+def rollout(
+    sim: Simulator, state: Any, rng: np.random.Generator, max_steps: int, trail: list | None = None
+) -> float:
     """Reward accumulated by the default policy from ``state`` onward.
 
     Stops at a terminal state or after ``max_steps`` steps; an already
-    terminal state adds nothing.  The result is clamped into [0, 1].
+    terminal state adds nothing.  The result is clamped into [0, 1].  A
+    ``trail`` list receives each (state, reward) the rollout steps to, in
+    order, and is emptied if the rollout stops at ``max_steps``: only a
+    rollout that ends at a terminal state is, from each state it passed,
+    that state's own rollout.
     """
     require_integer("max_steps", max_steps)
     if max_steps < 1:
@@ -157,8 +170,23 @@ def rollout(sim: Simulator, state: Any, rng: np.random.Generator, max_steps: int
             action = actions[int(rng.integers(len(actions)))]
         state, reward, done = sim.step(state, action)
         total += reward
+        if trail is not None:
+            trail.append((state, reward))
         if done:
             break
+    else:
+        if trail is not None:
+            trail.clear()
+    return min(max(total, 0.0), 1.0)
+
+
+def _tail_return(trail: list, start: int) -> float:
+    """The return ``rollout`` gives from the state before ``trail[start]``,
+    on a trail that ended at a terminal state: the same rewards added in the
+    same order from 0.0, so the same float."""
+    total = 0.0
+    for _, reward in islice(trail, start, None):
+        total += reward
     return min(max(total, 0.0), 1.0)
 
 
@@ -191,9 +219,11 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     prefix = [0.0]
     # Rollout returns by start state, kept while no rollout has drawn: such a
     # return is a function of the state alone, and reusing it leaves the
-    # generator where the rollout would.  None once a rollout draws or a
-    # state cannot be hashed.
-    returns: dict[Any, float] | None = {}
+    # generator where the rollout would.  A rollout that also ended at a
+    # terminal state keeps, for each later state on its path, (trail, index
+    # of the first reward after it), summed on first reuse.  None once a
+    # rollout draws or a state cannot be hashed.
+    returns: dict[Any, float | tuple[list, int]] | None = {}
 
     iteration = 0
     while iteration < config.iterations:
@@ -238,13 +268,25 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
                     except TypeError:  # an unhashable state: roll out every time
                         returns = None
                 if value is None:
-                    before = None if returns is None else rng.bit_generator.state
-                    value = rollout(sim, state, rng, config.max_rollout_steps)
-                    if returns is not None:
-                        if rng.bit_generator.state == before:
-                            returns[state] = value
-                        else:  # the rollouts draw: roll out every time
+                    if returns is None:
+                        value = rollout(sim, state, rng, config.max_rollout_steps)
+                    else:
+                        before = rng.bit_generator.state
+                        trail: list = []
+                        value = rollout(sim, state, rng, config.max_rollout_steps, trail)
+                        if rng.bit_generator.state != before:  # the rollouts draw: roll out every time
                             returns = None
+                        else:
+                            returns[state] = value
+                            # The rest of a kept trail is the rollout of each
+                            # state it passed before its terminal one.
+                            try:
+                                for i, (passed, _) in enumerate(trail[:-1], 1):
+                                    returns.setdefault(passed, (trail, i))
+                            except TypeError:  # an unhashable state
+                                returns = None
+                elif value.__class__ is tuple:
+                    value = returns[state] = _tail_return(*value)
                 acc += value
 
         reward = min(max(acc, 0.0), 1.0)
@@ -288,9 +330,11 @@ def _repeat_count(tree, leaf, reward, c, cap) -> int:
         levels.append((parent.visits, nodes[nid].visits, rivals))
         nid = nodes[nid].parent
 
+    floors = tree._value_floors(path, reward)
+
     def repeats(t: int) -> bool:
         x = t - 1  # playouts added before the t-th descent
-        for value, (n_parent, n, rivals) in zip(tree._value_floors(path, reward, x), levels):
+        for value, (n_parent, n, rivals) in zip(floors(x), levels):
             two_log_n = 2.0 * math.log(n_parent + x)
             score = value + c * math.sqrt(two_log_n / (n + x))
             floor = score - _SLACK * (1.0 + score)

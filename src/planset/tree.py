@@ -11,10 +11,13 @@ Only this module reads the mode; readers take :attr:`NodeRecord.value`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 class InvalidNodeError(IndexError):
@@ -108,22 +111,16 @@ class SearchTree:
         edge twice raises :class:`DuplicateEdgeError`.
         """
         rec = self.node(parent)
-        if action not in rec.untried_actions:
+        untried = rec.untried_actions
+        try:
+            del untried[untried.index(action)]
+        except ValueError:
             for cid in rec.children:
                 if self.nodes[cid].action == action:
-                    raise DuplicateEdgeError(f"action {action} already expanded at node {parent}")
-            raise ValueError(f"action {action} is not available at node {parent}")
-        rec.untried_actions.remove(action)
+                    raise DuplicateEdgeError(f"action {action} already expanded at node {parent}") from None
+            raise ValueError(f"action {action} is not available at node {parent}") from None
         child_id = len(self.nodes)
-        self.nodes.append(
-            NodeRecord(
-                parent=parent,
-                action=action,
-                state_key=state_key,
-                terminal=terminal,
-                untried_actions=[] if terminal else list(untried_actions),
-            )
-        )
+        self.nodes.append(NodeRecord(parent, action, state_key, terminal, [], [] if terminal else list(untried_actions)))
         rec.children.append(child_id)
         return child_id
 
@@ -137,8 +134,9 @@ class SearchTree:
         the sums are bit-identical; each value is refreshed once."""
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward {reward!r} outside [0, 1]")
-        self.node(leaf)
         nodes = self.nodes
+        if not 0 <= leaf < len(nodes):
+            self.node(leaf)  # raises InvalidNodeError; a negative id must not index from the end
         average = self._value_mode is ValueMode.AVERAGE
         refresh = not average
         nid: Optional[int] = leaf
@@ -147,11 +145,8 @@ class SearchTree:
             rec.visits += times
             if times == 1:
                 rec.total_reward += reward
-            else:
-                total = rec.total_reward
-                for _ in range(times):
-                    total += reward
-                rec.total_reward = total
+            else:  # reduce adds in sequence; sum() compensates float sums on Python 3.12+
+                rec.total_reward = functools.reduce(operator.add, itertools.repeat(reward, times), rec.total_reward)
             if average:
                 rec.value = rec.total_reward / rec.visits
             elif refresh:
@@ -160,21 +155,20 @@ class SearchTree:
                 refresh = self._refresh_max_value(rec) or rec.visits == times
             nid = rec.parent
 
-    def _value_floors(self, path: list[int], reward: float, times: int) -> list[float]:
+    def _value_floors(self, path: list[int], reward: float) -> Callable[[int], list[float]]:
         """The lowest value each node of ``path`` takes over the next
         ``times`` playouts of ``reward`` through a leaf below them whose every
-        playout so far was ``reward``.  An AVERAGE value moves monotonically
-        toward ``reward``, so its floor lies at one end; a MAX value stays
-        put, since the leaf's value, and with it every max above it, stays
-        ``reward``.  Within the rounding of a running sum (<= ~1e-12)."""
+        playout so far was ``reward``, as a function of ``times``.  An AVERAGE
+        value moves monotonically toward ``reward``, so its floor lies at one
+        end; a MAX value stays put, since the leaf's value, and with it every
+        max above it, stays ``reward``, so a MAX tree's floors are read once.
+        Within the rounding of a running sum (<= ~1e-12)."""
         nodes = self.nodes
         if self._value_mode is ValueMode.MAX:
-            return [nodes[nid].value for nid in path]
-        floors = []
-        for nid in path:
-            rec = nodes[nid]
-            floors.append(min(rec.value, (rec.total_reward + times * reward) / (rec.visits + times)))
-        return floors
+            values = [nodes[nid].value for nid in path]
+            return lambda times: values
+        stats = [(nodes[nid].value, nodes[nid].total_reward, nodes[nid].visits) for nid in path]
+        return lambda times: [min(value, (total + times * reward) / (visits + times)) for value, total, visits in stats]
 
     def _refresh_max_value(self, rec: NodeRecord) -> bool:
         """Recompute the MAX-tree value of the visited node ``rec`` from its

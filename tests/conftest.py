@@ -6,9 +6,17 @@ from collections import deque
 
 import numpy as np
 
+from planset.extraction import QUALITY_TOL, ExtractionConfig, _best_first
 from planset.gridworld import MOVES, GridWorld
 from planset.mcts import rollout
-from planset.metrics import Plan, PlanSet, child_log_ratios, min_pairwise_diversity
+from planset.metrics import (
+    Plan,
+    PlanSet,
+    child_log_ratios,
+    materialize_plan,
+    min_pairwise_diversity,
+    stem_keys,
+)
 from planset.tree import SearchTree, UndefinedValueError, ValueMode
 
 
@@ -321,3 +329,34 @@ def reference_search(sim, config) -> SearchTree:
                 acc += rollout(sim, state, rng, config.max_rollout_steps)
         tree.backpropagate(node_id, min(max(acc, 0.0), 1.0))
     return tree
+
+
+# -- reference diverse filter --------------------------------------------------
+#
+# extract_plans' diverse bound with no stem refused: every complete plan the
+# best-first stream yields gets its own test.
+
+
+def reference_diverse(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
+    """The plan set of a diverse bound (d > 0) by testing each candidate
+    plan on its own: the oracle for ``extract_plans``' subtree refusal."""
+    k, d = config.k, config.d
+    accepted: list[Plan] = []
+    margins: list[float] = []
+    for last, logq, pops in _best_first(tree, config.q - QUALITY_TOL):
+        full = len(accepted) >= k
+        if full and math.exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
+            break
+        diversity = min_pairwise_diversity(stem_keys(tree, last), accepted)
+        if diversity < d:
+            continue
+        if full:
+            q_min = accepted[-1].relative_quality
+            tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
+            weakest = min(tied, key=margins.__getitem__)
+            if diversity <= margins[weakest]:
+                continue
+            del accepted[weakest], margins[weakest]
+        accepted.append(materialize_plan(tree, last, logq))
+        margins.append(diversity)
+    return PlanSet(plans=accepted, pops=pops)

@@ -102,12 +102,12 @@ def test_random_baseline_k_zero():
     assert run_random_baseline(tree, 0, rng).plans == []
 
 
-@pytest.mark.parametrize("k", [2.5, -1, math.nan, -math.inf])
+@pytest.mark.parametrize("k", [2.5, -1, math.nan, -math.inf, "5"])
 def test_random_baseline_refuses_a_k_that_is_not_a_count(k):
     # A draw count is a whole number: 2.5 must not quietly draw 2 plans, nor
-    # -1 draw none.
+    # -1 draw none, and a string escaped as a TypeError from a comparison.
     tree = random_backprop_tree(np.random.default_rng(1))
-    with pytest.raises(ValueError, match=f"^k must be 0, a positive integer or inf, got {k}$"):
+    with pytest.raises(ValueError, match=f"^k must be 0, a positive integer or inf, got {re.escape(repr(k))}$"):
         run_random_baseline(tree, k, np.random.default_rng(0))
 
 
@@ -509,12 +509,16 @@ NON_REAL_SETTINGS = {
     "risk_levels a string": ({"risk_levels": "0.5"}, "risk_levels must be a tuple of real numbers, got '0.5'"),
     "greedy_p string": ({"rollout_greedy_p": "x"}, "rollout_greedy_p must be a real number, got 'x'"),
     "greedy_p None": ({"rollout_greedy_p": None}, "rollout_greedy_p must be a real number, got None"),
+    "planner a string": ({"planners": ("single",)}, "planner must be a PlannerSpec, got 'single'"),
+    "planners None": ({"planners": None}, "planners must be a tuple of PlannerSpecs, got None"),
+    "search None": ({"search": None}, "search must be a SearchConfig, got None"),
 }
 
 
 @pytest.mark.parametrize("case", list(NON_REAL_SETTINGS))
 def test_non_real_risk_and_greedy_p_are_refused(case):
-    """Each escaped as a bare ``TypeError`` from a comparison or a loop."""
+    """Each escaped as a bare ``TypeError`` from a comparison or a loop,
+    or, for a planner or search of the wrong type, an ``AttributeError``."""
     overrides, message = NON_REAL_SETTINGS[case]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         desk_profile(**overrides)

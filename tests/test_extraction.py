@@ -13,6 +13,7 @@ from conftest import (
     greedy_diverse_filter,
     visited_ids,
     random_backprop_tree,
+    reference_diverse,
     stem_state_keys,
     tree_depth,
     visited_children,
@@ -41,12 +42,14 @@ def two_leaf_tree(q_a=0.9, q_b=0.6):
     return tree, a, b
 
 
-def chain_fan_tree(branches, reward=0.5):
+def chain_fan_tree(branches, reward=0.5, rewards=None):
     """Root fanning into chains; every playout pays `reward`, so every plan
-    ties at quality 1.0 exactly.  `branches` maps action -> list of keys."""
+    ties at quality 1.0 exactly.  `branches` maps action -> list of keys;
+    `rewards` may map an action to its chain's own reward instead."""
     max_len = 0
     tree = SearchTree(b"s0", root_actions=sorted(branches))
     for action, keys in sorted(branches.items()):
+        chain_reward = (rewards or {}).get(action, reward)
         parent = tree.root
         for i, key in enumerate(keys):
             last = i == len(keys) - 1
@@ -57,7 +60,7 @@ def chain_fan_tree(branches, reward=0.5):
                 terminal=last,
                 untried_actions=() if last else [0],
             )
-            tree.backpropagate(parent, reward)
+            tree.backpropagate(parent, chain_reward)
             max_len = max(max_len, i + 1)
     return tree
 
@@ -253,6 +256,27 @@ def test_diverse_swap_appends_so_the_set_stays_in_stream_order():
         assert min_pairwise_diversity(plan, result.plans[:i]) >= 0.5
 
 
+# Chains ab, ac, acg, ad and hi at k = 3, d = 0.5.  The stem a-c of acg is
+# within 1/3 of ac, so every plan below it fails against ac while ac is
+# held.  But hi evicts ac (ac and ad joined at margin 1/2), and acg, which
+# leaves the stream after hi, then evicts ad: the set is ab, hi, acg, and ac
+# may not refuse the stem.  With every plan at quality 1.0, ac ties the stem,
+# which is popped before ad fills the set.  With the near ties below (in
+# units of 1e-13: ac -20, ad -26, acg and hi -32), ac is better than the stem
+# by more than QUALITY_TOL but ties ad, the lowest of the full set.
+SWAPPED_OUT_REFUSER = {0: "ab", 1: "ac", 2: "acg", 3: "ad", 4: "hi"}
+NEAR_TIE_REWARDS = {1: 0.5 * (1 - 20e-13), 2: 0.5 * (1 - 32e-13), 3: 0.5 * (1 - 26e-13), 4: 0.5 * (1 - 32e-13)}
+
+
+@pytest.mark.parametrize("rewards", [None, NEAR_TIE_REWARDS], ids=["tied-with-the-stem", "tied-with-the-lowest"])
+def test_an_incumbent_a_tie_swap_can_evict_refuses_no_stem(rewards):
+    tree = chain_fan_tree(SWAPPED_OUT_REFUSER, rewards=rewards)
+    bounds = ExtractionConfig(k=3, d=0.5)
+    result = extract_plans(tree, bounds)
+    assert ["".join(sorted(k.decode() for k in p.state_keys)) for p in result.plans] == ["ab", "hi", "acg"]
+    assert result.plans == reference_diverse(tree, bounds).plans
+
+
 def test_planset_invariants_hold_after_extraction():
     # The distance is one-way, so the extractor guarantees each acceptance
     # was diverse against the set at its own acceptance time; the reverse
@@ -413,7 +437,9 @@ def test_bad_bounds_are_rejected_with_their_own_message(field, value):
 # ``generate_instance(12, 12, 0.2, seed)``, 1,500 iterations, rollouts of at
 # most 60 steps, UCB1; keyed by (exploration_c, value mode, seed).  The same
 # digests must come out of the tree as searched and out of its
-# ``from_text(to_text())`` reload.
+# ``from_text(to_text())`` reload.  The two diverse columns were re-pinned
+# when the diverse filter began to refuse whole stems: their pop counts fell,
+# and the digests without the pops line stayed as they were.
 
 GOLDEN_BOUNDS = (
     ExtractionConfig(k=1),
@@ -427,18 +453,18 @@ GOLDEN_BOUNDS = (
 )
 
 GOLDEN_PLAN_SETS = {
-    (0.7, ValueMode.AVERAGE, 0): ('3720594b163ae63b', 'daa526dc43d1a560', '6d38204dfb4853c4', 'daa526dc43d1a560', 'a325181a8de95529', '5b3f9ef796712ac7', '9dad1d7db76ab066', 'd3f3d421478f3e4a'),
-    (0.7, ValueMode.AVERAGE, 1): ('b77a80516516ce08', 'daf1dfe89e14842d', 'cf8fb0dd955a1f0a', 'daf1dfe89e14842d', '7faf0472dd549a70', '4d8e30331c3929bf', '1fb6f8abfaa227e1', '7621518592ca2de8'),
-    (0.7, ValueMode.AVERAGE, 2): ('848765f123e04ae7', 'b10f0c140151ce3d', '0950c5b05b458edd', 'b10f0c140151ce3d', '007ac96e0a1b9bea', '933c7d1bc0691658', '1b8dbbdde0cf37a0', '07f29f01c2858a2a'),
-    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '0fa6245e6d52e851', '61db5569bd8aa132', 'f1e246a631520d80'),
-    (0.7, ValueMode.MAX, 1): ('91712854cab38c1d', 'ba2c53a5e32ab595', '532c47be50cdcf79', 'ba2c53a5e32ab595', '1b03c8119d9b0186', 'd57bb3ea3b84d4b1', '3185176631e89309', 'c6b18a08be7a5b3e'),
-    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', 'f4759f8d353c5591', '377be8f37804e22d', '25f946e29cdbc56a'),
-    (0.02, ValueMode.AVERAGE, 0): ('156021d471af6818', 'f331190a9d0683b2', '1eecd6129f076708', 'f331190a9d0683b2', '3016e2614fcf803a', 'a537ac1462d45197', '100566945b8cbf42', '9e6831a58fc4aa95'),
-    (0.02, ValueMode.AVERAGE, 1): ('8af0b382526c5fdf', '37c2bde64262ff99', 'a22acef07b21c66b', '37c2bde64262ff99', '94ebd5d2a961a721', '8e5e17cf00e69950', 'd2ad56c6e838055d', '9b91477c9260c3f1'),
-    (0.02, ValueMode.AVERAGE, 2): ('635c3f1fbd24abee', 'd3068394b0858f7e', 'fdd1776e4c0189a0', 'd3068394b0858f7e', '2b4f698c01d59d47', 'c07d47b71b1f0841', 'fd16fa956ae5b5e6', 'e339c0cd2fa6286e'),
-    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', 'e9ae476c54604a60', 'ef067c4b90ed148d', 'e83599ddd93e232c'),
-    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', 'c41a481963d2ef93', '1b169439e963d358', 'b7991209361247a0'),
-    (0.02, ValueMode.MAX, 2): ('f7594a203c58cf18', '71cf76c3bf8858c3', '4ff380524738151e', '71cf76c3bf8858c3', '2a386d4530b0cac3', 'ca40db2b08200da3', '6a973ac14e173485', 'b4ee1410c71553d7'),
+    (0.7, ValueMode.AVERAGE, 0): ('3720594b163ae63b', 'daa526dc43d1a560', '6d38204dfb4853c4', 'daa526dc43d1a560', 'a325181a8de95529', 'b3b30b73c970fee9', '132b2eef6ccee4c6', 'd3f3d421478f3e4a'),
+    (0.7, ValueMode.AVERAGE, 1): ('b77a80516516ce08', 'daf1dfe89e14842d', 'cf8fb0dd955a1f0a', 'daf1dfe89e14842d', '7faf0472dd549a70', 'a1970a8f9e6db6a0', '906b774ca9fbf147', '7621518592ca2de8'),
+    (0.7, ValueMode.AVERAGE, 2): ('848765f123e04ae7', 'b10f0c140151ce3d', '0950c5b05b458edd', 'b10f0c140151ce3d', '007ac96e0a1b9bea', '4c037fdc3bd167bc', '45cb851c164f5c97', '07f29f01c2858a2a'),
+    (0.7, ValueMode.MAX, 0): ('4fe9826218788cee', '3374123e1bdfda1c', '7b4898b7b2e4101e', '3374123e1bdfda1c', '7daa793dd91c2cc9', '0d2ab8dcdd8c0264', '25a746795e8fd256', 'f1e246a631520d80'),
+    (0.7, ValueMode.MAX, 1): ('91712854cab38c1d', 'ba2c53a5e32ab595', '532c47be50cdcf79', 'ba2c53a5e32ab595', '1b03c8119d9b0186', 'e36a0277698c7752', '4aebc1fb937ead16', 'c6b18a08be7a5b3e'),
+    (0.7, ValueMode.MAX, 2): ('057b4fbd27cf3f65', '16864ec632a54603', 'c294d1d271a872ea', '16864ec632a54603', '7f21dc55c1f080b7', '2b40e41ec438f475', '1a30ad349dbd3851', '25f946e29cdbc56a'),
+    (0.02, ValueMode.AVERAGE, 0): ('156021d471af6818', 'f331190a9d0683b2', '1eecd6129f076708', 'f331190a9d0683b2', '3016e2614fcf803a', '879bcf285887be20', '941c97ccf87106c4', '9e6831a58fc4aa95'),
+    (0.02, ValueMode.AVERAGE, 1): ('8af0b382526c5fdf', '37c2bde64262ff99', 'a22acef07b21c66b', '37c2bde64262ff99', '94ebd5d2a961a721', 'bf6d20c1b7753307', '848ea8f197357641', '9b91477c9260c3f1'),
+    (0.02, ValueMode.AVERAGE, 2): ('635c3f1fbd24abee', 'd3068394b0858f7e', 'fdd1776e4c0189a0', 'd3068394b0858f7e', '2b4f698c01d59d47', '9cc7a6a234e8d450', '7793472be6027e0b', 'e339c0cd2fa6286e'),
+    (0.02, ValueMode.MAX, 0): ('513fec54cc5d28e0', 'bf5924e16d4dabcf', '1e3c7e60c5fdcce1', 'bf5924e16d4dabcf', 'c0582d7355f97e91', 'c913899eb931ab84', '0e51141b6009c710', 'e83599ddd93e232c'),
+    (0.02, ValueMode.MAX, 1): ('99ec54683f010964', 'aece976c6ad95ecd', 'e63d9b7cba7cac57', 'aece976c6ad95ecd', 'ba85ee5858e642ad', 'e07cf9493115e8e2', 'ff118924dfcb5541', 'b7991209361247a0'),
+    (0.02, ValueMode.MAX, 2): ('f7594a203c58cf18', '71cf76c3bf8858c3', '4ff380524738151e', '71cf76c3bf8858c3', '2a386d4530b0cac3', '15758101a4d77903', 'db2f50e4c02cfb71', 'b4ee1410c71553d7'),
 }
 
 
@@ -542,6 +568,27 @@ def test_a_full_diverse_set_tests_no_candidate_below_its_lowest_quality(counted,
         if len(streamed) > len(tested):
             assert math.exp(streamed[-1][1]) < result.plans[-1].relative_quality - QUALITY_TOL, bounds
             assert result.pops == streamed[-1][2], bounds
+
+
+REFUSAL_BOUNDS = (
+    ExtractionConfig(k=5, q=0.8, d=0.5),
+    ExtractionConfig(k=10, q=0.8, d=0.3),
+    ExtractionConfig(k=3, q=0.5, d=0.9),
+    ExtractionConfig(k=20, q=0.6, d=0.2),
+    ExtractionConfig(k=50, q=0.8, d=0.05),
+)
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
+def test_refusing_stems_keeps_the_plans_of_the_unpruned_filter(key):
+    # Dropping a stem whose every plan an unevictable incumbent rejects, and
+    # ending at the first stem below a full set, leaves the set the filter
+    # that tests every candidate gives, in order, and never costs more pops.
+    tree = cached_golden_tree(key)
+    for bounds in REFUSAL_BOUNDS:
+        pruned, reference = extract_plans(tree, bounds), reference_diverse(tree, bounds)
+        assert pruned.plans == reference.plans, bounds
+        assert pruned.pops <= reference.pops, bounds
 
 
 @pytest.mark.parametrize("bounds", TIE_HEAVY_BOUNDS, ids=lambda b: f"k{b.k}-q{b.q}-d{b.d}")

@@ -15,7 +15,7 @@ from conftest import (
     visited_children,
 )
 import planset.mcts
-from planset.gridworld import DroneState, PlanningSimulator, generate_instance
+from planset.gridworld import MOVES, DroneState, PlanningSimulator, generate_instance
 from planset.mcts import (
     BanditConfig,
     Policy,
@@ -290,6 +290,7 @@ MISTYPED_SETTINGS = {
     ),
     "value_mode None": (lambda: SearchConfig(value_mode=None), "value_mode must be a ValueMode, got None"),
     "tree value_mode None": (lambda: SearchTree(value_mode=None), "value_mode must be a ValueMode, got None"),
+    "bandit None": (lambda: SearchConfig(bandit=None), "bandit must be a BanditConfig, got None"),
 }
 
 
@@ -297,7 +298,9 @@ MISTYPED_SETTINGS = {
 def test_mistyped_search_settings_are_refused(case):
     """An enum setting's string spelling is refused, not read as another
     member (a ``policy`` string grew the UCB1 tree, a ``value_mode`` string
-    a tree read as MAX by one method and AVERAGE by another)."""
+    a tree read as MAX by one method and AVERAGE by another), and so is a
+    ``bandit`` that is not a ``BanditConfig`` (``None`` failed inside the
+    search, reported as a simulator fault)."""
     make, message = MISTYPED_SETTINGS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -445,12 +448,38 @@ class TopRowDrawingGrid(PlanningSimulator):
         return super().default_action(state, rng)
 
 
+class GreedyDenseChain(DenseChain):
+    """A ``DenseChain`` whose rollout policy draws nothing: every rollout
+    runs to the end of the chain and leaves a return for each state it
+    passed, a sum of non-dyadic rewards that comes out one way only when
+    added in the order the state's own rollout adds them."""
+
+    def default_action(self, state, rng):
+        return 2 * len(state) % 3
+
+
+class AwayThenGreedyGrid(PlanningSimulator):
+    """A grid whose rollout policy draws nothing and walks away from the
+    goal until step 50, then toward it.  A rollout from a shallow state
+    stops at ``max_rollout_steps`` with nothing, while one from a later
+    state on its path reaches the goal: a rollout that stops short of a
+    terminal state leaves no return for the states it passed."""
+
+    def default_action(self, state, rng):
+        if state.steps_taken >= 50:
+            return super().default_action(state, rng)
+        (x, y), (gx, gy) = state.position, self.world.goal
+        return max(self.legal_actions(state), key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy))
+
+
 ORACLE_DOMAINS = {
     "grid-greedy-1.0": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1)),
+    "grid-away-then-greedy": lambda: AwayThenGreedyGrid(generate_instance(12, 12, 0.2, 1)),
     "grid-greedy-0.8": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1), rollout_greedy_p=0.8),
     "grid-list-states": lambda: ListStateGrid(generate_instance(12, 12, 0.2, 1)),
     "grid-draws-on-top-row": lambda: TopRowDrawingGrid(generate_instance(12, 12, 0.2, 1)),
     "dense": DenseChain,
+    "dense-greedy": GreedyDenseChain,
     "bandit": TwoArmBandit,
     "equal-arms": EqualArms,
 }
@@ -461,9 +490,11 @@ ORACLE_DOMAINS = {
 @pytest.mark.parametrize("domain", list(ORACLE_DOMAINS))
 def test_search_matches_the_reference_search(domain, c, mode):
     """Skipping the descents that repeat a terminal revisit, and the
-    rollouts that repeat one that drew nothing, grows the tree one full
-    descent and one rollout per iteration grow, for short searches (the
-    skip capped at the iterations left) and long ones alike."""
+    rollouts whose return a rollout that drew nothing already gave (from its
+    start state, or from a state it passed on its way to a terminal state),
+    grows the tree one full descent and one rollout per iteration grow, for
+    short searches (the skip capped at the iterations left) and long ones
+    alike."""
     sim = ORACLE_DOMAINS[domain]()
     for iterations in (1, 2, 3, 50, 1500):
         bandit = BanditConfig(exploration_c=c)
@@ -524,12 +555,13 @@ def non_terminal_expansions(tree: SearchTree) -> int:
 
 def test_rollouts_from_a_repeated_state_are_reused(monkeypatch):
     """Greedy rollouts draw nothing, so a return is a function of its start
-    state: on the pinned geometry each of the 475 non-terminal expansions
-    reaches one of 132 states, and one rollout per state runs.  The counts
-    are pinned."""
+    state: on the pinned geometry the 475 non-terminal expansions reach 132
+    states.  A greedy rollout that reaches the goal also gives the return of
+    every state it passed, and the tree grows along those greedy paths, so
+    42 rollouts run.  The counts are pinned."""
     calls = count_rollouts(monkeypatch)
     tree = golden_search(0, 0.02, ValueMode.MAX, Policy.UCB1, 1.0)
-    assert (calls[0], non_terminal_expansions(tree)) == (132, 475)
+    assert (calls[0], non_terminal_expansions(tree)) == (42, 475)
 
 
 @pytest.mark.parametrize(
@@ -595,6 +627,59 @@ def test_search_steps_each_tree_edge_once(monkeypatch, sim, config):
     assert len(tree) < config.iterations
     assert counted.steps[False] == len(tree) - 1
     assert counted.steps[True] > 0 or isinstance(sim, TwoArmBandit)
+
+
+def test_search_calls_each_hook_the_benchmark_tracer_counts(monkeypatch):
+    """``perfbench --trace 1`` counts a search's layers by replacing
+    ``SearchTree.add_child``, ``SearchTree.backpropagate`` and
+    ``planset.mcts.rollout``; a search that reached around them would zero
+    its per-layer counts.  One search calls ``add_child`` once per
+    expansion, ``backpropagate`` once per full descent (the batches add the
+    skipped descents' playouts) and ``rollout`` once per rollout it runs,
+    with every rollout step inside it."""
+    counted = CountingSim(PlanningSimulator(generate_instance(12, 12, 0.2, 0)))
+    calls = {"add_child": 0, "backpropagate": 0, "rollout": 0}
+    batched = []  # playouts per batch walk, the walks made outside backpropagate
+    inside = [False]
+    real = {name: getattr(SearchTree, name) for name in ("add_child", "backpropagate", "_add_playouts")}
+
+    def add_child(tree, *args, **kwargs):
+        calls["add_child"] += 1
+        return real["add_child"](tree, *args, **kwargs)
+
+    def backpropagate(tree, *args):
+        calls["backpropagate"] += 1
+        inside[0] = True
+        try:
+            real["backpropagate"](tree, *args)
+        finally:
+            inside[0] = False
+
+    def add_playouts(tree, leaf, reward, times):
+        if not inside[0]:
+            batched.append(times)
+        return real["_add_playouts"](tree, leaf, reward, times)
+
+    def traced_rollout(sim, *args):
+        calls["rollout"] += 1
+        sim.in_rollout = True
+        try:
+            return rollout(sim, *args)
+        finally:
+            sim.in_rollout = False
+
+    monkeypatch.setattr(SearchTree, "add_child", add_child)
+    monkeypatch.setattr(SearchTree, "backpropagate", backpropagate)
+    monkeypatch.setattr(SearchTree, "_add_playouts", add_playouts)
+    monkeypatch.setattr("planset.mcts.rollout", traced_rollout)
+    config = SearchConfig(
+        iterations=1500, max_rollout_steps=60, value_mode=ValueMode.MAX, bandit=BanditConfig(exploration_c=0.02)
+    )
+    tree = run_search(counted, config)
+    assert calls["add_child"] == len(tree) - 1
+    assert batched and calls["backpropagate"] + sum(batched) == config.iterations
+    assert counted.steps[False] == len(tree) - 1 and counted.steps[True] > 0
+    assert calls["rollout"] == 42  # as test_rollouts_from_a_repeated_state_are_reused pins
 
 
 def count_generators(monkeypatch):
