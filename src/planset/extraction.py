@@ -1,16 +1,17 @@
 """Best-first extraction of bounded plan sets from a finished search tree.
 
-One private generator, :func:`_best_first`, grows *plan stems* (root-anchored
-partial paths, each named by its last node, since tree paths are unique) in a
-max-priority queue keyed on relative quality.  It yields each complete plan
-that reaches the quality floor q with the pops spent so far.  A stem's
-quality never increases as it grows, so plans leave in non-increasing
+One heap loop, in :func:`extract_plans`, grows *plan stems* (root-anchored
+partial paths, each named by its last node, since tree paths are unique) in
+a max-priority queue keyed on relative quality.  A stem none of whose
+children reaches the quality floor q is a complete plan.  A stem's quality
+never increases as it grows, so complete plans leave in non-increasing
 quality order, and each pop reads its stem's children's values once, from
-the tree as it stands.  Every bound consumes that one stream:
+the tree as it stands.  ``PlanSet.pops`` counts every pop the loop makes.
+Every bound runs the same loop:
 
-- top-k and top-quality (d = 0) take its first k plans, or all of them at
-  k = inf, and build one Plan each; there is no diversity work.
-- diverse (d > 0) filters it.  Each candidate's state keys, read by a walk
+- top-k and top-quality (d = 0) take its first k complete plans, or all of
+  them at k = inf, and build one Plan each; there is no diversity work.
+- diverse (d > 0) filters them.  Each candidate's state keys, read by a walk
   up its parents, get one test against the at most k incumbents (the
   candidate that ends a full set gets none), and a Plan is built only for a
   candidate that enters the set.
@@ -19,7 +20,7 @@ A diverse set keeps one contract: its plans are in acceptance order, their
 quality never increases, and each plan is at least d, one way, from every
 plan before it.  Each plan's *margin* is its distance to the set it joined.
 Once k plans are held, only a candidate that ties the lowest quality can
-enter, so the first candidate below it ends the extraction, diverse or not.
+enter, so the first stem below it ends the extraction, complete or not.
 A tied candidate that passes d takes the place of the tied incumbent with
 the smallest margin, if its own margin is strictly larger: that incumbent is
 deleted and the candidate appended.  The candidate was tested against every
@@ -34,12 +35,12 @@ is still held when they are tested.  A tie swap evicts only a plan tied
 with the set's lowest quality, so B counts if its quality exceeds S's by
 more than ``QUALITY_TOL`` (every later entrant is no better than S) and,
 once k plans are held, B is not tied with the lowest of them.  Such a stem
-is popped and dropped, with every plan below it: the set comes out as the
-unpruned filter's, and ``PlanSet.pops`` counts each dropped stem as one pop.
-A stem with ``(depth + 1) * d <= 1`` is never refused (the bound is at least
-``1 / (depth + 1)``), so it skips the test.  Once k plans are held, the
-first stem below the lowest of them ends the extraction, complete or not,
-so no extraction pops more than the unpruned filter does.
+is popped and dropped, with every plan below it, before its children are
+read: the set comes out as the unpruned filter's, and the dropped stem
+counts as one pop.  A stem with ``(depth + 1) * d <= 1`` is never refused
+(the bound is at least ``1 / (depth + 1)``), so it skips the test.  Since a
+full set ends at its first stem below, no extraction pops more than the
+unpruned filter does.
 
 :func:`brute_force_enumerate` walks every root-to-leaf path instead.  It is
 the oracle the tests check the queue against, and no public name.
@@ -51,8 +52,6 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator
 
 from .metrics import (
     Plan,
@@ -100,80 +99,15 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     set is sound (nothing better exists outside it) and complete (every
     qualifying plan is found).
     """
-    k, q, d = config.k, config.q, config.d
-    if tree.nodes[tree.root].visits == 0:
+    if not isinstance(config, ExtractionConfig):
+        raise ValueError(f"config must be an ExtractionConfig, got {config!r}")
+    k, floor, d = config.k, config.q - QUALITY_TOL, config.d
+    nodes = tree.nodes
+    if nodes[tree.root].visits == 0:
         raise EmptyTreeError("root has never been visited")
-    if not d:
-        plans = []
-        stream = _best_first(tree, q - QUALITY_TOL)
-        for last, logq, pops in islice(stream, None if k == math.inf else int(k)):
-            plans.append(materialize_plan(tree, last, logq))
-        return PlanSet(plans=plans, pops=pops)
-
     accepted: list[Plan] = []
     margins: list[float] = []  # each plan's distance to the set it joined
     heights: list[int] = []  # per node, its visited subtree's height; built on first need
-
-    def refused(last: int, logq: float, depth: int) -> bool | None:
-        if not accepted:
-            return False
-        quality = math.exp(logq)
-        q_min = accepted[-1].relative_quality if len(accepted) >= k else -math.inf
-        if quality < q_min - QUALITY_TOL:
-            return None  # below a full set: so is every later stem
-        # Whether an incumbent no tie swap can evict is within d of every
-        # plan below the stem (the module docstring's bound).
-        if (depth + 1) * d <= 1.0 or accepted[0].relative_quality - quality <= QUALITY_TOL:
-            return False
-        if not heights:
-            heights.extend(_visited_heights(tree))
-        h = heights[last]
-        # A complete plan gets its own test; and since |keys(S)| <= depth, the
-        # bound is at least h / (depth + h) for every incumbent.
-        if not h or h / (depth + h) >= d:
-            return False
-        keys = stem_keys(tree, last)
-        size = len(keys) + h
-        # Incumbents are in non-increasing quality order, so the ones a swap
-        # can never evict are a prefix.
-        for plan in accepted:
-            if plan.relative_quality - quality <= QUALITY_TOL or plan.relative_quality - q_min <= QUALITY_TOL:
-                break
-            if (len(keys - plan.state_keys) + h) / size < d:
-                return True
-        return False
-
-    for last, logq, pops in _best_first(tree, q - QUALITY_TOL, refused):
-        full = len(accepted) >= k
-        if full and math.exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
-            break
-        # A complete plan's state keys are tested against the incumbents
-        # before any Plan is built for it.
-        diversity = min_pairwise_diversity(stem_keys(tree, last), accepted)
-        if diversity < d:
-            continue
-        if full:
-            # Quality tie.  The candidate is appended, not put in the evicted
-            # plan's slot: no plan may precede one it was never tested against.
-            q_min = accepted[-1].relative_quality
-            tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
-            weakest = min(tied, key=margins.__getitem__)
-            if diversity <= margins[weakest]:
-                continue
-            del accepted[weakest], margins[weakest]
-        accepted.append(materialize_plan(tree, last, logq))
-        margins.append(diversity)
-    return PlanSet(plans=accepted, pops=pops)
-
-
-def _best_first(
-    tree: SearchTree, floor: float, refused: Callable[[int, float, int], bool | None] | None = None
-) -> Iterator[tuple[int, float, int]]:
-    """Every complete plan whose quality reaches ``floor``, best first, as
-    (last node, log quality, pops so far).  ``refused(last node, log
-    quality, depth)`` is asked about each popped stem that has children:
-    True drops it, with every plan below it; None makes it the stream's last
-    item, since no later stem holds a plan the caller takes."""
     # Heap entries: (-log quality, insertion seq, last node of the stem, its
     # depth).  The seq pops ties FIFO, which fixes who wins exact ties and
     # the pop count.
@@ -182,28 +116,75 @@ def _best_first(
     pops = 0
     exp = math.exp
     heappush, heappop = heapq.heappush, heapq.heappop
-    nodes = tree.nodes
+    full = False  # whether k plans are held
     while heap:
         neg_logq, _, last, depth = heappop(heap)
         logq = -neg_logq
         pops += 1
-        if refused is not None and nodes[last].children:
-            verdict = refused(last, logq, depth)
-            if verdict is None:
-                yield last, logq, pops
-                return
-            if verdict:
+        if full and exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
+            break  # below a full set: so is every later stem
+        if d and accepted and nodes[last].children:
+            if _refused(tree, heights, accepted, full, d, last, exp(logq), depth):
                 continue
         expanded = False
-        depth += 1
         for cid, ratio in child_log_ratios(tree, last).items():
             child_logq = logq + ratio
             if exp(child_logq) >= floor:
-                heappush(heap, (-child_logq, seq, cid, depth))
+                heappush(heap, (-child_logq, seq, cid, depth + 1))
                 seq += 1
                 expanded = True
-        if not expanded:
-            yield last, logq, pops
+        if expanded:
+            continue
+        if d:
+            # A complete plan's state keys are tested against the incumbents
+            # before any Plan is built for it.
+            diversity = min_pairwise_diversity(stem_keys(tree, last), accepted)
+            if diversity < d:
+                continue
+            if full:
+                # Quality tie.  The candidate is appended, not put in the
+                # evicted plan's slot: no plan may precede one it was never
+                # tested against.
+                q_min = accepted[-1].relative_quality
+                tied = [i for i, p in enumerate(accepted) if abs(p.relative_quality - q_min) <= QUALITY_TOL]
+                weakest = min(tied, key=margins.__getitem__)
+                if diversity <= margins[weakest]:
+                    continue
+                del accepted[weakest], margins[weakest]
+            margins.append(diversity)
+        accepted.append(materialize_plan(tree, last, logq))
+        full = len(accepted) >= k
+        if full and not d:
+            break  # top-k and top-quality take the first k complete plans
+    return PlanSet(plans=accepted, pops=pops)
+
+
+def _refused(
+    tree: SearchTree, heights: list[int], accepted: list[Plan], full: bool, d: float, last: int, quality: float, depth: int
+) -> bool:
+    """Whether an incumbent no tie swap can evict is within d of every plan
+    below the stem that ends at ``last`` (the module docstring's bound).
+    ``full`` says k plans are held; ``heights`` is filled on first need."""
+    if (depth + 1) * d <= 1.0 or accepted[0].relative_quality - quality <= QUALITY_TOL:
+        return False
+    if not heights:
+        heights.extend(_visited_heights(tree))
+    h = heights[last]
+    # A complete plan gets its own test; and since |keys(S)| <= depth, the
+    # bound is at least h / (depth + h) for every incumbent.
+    if not h or h / (depth + h) >= d:
+        return False
+    keys = stem_keys(tree, last)
+    size = len(keys) + h
+    q_min = accepted[-1].relative_quality if full else -math.inf
+    # Incumbents are in non-increasing quality order, so the ones a swap can
+    # never evict are a prefix.
+    for plan in accepted:
+        if plan.relative_quality - quality <= QUALITY_TOL or plan.relative_quality - q_min <= QUALITY_TOL:
+            break
+        if (len(keys - plan.state_keys) + h) / size < d:
+            return True
+    return False
 
 
 def _visited_heights(tree: SearchTree) -> list[int]:

@@ -192,6 +192,8 @@ def _tail_return(trail: list, start: int) -> float:
 
 def run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     """Grow a search tree with ``config.iterations`` backpropagated playouts."""
+    if not isinstance(config, SearchConfig):
+        raise ValueError(f"config must be a SearchConfig, got {config!r}")
     try:
         return _run_search(sim, config)
     except SimulatorError:

@@ -1,12 +1,13 @@
 """Shared builders for randomized tree tests, and the reference oracles
 the library's optimized code is checked against."""
 
+import heapq
 import math
 from collections import deque
 
 import numpy as np
 
-from planset.extraction import QUALITY_TOL, ExtractionConfig, _best_first
+from planset.extraction import QUALITY_TOL, ExtractionConfig
 from planset.gridworld import MOVES, GridWorld
 from planset.mcts import rollout
 from planset.metrics import (
@@ -331,19 +332,42 @@ def reference_search(sim, config) -> SearchTree:
     return tree
 
 
-# -- reference diverse filter --------------------------------------------------
+# -- reference extraction stream ----------------------------------------------
 #
-# extract_plans' diverse bound with no stem refused: every complete plan the
-# best-first stream yields gets its own test.
+# extract_plans' heap loop with no bound applied but the quality floor: every
+# complete plan, best first, and what popping up to it cost.
+
+
+def best_first(tree: SearchTree, floor: float):
+    """Yield every complete plan whose quality reaches ``floor``, best
+    first, as (last node, log quality, pops so far): the stream the bounds
+    of ``extract_plans`` take from, or filter, or cut short."""
+    # Entries and FIFO tie order as in extract_plans.
+    heap = [(-0.0, 0, tree.root)]
+    seq = 1
+    pops = 0
+    while heap:
+        neg_logq, _, last = heapq.heappop(heap)
+        logq = -neg_logq
+        pops += 1
+        expanded = False
+        for cid, ratio in child_log_ratios(tree, last).items():
+            if math.exp(logq + ratio) >= floor:
+                heapq.heappush(heap, (-(logq + ratio), seq, cid))
+                seq += 1
+                expanded = True
+        if not expanded:
+            yield last, logq, pops
 
 
 def reference_diverse(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     """The plan set of a diverse bound (d > 0) by testing each candidate
-    plan on its own: the oracle for ``extract_plans``' subtree refusal."""
+    plan of the stream on its own: the oracle for ``extract_plans``' stem
+    refusal."""
     k, d = config.k, config.d
     accepted: list[Plan] = []
     margins: list[float] = []
-    for last, logq, pops in _best_first(tree, config.q - QUALITY_TOL):
+    for last, logq, pops in best_first(tree, config.q - QUALITY_TOL):
         full = len(accepted) >= k
         if full and math.exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
             break

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    best_first,
     best_path,
     greedy_diverse_filter,
     visited_ids,
@@ -26,7 +27,7 @@ from planset.extraction import (
     brute_force_enumerate,
     extract_plans,
 )
-from planset.experiment import run_random_baseline
+from planset.experiment import PlannerKind, PlannerSpec, desk_profile, run_random_baseline
 from planset.gridworld import PlanningSimulator, generate_instance
 from planset.mcts import BanditConfig, SearchConfig, run_search
 from planset.metrics import Plan, materialize_plan, min_pairwise_diversity
@@ -188,24 +189,48 @@ def _tie_equal(got, oracle):
     return all(mine <= ref_quality[q] for q, mine in by_quality.items())
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_pop_order_monotone_and_bounded(monkeypatch, seed):
-    pop_log = []
+@pytest.fixture
+def popped(monkeypatch):
+    """Record each heap entry extraction pops: (-log quality, seq, last node, depth)."""
+    entries = []
 
     def heappop(heap):
         entry = heapq.heappop(heap)
-        pop_log.append(math.exp(-entry[0]))  # entries lead with -log quality
+        entries.append(entry)
         return entry
 
     monkeypatch.setattr(extraction, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pop_order_monotone_and_bounded(popped, seed):
     rng = np.random.default_rng(seed)
     tree = random_backprop_tree(rng)
     for k in (1, 3, 10):
-        pop_log.clear()
+        popped.clear()
         result = extract_plans(tree, ExtractionConfig(k=k))
-        assert result.pops == len(pop_log)
-        assert all(a >= b - 1e-12 for a, b in zip(pop_log, pop_log[1:]))
+        assert result.pops == len(popped)
+        qualities = [math.exp(-entry[0]) for entry in popped]
+        assert all(a >= b - 1e-12 for a, b in zip(qualities, qualities[1:]))
         assert result.pops <= k * max(tree_depth(tree), 1) + 1
+
+
+@functools.cache
+def desk_tree():
+    """The desk sample's seed-0 world, searched at the desk profile's settings (MAX)."""
+    world = generate_instance(20, 20, 0.045, np.random.default_rng(0))
+    return run_search(PlanningSimulator(world), desk_profile().search)
+
+
+@pytest.mark.parametrize(
+    "bounds", [ExtractionConfig(3, 0.5, 0.9), ExtractionConfig(math.inf, 0.8, 0.5)], ids=["k3-d0.9", "kinf-d0.5"]
+)
+def test_pops_count_every_heap_pop(popped, bounds):
+    # On these bounds the last complete plan the loop reaches is followed by
+    # refused stems, which are pops too.
+    result = extract_plans(desk_tree(), bounds)
+    assert result.pops == len(popped)
 
 
 def test_exact_ties_pop_first_in_first_out():
@@ -371,21 +396,6 @@ def counted(monkeypatch):
     return counters
 
 
-@pytest.fixture
-def streamed(monkeypatch):
-    """Record each (last node, log quality, pops) the best-first stream yields."""
-    items = []
-    best_first = extraction._best_first
-
-    def recording_best_first(*args):
-        for item in best_first(*args):
-            items.append(item)
-            yield item
-
-    monkeypatch.setattr(extraction, "_best_first", recording_best_first)
-    return items
-
-
 WIDE_FAN = {action: [f"b{action}-{i}" for i in range(1 + action % 3)] for action in range(40)}
 
 
@@ -427,6 +437,26 @@ def test_bad_bounds_are_rejected_with_their_own_message(field, value):
         ExtractionConfig(**{field: value})
 
 
+MISTYPED_CONFIGS = {
+    "None": (None, "config must be an ExtractionConfig, got None"),
+    "PlannerSpec": (
+        PlannerSpec(PlannerKind.DIVERSE, k=5, q=0.8, d=0.5),
+        "config must be an ExtractionConfig, got PlannerSpec(kind=<PlannerKind.DIVERSE: 'diverse'>, k=5, q=0.8, d=0.5)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISTYPED_CONFIGS))
+def test_mistyped_extraction_configs_are_refused(case):
+    """Bounds come only from an ``ExtractionConfig``: ``None`` failed with an
+    ``AttributeError``, and a ``PlannerSpec``, which has k, q and d fields
+    of its own, was read as one unchecked."""
+    config, message = MISTYPED_CONFIGS[case]
+    tree, _, _ = two_leaf_tree()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extract_plans(tree, config)
+
+
 # -- pinned extraction output -----------------------------------------------------
 #
 # SHA-256 (first 16 hex digits) of each plan set extracted from a searched
@@ -437,9 +467,11 @@ def test_bad_bounds_are_rejected_with_their_own_message(field, value):
 # ``generate_instance(12, 12, 0.2, seed)``, 1,500 iterations, rollouts of at
 # most 60 steps, UCB1; keyed by (exploration_c, value mode, seed).  The same
 # digests must come out of the tree as searched and out of its
-# ``from_text(to_text())`` reload.  The two diverse columns were re-pinned
-# when the diverse filter began to refuse whole stems: their pop counts fell,
-# and the digests without the pops line stayed as they were.
+# ``from_text(to_text())`` reload, and each extraction's pop count must equal
+# the heap pops it made, so a pinned undercount fails too.  The two diverse
+# columns were re-pinned when the diverse filter began to refuse whole stems:
+# their pop counts fell, and the digests without the pops line stayed as
+# they were.
 
 GOLDEN_BOUNDS = (
     ExtractionConfig(k=1),
@@ -477,13 +509,17 @@ def golden_plan_tree(c, mode, seed):
     return run_search(sim, config)
 
 
-def plan_set_digests(tree, seed):
+def plan_set_digests(tree, seed, popped):
+    """The digest of each bound's plan set; ``popped`` is the heap-pop log,
+    which each extraction's pop count must match exactly."""
     digests = []
     for bounds in GOLDEN_BOUNDS:
         if bounds is None:
             plan_set = run_random_baseline(tree, 5, np.random.default_rng(seed))
         else:
+            popped.clear()
             plan_set = extract_plans(tree, bounds)
+            assert plan_set.pops == len(popped), bounds
         lines = [
             f"{p.nodes} {p.actions} {sorted(p.state_keys)} {p.relative_quality!r} {p.absolute_quality!r}"
             for p in plan_set
@@ -495,11 +531,11 @@ def plan_set_digests(tree, seed):
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["searched", "loaded"])
 @pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
-def test_plan_sets_match_the_pinned_hashes(key, loaded):
+def test_plan_sets_match_the_pinned_hashes(key, loaded, popped):
     tree = golden_plan_tree(*key)
     if loaded:
         tree = SearchTree.from_text(tree.to_text())
-    assert plan_set_digests(tree, key[2]) == GOLDEN_PLAN_SETS[key]
+    assert plan_set_digests(tree, key[2], popped) == GOLDEN_PLAN_SETS[key]
 
 
 # The golden MAX trees hold many exact-quality ties (a MAX value is the
@@ -520,19 +556,24 @@ def cached_golden_tree(key):
 
 
 @pytest.mark.parametrize("key", GOLDEN_MAX_KEYS, ids=lambda key: "-".join(map(str, key)))
-def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, streamed, key):
-    # Each candidate the stream yields gets one test, with its bare key set
-    # against the incumbents, except the one that ends a full set, which gets
+def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, popped, key):
+    # The complete plans the loop pops are candidates of the unpruned
+    # stream, in its order.  Each gets one test, with its bare key set
+    # against the incumbents, except one that ends a full set, which gets
     # none; a Plan is built exactly for the candidates that the next test's
     # incumbents (or the result) hold.
     tree = cached_golden_tree(key)
     for bounds in GOLDEN_BOUNDS[5:7]:
-        streamed.clear()
+        stream = [last for last, _, _ in best_first(tree, bounds.q - QUALITY_TOL)]
+        popped.clear()
         counted["min_pairwise_diversity"].calls.clear()
         counted["materialize_plan"].calls.clear()
         result = extract_plans(tree, bounds)
         tested = counted["min_pairwise_diversity"].calls
-        read = [last for last, _, _ in streamed]
+        complete = set(stream)
+        read = [entry[2] for entry in popped if entry[2] in complete]
+        reached = set(read)
+        assert read == [last for last in stream if last in reached]
         assert not any(isinstance(args[0], Plan) for args in tested)
         assert len(read) - len(tested) in (0, 1)
         assert [args[0] for args in tested] == [stem_state_keys(tree, last) for last in read[: len(tested)]]
@@ -552,22 +593,25 @@ def test_every_streamed_plan_has_the_quality_its_walk_gives(key):
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
-def test_a_full_diverse_set_tests_no_candidate_below_its_lowest_quality(counted, streamed, key):
+def test_a_full_diverse_set_tests_no_candidate_below_its_lowest_quality(counted, popped, key):
     # Once k plans are held, only a quality tie can enter, and the stream
-    # never rises again: the first candidate below the set's lowest quality
-    # ends the extraction without a diversity test, diverse or not.
+    # never rises again: the first stem below the set's lowest quality ends
+    # the extraction, complete or not, and gets no diversity test.
     tree = cached_golden_tree(key)
     for bounds in TIE_HEAVY_BOUNDS:
-        streamed.clear()
+        complete = {last for last, _, _ in best_first(tree, bounds.q - QUALITY_TOL)}
+        popped.clear()
         counted["min_pairwise_diversity"].calls.clear()
         result = extract_plans(tree, bounds)
         tested = counted["min_pairwise_diversity"].calls
-        for (_, incumbents), (_, logq, _) in zip(tested, streamed):
+        candidates = [entry for entry in popped if entry[2] in complete]
+        for (_, incumbents), entry in zip(tested, candidates):
             if len(incumbents) == bounds.k:
-                assert math.exp(logq) >= incumbents[-1].relative_quality - QUALITY_TOL, bounds
-        if len(streamed) > len(tested):
-            assert math.exp(streamed[-1][1]) < result.plans[-1].relative_quality - QUALITY_TOL, bounds
-            assert result.pops == streamed[-1][2], bounds
+                assert math.exp(-entry[0]) >= incumbents[-1].relative_quality - QUALITY_TOL, bounds
+        q_min = result.plans[-1].relative_quality if len(result) == bounds.k else -math.inf
+        below = [entry for entry in popped if math.exp(-entry[0]) < q_min - QUALITY_TOL]
+        assert below in ([], popped[-1:]), bounds
+        assert len(candidates) - len(tested) == sum(entry[2] in complete for entry in below), bounds
 
 
 REFUSAL_BOUNDS = (

@@ -22,6 +22,7 @@ from planset.mcts import (
     SearchConfig,
     Simulator,
     SimulatorError,
+    _tail_return,
     rollout,
     run_search,
 )
@@ -291,6 +292,9 @@ MISTYPED_SETTINGS = {
     "value_mode None": (lambda: SearchConfig(value_mode=None), "value_mode must be a ValueMode, got None"),
     "tree value_mode None": (lambda: SearchTree(value_mode=None), "value_mode must be a ValueMode, got None"),
     "bandit None": (lambda: SearchConfig(bandit=None), "bandit must be a BanditConfig, got None"),
+    "search config dict": (
+        lambda: run_search(TwoArmBandit(), {"iterations": 5}), "config must be a SearchConfig, got {'iterations': 5}"
+    ),
 }
 
 
@@ -300,7 +304,8 @@ def test_mistyped_search_settings_are_refused(case):
     member (a ``policy`` string grew the UCB1 tree, a ``value_mode`` string
     a tree read as MAX by one method and AVERAGE by another), and so is a
     ``bandit`` that is not a ``BanditConfig`` (``None`` failed inside the
-    search, reported as a simulator fault)."""
+    search, reported as a simulator fault), and a search config that is not
+    a ``SearchConfig`` (a dict was reported as a simulator fault too)."""
     make, message = MISTYPED_SETTINGS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -547,6 +552,39 @@ def count_rollouts(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("planset.mcts.rollout", counted_rollout)
     return calls
+
+
+def greedy_chain_walk(sim, state):
+    """Each (state, reward) the greedy policy steps to from ``state``."""
+    walk = []
+    while sim.legal_actions(state):
+        state, reward, _ = sim.step(state, sim.default_action(state, None))
+        walk.append((state, reward))
+    return walk
+
+
+def test_a_rollout_to_a_terminal_state_leaves_its_trail():
+    sim, trail = GreedyDenseChain(), []
+    value = rollout(sim, (), np.random.default_rng(0), 10, trail)
+    assert trail == greedy_chain_walk(sim, ()) and len(trail) == 6
+    assert value == _tail_return(trail, 0)
+
+
+@pytest.mark.parametrize("start,max_steps", [((), 3), ((0,) * 6, 10)], ids=["cut-at-max-steps", "terminal-start"])
+def test_a_rollout_cut_at_max_steps_or_from_a_terminal_state_leaves_no_trail(start, max_steps):
+    trail = []
+    rollout(GreedyDenseChain(), start, np.random.default_rng(0), max_steps, trail)
+    assert trail == []
+
+
+def test_a_trail_tail_is_the_rollout_of_the_state_before_it():
+    # The rewards are non-dyadic, so only the rollout's own order of
+    # additions gives the same float.
+    sim, trail = GreedyDenseChain(), []
+    rollout(sim, (), np.random.default_rng(0), 10, trail)
+    befores = [()] + [state for state, _ in trail[:-1]]
+    for i, state in enumerate(befores):
+        assert _tail_return(trail, i) == rollout(sim, state, np.random.default_rng(0), 10)
 
 
 def non_terminal_expansions(tree: SearchTree) -> int:
