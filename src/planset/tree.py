@@ -155,20 +155,23 @@ class SearchTree:
                 refresh = self._refresh_max_value(rec) or rec.visits == times
             nid = rec.parent
 
-    def _value_floors(self, path: list[int], reward: float) -> Callable[[int], list[float]]:
-        """The lowest value each node of ``path`` takes over the next
-        ``times`` playouts of ``reward`` through a leaf below them whose every
-        playout so far was ``reward``, as a function of ``times``.  An AVERAGE
-        value moves monotonically toward ``reward``, so its floor lies at one
-        end; a MAX value stays put, since the leaf's value, and with it every
-        max above it, stays ``reward``, so a MAX tree's floors are read once.
-        Within the rounding of a running sum (<= ~1e-12)."""
+    def _value_floors(self, reward: float) -> Callable[[int, int], float]:
+        """``floor(node_id, times)``: the lowest value the node takes over the
+        next ``times`` playouts of ``reward`` through a leaf below it whose
+        every playout so far was ``reward``.  An AVERAGE value moves
+        monotonically toward ``reward``, so its floor lies at one end; a MAX
+        value stays put, since the leaf's value, and with it every max above
+        it, stays ``reward``.  Within the rounding of a running sum
+        (<= ~1e-12)."""
         nodes = self.nodes
         if self._value_mode is ValueMode.MAX:
-            values = [nodes[nid].value for nid in path]
-            return lambda times: values
-        stats = [(nodes[nid].value, nodes[nid].total_reward, nodes[nid].visits) for nid in path]
-        return lambda times: [min(value, (total + times * reward) / (visits + times)) for value, total, visits in stats]
+            return lambda node_id, times: nodes[node_id].value
+
+        def floor(node_id: int, times: int) -> float:
+            rec = nodes[node_id]
+            return min(rec.value, (rec.total_reward + times * reward) / (rec.visits + times))
+
+        return floor
 
     def _refresh_max_value(self, rec: NodeRecord) -> bool:
         """Recompute the MAX-tree value of the visited node ``rec`` from its

@@ -9,7 +9,7 @@ import numpy as np
 
 from planset.extraction import QUALITY_TOL, ExtractionConfig
 from planset.gridworld import MOVES, GridWorld
-from planset.mcts import rollout
+from planset.mcts import _SLACK, rollout
 from planset.metrics import (
     Plan,
     PlanSet,
@@ -330,6 +330,52 @@ def reference_search(sim, config) -> SearchTree:
                 acc += rollout(sim, state, rng, config.max_rollout_steps)
         tree.backpropagate(node_id, min(max(acc, 0.0), 1.0))
     return tree
+
+
+# -- reference repeat count ----------------------------------------------------
+#
+# The count of descents that repeat a terminal revisit, by the search over the
+# whole path that run_search's per-level walk replaced.
+
+
+def repeat_count_reference(tree: SearchTree, leaf: int, reward: float, c: float, cap: int) -> int:
+    """The largest t <= ``cap`` for which the t-th next descent provably
+    ends at ``leaf``, every level of the path checked at each probe, found
+    by doubling, then bisection: the oracle for ``mcts._repeat_count``.
+    Each level's value floor is restated from the node's statistics."""
+    nodes = tree.nodes
+    average = tree.value_mode is ValueMode.AVERAGE
+    levels = []
+    nid = leaf
+    while nodes[nid].parent is not None:
+        rec, parent = nodes[nid], nodes[nodes[nid].parent]
+        rivals = [(nodes[s].value, nodes[s].visits) for s in parent.children if s != nid]
+        levels.append((rec.value, rec.total_reward, rec.visits, parent.visits, rivals))
+        nid = rec.parent
+
+    def repeats(t: int) -> bool:
+        x = t - 1  # playouts added before the t-th descent
+        for value, total, n, n_parent, rivals in levels:
+            if average:
+                value = min(value, (total + x * reward) / (n + x))
+            two_log_n = 2.0 * math.log(n_parent + x)
+            score = value + c * math.sqrt(two_log_n / (n + x))
+            floor = score - _SLACK * (1.0 + score)
+            if any(rival_value + c * math.sqrt(two_log_n / rival_n) >= floor for rival_value, rival_n in rivals):
+                return False
+        return True
+
+    good, bad = 0, 1  # good repeats; bad does not, or is past the cap
+    while bad <= cap and repeats(bad):
+        good, bad = bad, 2 * bad
+    bad = min(bad, cap + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if repeats(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 # -- reference extraction stream ----------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import (
     best_child,
+    random_backprop_tree,
     reference_search,
+    repeat_count_reference,
     visited_ids,
     ucb1_reference,
     visited_children,
@@ -22,6 +24,8 @@ from planset.mcts import (
     SearchConfig,
     Simulator,
     SimulatorError,
+    _index_draw,
+    _repeat_count,
     _tail_return,
     rollout,
     run_search,
@@ -477,6 +481,25 @@ class AwayThenGreedyGrid(PlanningSimulator):
         return max(self.legal_actions(state), key=lambda a: abs(x + MOVES[a][0] - gx) + abs(y + MOVES[a][1] - gy))
 
 
+class WideChain:
+    """Four moves of nine actions in which every move pays, and no
+    ``default_action``: expansions draw among up to nine untried actions and
+    rollouts among nine."""
+
+    def initial_state(self):
+        return ()
+
+    def legal_actions(self, state):
+        return tuple(range(9)) if len(state) < 4 else ()
+
+    def step(self, state, action):
+        nxt = state + (action,)
+        return nxt, (action + 1) / 40, len(nxt) == 4
+
+    def state_key(self, state):
+        return bytes(state)
+
+
 ORACLE_DOMAINS = {
     "grid-greedy-1.0": lambda: PlanningSimulator(generate_instance(12, 12, 0.2, 1)),
     "grid-away-then-greedy": lambda: AwayThenGreedyGrid(generate_instance(12, 12, 0.2, 1)),
@@ -487,6 +510,7 @@ ORACLE_DOMAINS = {
     "dense-greedy": GreedyDenseChain,
     "bandit": TwoArmBandit,
     "equal-arms": EqualArms,
+    "wide": WideChain,
 }
 
 
@@ -505,6 +529,98 @@ def test_search_matches_the_reference_search(domain, c, mode):
         bandit = BanditConfig(exploration_c=c)
         config = SearchConfig(iterations=iterations, max_rollout_steps=60, value_mode=mode, bandit=bandit, seed=5)
         assert run_search(sim, config).to_text() == reference_search(sim, config).to_text(), iterations
+
+
+# -- the expansion draw ----------------------------------------------------------
+
+DRAW_BOUNDS = [*range(1, 71), 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_index_draw_matches_generator_integers(seed):
+    """Value for value and state for state, with the ``random()`` draws of a
+    ``rollout_greedy_p < 1`` policy between them.  n = 1 draws nothing,
+    2**31 + 1 rejects about half its words, 2**32 takes a word as it is and
+    2**32 + 1 is past the 32-bit words."""
+    mine, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = _index_draw(mine)
+    for i, n in enumerate(DRAW_BOUNDS * 3):
+        if i % 4 == 0:
+            assert mine.random() == numpy_rng.random()
+        assert draw(n) == int(numpy_rng.integers(n)), n
+        assert mine.bit_generator.state == numpy_rng.bit_generator.state, n
+
+
+@pytest.mark.parametrize("n", [3, 7, 69, 2**31 + 1, 2**32 - 1])
+def test_index_draw_rejects_the_words_below_the_threshold(n):
+    """A word w is drawn again while w * n mod 2**32 is below 2**32 mod n,
+    which real words almost never are at small n: crafted words land one
+    below the threshold, on it, and at n, where no threshold is needed."""
+    threshold = 2**32 % n
+    inverse = pow(n, -1, 2**32)  # n is odd
+
+    def word_leaving(low):  # the word w with w * n mod 2**32 == low
+        return low * inverse % 2**32
+
+    below, at, past = word_leaving(threshold - 1), word_leaving(threshold), word_leaving(n)
+    words = iter([below, below, at, past])
+    draw = _index_draw(np.random.default_rng(0), words.__next__)
+    assert draw(n) == at * n >> 32
+    assert draw(n) == past * n >> 32
+    assert next(words, None) is None
+
+
+# -- the repeat count ------------------------------------------------------------
+
+REPEAT_CAPS = (1, 2, 3, 64, 5000)
+
+
+@pytest.mark.parametrize("mode", list(ValueMode), ids=lambda mode: mode.name)
+@pytest.mark.parametrize("c", [0.0, 0.02, 0.7])
+def test_repeat_count_matches_the_reference_on_random_trees(c, mode):
+    """At every leaf with nothing to expand, just after a playout of a
+    random reward, for each cap."""
+    rng = np.random.default_rng(11)
+    counts = []
+    for _ in range(40):
+        tree = random_backprop_tree(rng, value_mode=mode)
+        for leaf, rec in enumerate(tree.nodes):
+            if rec.parent is None or rec.children or rec.untried_actions:
+                continue
+            reward = float(rng.random())
+            tree.backpropagate(leaf, reward)
+            for cap in REPEAT_CAPS:
+                counts.append(_repeat_count(tree, leaf, reward, c, cap))
+                assert counts[-1] == repeat_count_reference(tree, leaf, reward, c, cap), (leaf, cap)
+    assert 0 in counts and any(0 < count < 5000 for count in counts)
+
+
+@pytest.mark.parametrize("mode", list(ValueMode), ids=lambda mode: mode.name)
+@pytest.mark.parametrize("c", [0.0, 0.02, 0.7])
+def test_repeat_count_matches_the_reference_on_searched_trees(monkeypatch, c, mode):
+    """For the search's own cap and each of the others: at every terminal
+    revisit of two pinned-geometry searches, and at every visited node of
+    the finished trees, with its average as the reward.  The count is a
+    function of the path, which need not end at a terminal node: at c = 0.7
+    these searches reach none."""
+    counts = []
+
+    def check(tree, leaf, reward, c, caps):
+        for cap in caps:
+            counts.append(_repeat_count(tree, leaf, reward, c, cap))
+            assert counts[-1] == repeat_count_reference(tree, leaf, reward, c, cap), (leaf, cap)
+
+    def checked(tree, leaf, reward, c, cap):
+        check(tree, leaf, reward, c, (cap, *REPEAT_CAPS))
+        return _repeat_count(tree, leaf, reward, c, cap)
+
+    monkeypatch.setattr(planset.mcts, "_repeat_count", checked)
+    for seed in range(2):
+        tree = golden_search(seed, c, mode, Policy.UCB1, 1.0)
+        for leaf, rec in enumerate(tree.nodes):
+            if rec.visits and rec.parent is not None:
+                check(tree, leaf, rec.total_reward / rec.visits, c, REPEAT_CAPS)
+    assert counts  # at c = 0.7 in MAX trees every count is 0
 
 
 # -- cost contract -------------------------------------------------------------

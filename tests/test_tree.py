@@ -502,7 +502,8 @@ def test_value_floors_bound_every_value_over_the_next_playouts(mode, reward):
     for nid, r in [(b, 0.3), (other, 0.8), (leaf, reward), (other, 0.2), (leaf, reward)]:
         tree.backpropagate(nid, r)
     path = [leaf, a, tree.root]
-    floors = {(nid, x): floor for x in range(30) for nid, floor in zip(path, tree._value_floors(path, reward)(x))}
+    floor = tree._value_floors(reward)
+    floors = {(nid, x): floor(nid, x) for x in range(30) for nid in path}
     seen = {nid: [tree.nodes[nid].value] for nid in path}
     for _ in range(29):
         tree.backpropagate(leaf, reward)
