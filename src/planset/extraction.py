@@ -123,18 +123,18 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
         pops += 1
         if full and exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
             break  # below a full set: so is every later stem
-        if d and accepted and nodes[last].children:
-            if _refused(tree, heights, accepted, full, d, last, exp(logq), depth):
+        if nodes[last].children:
+            if d and accepted and _refused(tree, heights, accepted, full, d, last, exp(logq), depth):
                 continue
-        expanded = False
-        for cid, ratio in child_log_ratios(tree, last).items():
-            child_logq = logq + ratio
-            if exp(child_logq) >= floor:
-                heappush(heap, (-child_logq, seq, cid, depth + 1))
-                seq += 1
-                expanded = True
-        if expanded:
-            continue
+            expanded = False
+            for cid, ratio in child_log_ratios(tree, last).items():
+                child_logq = logq + ratio
+                if exp(child_logq) >= floor:
+                    heappush(heap, (-child_logq, seq, cid, depth + 1))
+                    seq += 1
+                    expanded = True
+            if expanded:
+                continue
         if d:
             # A complete plan's state keys are tested against the incumbents
             # before any Plan is built for it.

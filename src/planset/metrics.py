@@ -18,7 +18,7 @@ and :func:`stem_keys` reads the state keys of a stem it is measured from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .tree import SearchTree, UndefinedValueError
@@ -28,12 +28,13 @@ class DegeneratePlanError(ValueError):
     """Plan has an empty state set, so distances from it are undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """A complete root-to-leaf plan with cached qualities.
 
     ``state_keys`` excludes the root state: every plan shares it, and keeping
-    it would stop fully disjoint plans from reaching distance 1.
+    it would stop fully disjoint plans from reaching distance 1.  Plans are
+    slotted: they have no ``__dict__`` and take no weak references.
     """
 
     nodes: tuple[int, ...]
@@ -41,6 +42,26 @@ class Plan:
     state_keys: frozenset[bytes]
     relative_quality: float
     absolute_quality: float
+
+
+_set_nodes, _set_actions, _set_keys, _set_relative, _set_absolute = (
+    getattr(Plan, f.name).__set__ for f in fields(Plan)
+)
+
+
+def _new_plan(
+    nodes: tuple[int, ...], actions: tuple[int, ...], state_keys: frozenset[bytes], relative: float, absolute: float
+) -> Plan:
+    """``Plan(nodes, actions, state_keys, relative, absolute)``, its slots
+    filled through their descriptors: the frozen ``__init__`` would route
+    each field through ``object.__setattr__``."""
+    plan = object.__new__(Plan)
+    _set_nodes(plan, nodes)
+    _set_actions(plan, actions)
+    _set_keys(plan, state_keys)
+    _set_relative(plan, relative)
+    _set_absolute(plan, absolute)
+    return plan
 
 
 @dataclass
@@ -112,7 +133,7 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
                 raise UndefinedValueError(f"node {child} has no visits")
             log_quality += ratios.get(child, 0.0)
     relative = math.exp(log_quality)
-    return Plan(tuple(nodes), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
+    return _new_plan(tuple(nodes), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
 
 
 def stem_keys(tree: SearchTree, last: int) -> frozenset[bytes]:

@@ -46,6 +46,10 @@ class NodeRecord:
     until the first visit, then the average reward in AVERAGE trees, or in
     MAX trees the largest visited child's value (the node's own average while
     it has no visited child).
+
+    ``untried_actions`` is a list on a grown tree.  A tree loaded by
+    ``from_text`` is read-only: the text stores no untried actions, so every
+    loaded node shares one empty tuple and ``add_child`` refuses every action.
     """
 
     parent: Optional[int]
@@ -53,7 +57,7 @@ class NodeRecord:
     state_key: bytes
     terminal: bool
     children: list[int] = field(default_factory=list)
-    untried_actions: list[int] = field(default_factory=list)
+    untried_actions: list[int] | tuple[()] = field(default_factory=list)
     visits: int = 0
     total_reward: float = 0.0
     value: float = 0.0
@@ -240,7 +244,9 @@ class SearchTree:
         """Load a tree written by :meth:`to_text`.
 
         The tree is read in the value mode its header names, and every
-        visited node's ``value`` is computed in that mode.  Raises
+        visited node's ``value`` is computed in that mode.  It is read-only:
+        its nodes share one empty ``untried_actions`` tuple, so
+        :meth:`add_child` refuses every action.  Raises
         ``ValueError`` for text :meth:`to_text` never writes: a first line
         other than ``# planset-tree v1 mode=<mode>``, a later ``#`` line, a
         malformed line, a terminal flag other than 0 or 1, a root action
@@ -257,17 +263,19 @@ class SearchTree:
         mode = ValueMode(header[3][5:])
         records: list[NodeRecord] = []
         keys: dict[str, bytes] = {}  # hex -> key, so equal state keys share one object
-        for fields in lines:
+        flags = {"0": False, "1": True}
+        # Every line before this one was appended or raised, so the count is the id.
+        for nid, fields in enumerate(lines):
             if fields[0].startswith("#"):
                 raise ValueError(f"a '#' line after the header: {' '.join(fields)!r}")
             nid_s, parent_s, action_s, visits_s, reward_s, term_s, key_s = fields
             key = keys.get(key_s)
             if key is None:
                 key = keys[key_s] = b"" if key_s == "-" else bytes.fromhex(key_s)
-            if term_s != "0" and term_s != "1":
+            terminal = flags.get(term_s)
+            if terminal is None:
                 int(term_s)  # a non-number keeps int's message
                 raise ValueError(f"node {nid_s}: terminal flag {term_s} is not 0 or 1")
-            nid = len(records)
             if parent_s == "-1":
                 if records:
                     raise ValueError(f"node {nid_s}: a second root")
@@ -296,7 +304,8 @@ class SearchTree:
                 raise ValueError(f"node {nid_s}: reward {reward_s} is not finite")
             # Its own average is the value, or in MAX trees the refresh's start.
             value = reward / visits if visits else 0.0
-            records.append(NodeRecord(parent, action, key, term_s == "1", [], [], visits, reward, value))
+            # No untried actions are stored: every node shares the empty tuple.
+            records.append(NodeRecord(parent, action, key, terminal, [], (), visits, reward, value))
         if not records:
             raise ValueError("empty tree text")
         tree = cls(value_mode=mode)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from conftest import (
     visited_children,
     visited_ids,
 )
-from planset.extraction import ExtractionConfig, extract_plans
+from planset.experiment import desk_profile
+from planset.extraction import ExtractionConfig, brute_force_enumerate, extract_plans
+from planset.gridworld import PlanningSimulator, generate_instance
+from planset.mcts import run_search
 from planset.metrics import (
     DegeneratePlanError,
     Plan,
@@ -279,3 +284,34 @@ def test_materialize_plan_rejects_ids_outside_the_tree(path):
             for host in (tree, unvisited):
                 with pytest.raises(InvalidNodeError, match=f"^node {last} not in tree of size 3$"):
                     materialize_plan(host, last, log_quality)
+
+
+@pytest.fixture(scope="module")
+def desk_tree():
+    sim = PlanningSimulator(generate_instance(20, 20, 0.2, rng=5))
+    return run_search(sim, dataclasses.replace(desk_profile().search, seed=5))
+
+
+def assert_plans_are_frozen_values(plans):
+    """Each plan equals, and hashes like, the Plan its fields build; it
+    refuses assignment, survives ``replace`` and pickling, and is slotted."""
+    assert plans
+    for plan in plans:
+        fields = [getattr(plan, f.name) for f in dataclasses.fields(Plan)]
+        built = Plan(*fields)
+        assert plan == built and hash(plan) == hash(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.relative_quality = 0.0
+        assert dataclasses.replace(plan) == plan
+        assert dataclasses.replace(plan, absolute_quality=-1.0) == Plan(*fields[:-1], -1.0)
+        assert pickle.loads(pickle.dumps(plan)) == plan
+        assert not hasattr(plan, "__dict__")
+
+
+@pytest.mark.parametrize("config", [ExtractionConfig(), ExtractionConfig(k=5, q=0.8, d=0.5)], ids=["all", "diverse"])
+def test_extracted_plans_are_frozen_slotted_values(desk_tree, config):
+    assert_plans_are_frozen_values(extract_plans(desk_tree, config).plans)
+
+
+def test_enumerated_plans_are_frozen_slotted_values(desk_tree):
+    assert_plans_are_frozen_values([plan for plan, _ in brute_force_enumerate(desk_tree)])

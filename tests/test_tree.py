@@ -251,6 +251,25 @@ def test_loaded_desk_tree_shares_equal_state_keys():
     assert len(first) < len(tree) // 4  # 5,001 nodes over at most 400 cells
 
 
+def test_loaded_tree_is_read_only():
+    """The text stores no untried actions, so a loaded tree cannot grow: an
+    action that is not yet an edge is unavailable, and one that is repeats
+    an edge."""
+    sim = PlanningSimulator(generate_instance(20, 20, 0.2, rng=5))
+    text = run_search(sim, replace(desk_profile().search, seed=5)).to_text()
+    tree = SearchTree.from_text(text)
+    assert all(rec.untried_actions == () for rec in tree.nodes)
+    root = tree.node(tree.root)
+    taken = tree.node(root.children[0]).action
+    with pytest.raises(DuplicateEdgeError, match=f"action {taken} already expanded at node 0"):
+        tree.add_child(tree.root, taken, b"again")
+    leaf = next(nid for nid, rec in enumerate(tree.nodes) if not rec.children and not rec.terminal)
+    with pytest.raises(ValueError, match=f"action 0 is not available at node {leaf}") as refused:
+        tree.add_child(leaf, 0, b"new")
+    assert not isinstance(refused.value, DuplicateEdgeError)
+    assert tree.to_text() == text
+
+
 def test_serialization_reward_precision():
     tree = SearchTree(b"root")
     tree.backpropagate(tree.root, 0.1)
