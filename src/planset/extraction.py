@@ -61,7 +61,7 @@ from .metrics import (
     min_pairwise_diversity,
     stem_keys,
 )
-from .tree import SearchTree
+from .tree import SearchTree, acyclic
 
 QUALITY_TOL = 1e-12
 
@@ -92,12 +92,15 @@ class ExtractionConfig:
             raise ValueError(f"d must lie in [0, 1], got {d!r}")
 
 
+@acyclic
 def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     """Extract the bounded plan set defined by ``config`` from ``tree``.
 
     Complete plans leave the queue in non-increasing quality order, so the
     set is sound (nothing better exists outside it) and complete (every
-    qualifying plan is found).
+    qualifying plan is found).  It runs with the cyclic collector paused
+    (:func:`planset.tree.acyclic`): the plans and heap entries it builds
+    hold only tuples, sets and numbers.
     """
     if not isinstance(config, ExtractionConfig):
         raise ValueError(f"config must be an ExtractionConfig, got {config!r}")

@@ -213,7 +213,7 @@ def execute_plan(world: GridWorld, actions: Sequence[int]) -> ExecutionOutcome:
     of an enemy (checked before goal arrival); reaching the goal ends the
     flight successfully.  ``path_length`` counts executed steps either way.
     """
-    danger = _danger_zone(world)
+    danger = world.enemies if world.detection_radius == 0 else _danger_zone(world)
     x, y = world.start
     steps = 0
     for action in actions:
@@ -232,10 +232,11 @@ def execute_plan(world: GridWorld, actions: Sequence[int]) -> ExecutionOutcome:
     return ExecutionOutcome(False, False, steps)
 
 
+@functools.lru_cache(maxsize=16)
 def _danger_zone(world: GridWorld) -> frozenset[Cell]:
+    """Every cell within the detection radius (> 0) of an enemy.  Built once
+    per world and shared by every plan executed in it."""
     r = world.detection_radius
-    if r == 0:
-        return world.enemies
     zone = set()
     for ex, ey in world.enemies:
         for dx in range(-r, r + 1):

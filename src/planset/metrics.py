@@ -87,12 +87,15 @@ def child_log_ratios(tree: SearchTree, parent_id: int) -> dict[int, float]:
     options are worthless -- and -inf when the child alone has value 0.
     """
     nodes = tree.nodes
-    children = nodes[parent_id].children
-    if not children:
-        return {}
     # Child values first, turned into log ratios in place below.
-    ratios = {cid: nodes[cid].value for cid in children if nodes[cid].visits}
-    best = max(ratios.values(), default=0.0)
+    ratios: dict[int, float] = {}
+    best = 0.0
+    for cid in nodes[parent_id].children:
+        child = nodes[cid]
+        if child.visits:
+            value = ratios[cid] = child.value
+            if value > best:
+                best = value
     if best <= 0.0:
         return dict.fromkeys(ratios, 0.0)
     log = math.log

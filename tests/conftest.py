@@ -119,6 +119,24 @@ def path_to(tree: SearchTree, node_id: int) -> list[int]:
     return path
 
 
+def child_log_ratios_reference(tree: SearchTree, parent_id: int) -> dict[int, float]:
+    """The child log-ratios by a dict comprehension and ``max``: the oracle
+    for ``child_log_ratios``' single loop (same keys, order and floats)."""
+    nodes = tree.nodes
+    children = nodes[parent_id].children
+    if not children:
+        return {}
+    ratios = {cid: nodes[cid].value for cid in children if nodes[cid].visits}
+    best = max(ratios.values(), default=0.0)
+    if best <= 0.0:
+        return dict.fromkeys(ratios, 0.0)
+    log = math.log
+    log_best = log(best)
+    for cid, value in ratios.items():
+        ratios[cid] = log(value) - log_best if value > 0.0 else -math.inf
+    return ratios
+
+
 class InvalidPathError(ValueError):
     """Node sequence is not a root-anchored parent/child path."""
 

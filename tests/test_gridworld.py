@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import bfs_shortest_path
+from planset.experiment import desk_profile, run_experiment
 from planset.gridworld import (
     ACTION_NAMES,
     MOVES,
@@ -13,6 +15,7 @@ from planset.gridworld import (
     InvalidGeometryError,
     InvalidPlanError,
     PlanningSimulator,
+    _danger_zone,
     execute_plan,
     generate_instance,
     parse_map,
@@ -386,6 +389,65 @@ def test_detection_radius_kills_nearby():
     assert outcome.shot_down and outcome.path_length == 1  # (1,1) is within Chebyshev 1 of (2,0)
     safe = GridWorld(5, 3, (0, 1), (4, 1), enemies, 0.1, detection_radius=0)
     assert execute_plan(safe, [E, E, E, E]).reached_goal
+
+
+def execute_reference(world, actions):
+    """``execute_plan`` for legal moves with no danger zone: each entered
+    cell is tested against every enemy's Chebyshev distance."""
+    x, y = world.start
+    r = world.detection_radius
+    for steps, action in enumerate(actions, 1):
+        x, y = x + MOVES[action][0], y + MOVES[action][1]
+        if any(max(abs(x - ex), abs(y - ey)) <= r for ex, ey in world.enemies):
+            return ExecutionOutcome(False, True, steps)
+        if (x, y) == world.goal:
+            return ExecutionOutcome(True, False, steps)
+    return ExecutionOutcome(False, False, len(actions))
+
+
+def random_walk(rng, world, steps):
+    """Actions of a walk of legal moves from the start."""
+    (x, y), actions = world.start, []
+    for _ in range(steps):
+        legal = [a for a, (dx, dy) in enumerate(MOVES) if 0 <= x + dx < world.width and 0 <= y + dy < world.height]
+        action = legal[int(rng.integers(len(legal)))]
+        x, y = x + MOVES[action][0], y + MOVES[action][1]
+        actions.append(action)
+    return actions
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_detection_radius_outcomes_match_the_uncached_computation(radius, seed):
+    rng = np.random.default_rng(seed)
+    worlds = [generate_instance(10, 10, risk, rng, detection_radius=radius) for risk in (0.02, 0.05, 0.15)]
+    walks = [random_walk(rng, worlds[0], int(rng.integers(1, 16))) for _ in range(45)]
+    shot = 0
+    # Worlds alternate, so each zone is read both freshly built and cached.
+    for _ in range(2):
+        for i, actions in enumerate(walks):
+            world = worlds[i % len(worlds)]
+            outcome = execute_plan(world, actions)
+            assert outcome == execute_reference(world, actions), (i, actions)
+            shot += outcome.shot_down
+    assert 0 < shot < 2 * len(walks)
+
+
+def test_a_sweep_builds_each_worlds_danger_zone_once():
+    base = desk_profile()
+    config = desk_profile(
+        detection_radius=1,
+        risk_levels=(0.3, 0.5),
+        replications_per_level=2,
+        width=10,
+        height=10,
+        search=replace(base.search, iterations=400),
+    )
+    _danger_zone.cache_clear()
+    records = run_experiment(config)
+    info = _danger_zone.cache_info()
+    assert info.misses == config.instances
+    assert info.hits + info.misses == sum(r.plans_emitted for r in records) > config.instances
 
 
 def test_detection_checked_before_goal():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     best_child,
+    child_log_ratios_reference,
     path_relative_quality,
     path_to,
     random_backprop_tree,
@@ -18,11 +19,12 @@ from conftest import (
 from planset.experiment import desk_profile
 from planset.extraction import ExtractionConfig, brute_force_enumerate, extract_plans
 from planset.gridworld import PlanningSimulator, generate_instance
-from planset.mcts import run_search
+from planset.mcts import SearchConfig, run_search
 from planset.metrics import (
     DegeneratePlanError,
     Plan,
     PlanSet,
+    child_log_ratios,
     materialize_plan,
     min_pairwise_diversity,
     stem_keys,
@@ -315,3 +317,70 @@ def test_extracted_plans_are_frozen_slotted_values(desk_tree, config):
 
 def test_enumerated_plans_are_frozen_slotted_values(desk_tree):
     assert_plans_are_frozen_values([plan for plan, _ in brute_force_enumerate(desk_tree)])
+
+
+# -- child log-ratios against the comprehension oracle -------------------------
+
+
+def assert_ratios_match_the_reference(tree, parent_id):
+    """Same keys in the same order, and the same floats to the bit."""
+    got = child_log_ratios(tree, parent_id)
+    want = child_log_ratios_reference(tree, parent_id)
+    assert [(cid, ratio.hex()) for cid, ratio in got.items()] == [
+        (cid, ratio.hex()) for cid, ratio in want.items()
+    ], parent_id
+    return got
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_child_log_ratios_match_the_reference_on_random_trees(seed):
+    tree = random_backprop_tree(np.random.default_rng(seed))
+    for nid in range(len(tree.nodes)):
+        assert_ratios_match_the_reference(tree, nid)
+
+
+@pytest.mark.parametrize("mode", list(ValueMode))
+def test_child_log_ratios_match_the_reference_on_searched_trees(desk_tree, mode):
+    # The desk tree is MAX; a small AVERAGE search keeps both value modes.
+    tree = desk_tree if mode is ValueMode.MAX else run_search(
+        PlanningSimulator(generate_instance(12, 12, 0.2, rng=3)),
+        SearchConfig(iterations=2000, value_mode=mode, seed=3),
+    )
+    kinds = {"worthless": 0, "regret": 0}
+    for nid in range(len(tree.nodes)):
+        ratios = assert_ratios_match_the_reference(tree, nid)
+        kinds["worthless"] += bool(ratios) and all(r == 0.0 for r in ratios.values())
+        kinds["regret"] += any(r < 0.0 for r in ratios.values())
+    assert kinds["worthless"] and kinds["regret"], kinds  # both branches are read
+
+
+def star_tree(values):
+    """A root whose children carry ``values`` in child order (None: never
+    visited)."""
+    tree = SearchTree(b"s0", root_actions=range(len(values)))
+    kids = [tree.add_child(tree.root, a, bytes([65 + a])) for a in range(len(values))]
+    for cid, value in zip(kids, values):
+        if value is not None:
+            tree.backpropagate(cid, value)
+    return tree, kids
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),  # all-zero siblings: no regret
+        ([None, 0.5, None, 0.25], [None, 0.0, None, math.log(0.25) - math.log(0.5)]),
+        ([None, 0.0], [None, 0.0]),  # unvisited beside a worthless sibling
+        ([None, None], [None, None]),  # no visited child
+        ([0.6], [0.0]),  # a single child is its own best
+        ([0.0], [0.0]),
+        ([0.4, 0.0, 0.8], [math.log(0.4) - math.log(0.8), -math.inf, 0.0]),
+    ],
+)
+def test_child_log_ratios_edge_cases(values, expected):
+    tree, kids = star_tree(values)
+    ratios = assert_ratios_match_the_reference(tree, tree.root)
+    assert ratios == {cid: r for cid, r in zip(kids, expected) if r is not None}
+    assert list(ratios) == [cid for cid, r in zip(kids, expected) if r is not None]
+    for cid in kids:  # leaves have no ratios
+        assert assert_ratios_match_the_reference(tree, cid) == {}

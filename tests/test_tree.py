@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -13,7 +14,9 @@ from conftest import (
     random_backprop_tree,
     visited_children,
 )
+import planset.extraction
 from planset.experiment import desk_profile
+from planset.extraction import EmptyTreeError, ExtractionConfig, extract_plans
 from planset.gridworld import PlanningSimulator, generate_instance
 from planset.mcts import SearchConfig, run_search
 from planset.tree import (
@@ -389,6 +392,59 @@ def test_load_refusals_keep_their_messages(case):
     with pytest.raises(ValueError) as info:
         SearchTree.from_text(text)
     assert str(info.value) == message
+
+
+# from_text and extract_plans run with the cyclic collector paused; after a
+# call, returned or raised, it is as the caller had it.
+PAUSED_CALLS = {
+    "load": (lambda tree: SearchTree.from_text(tree.to_text()), None),
+    "extract": (lambda tree: extract_plans(tree, ExtractionConfig(k=5)), None),
+    "load refusal": (lambda tree: SearchTree.from_text(LOADER_REFUSALS["id gap"][0]), ValueError),
+    "empty tree": (lambda tree: extract_plans(SearchTree(), ExtractionConfig()), EmptyTreeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("call", list(PAUSED_CALLS))
+def test_the_collector_is_left_as_the_caller_had_it(monkeypatch, call, enabled):
+    fn, error = PAUSED_CALLS[call]
+    tree = random_backprop_tree(np.random.default_rng(4))
+    seen = []  # the collector's state inside the call
+    consistency, materialize = SearchTree.check_consistency, planset.extraction.materialize_plan
+    monkeypatch.setattr(SearchTree, "check_consistency", lambda t: seen.append(gc.isenabled()) or consistency(t))
+    monkeypatch.setattr(
+        planset.extraction, "materialize_plan", lambda *a: seen.append(gc.isenabled()) or materialize(*a)
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            fn(tree)
+        else:
+            with pytest.raises(error):
+                fn(tree)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    if error:
+        assert seen == []  # refused before the spied step
+    else:
+        assert seen and not any(seen)
+
+
+def test_the_search_runs_with_the_collector_on():
+    # A simulator's states may form reference cycles.
+    seen = set()
+
+    class Watched(PlanningSimulator):
+        def step(self, state, action):
+            seen.add(gc.isenabled())
+            return super().step(state, action)
+
+    assert gc.isenabled()
+    run_search(Watched(generate_instance(6, 6, 0.1, rng=0)), SearchConfig(iterations=50, seed=1))
+    assert seen == {True}
 
 
 def assert_values_fresh(tree):
