@@ -472,16 +472,63 @@ SPAWN_SWEEP = textwrap.dedent(
 )
 
 
+def run_in_a_fresh_interpreter(script):
+    """``script`` run by a new Python that imports this checkout's planset."""
+    src = str(Path(planset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def test_worker_fanout_matches_serial_under_spawn():
     # The pool uses the platform's start method.  Under spawn, the default
     # off Linux, each worker re-imports planset and must give the same rows.
-    src = str(Path(planset.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", SPAWN_SWEEP], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+    done = run_in_a_fresh_interpreter(SPAWN_SWEEP)
     assert done.stdout.strip() == "same records"
+
+
+FORK_WORKER_IMPORTS = textwrap.dedent(
+    """
+    import multiprocessing
+    import sys
+
+    from planset.experiment import ExperimentConfig, run_experiment
+    from planset.mcts import BanditConfig, SearchConfig
+    from planset.tree import ValueMode
+
+
+    def modules_an_instance_imports(config):
+        before = set(sys.modules)
+        run_experiment(config)
+        return sorted(set(sys.modules) - before)
+
+
+    if __name__ == "__main__":
+        config = ExperimentConfig(
+            risk_levels=(0.1, 0.4),
+            replications_per_level=1,
+            width=6,
+            height=6,
+            search=SearchConfig(
+                iterations=150,
+                max_rollout_steps=24,
+                value_mode=ValueMode.MAX,
+                bandit=BanditConfig(exploration_c=0.02),
+            ),
+            master_seed=11,
+        )
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            print(pool.apply(modules_an_instance_imports, (config,)))
+    """
+)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_a_forked_worker_imports_nothing_to_run_an_instance():
+    # A fresh interpreter, since this one has long since loaded numpy.random:
+    # importing planset loads it, so a fork-started pool worker inherits it.
+    assert run_in_a_fresh_interpreter(FORK_WORKER_IMPORTS).stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
