@@ -37,6 +37,7 @@ from .tree import SearchTree, ValueMode
 # -- config files ----------------------------------------------------------
 #
 # Flat UTF-8 `key = value` lines with `#` comments, each key at most once.
+# Like tree and map files, a config file may open with a byte-order mark.
 # Every key can also be given as a CLI flag of the same name.
 
 
@@ -44,7 +45,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}  # the line each key was set on
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,7 +184,7 @@ def _build_parser() -> _Parser:
 def _load_tree(path: str) -> SearchTree:
     """The tree in ``path``, in the value mode its header names."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read tree file {path}: {exc}") from exc
     return SearchTree.from_text(text)
@@ -215,7 +216,7 @@ def _cmd_plan(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        world = parse_map(Path(args.world).read_text(encoding="utf-8"))
+        world = parse_map(Path(args.world).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read world file {args.world}: {exc}") from exc
     sim = PlanningSimulator(world)

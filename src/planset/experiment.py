@@ -61,7 +61,7 @@ class PlannerSpec:
         if not isinstance(self.kind, PlannerKind):  # each kind rule below tests `is`
             raise ConfigError(f"invalid planner spec {self}: kind must be a PlannerKind, got {self.kind!r}")
         try:
-            self.extraction_config()  # the one validator of k, q and d
+            ExtractionConfig(k=self.k, q=self.q, d=self.d)  # the one validator of k, q and d
         except ValueError as exc:
             raise ConfigError(f"invalid planner spec {self}: {exc}") from exc
         bad = None
@@ -80,10 +80,9 @@ class PlannerSpec:
 
     @property
     def label(self) -> str:
-        return self.kind.value
-
-    def extraction_config(self) -> ExtractionConfig:
-        return ExtractionConfig(k=self.k, q=self.q, d=self.d)
+        """The exact ``kind:k:q:d`` spelling, which ``cli.parse_planners`` reads back to an equal spec."""
+        k = "inf" if self.k == math.inf else int(self.k)
+        return f"{self.kind.value}:{k}:{float(self.q)!r}:{float(self.d)!r}"
 
 
 DEFAULT_PLANNERS = (
@@ -129,12 +128,11 @@ class ExperimentConfig:
                 raise ConfigError(f"planner must be a PlannerSpec, got {spec!r}")
         if not isinstance(self.search, SearchConfig):
             raise ConfigError(f"search must be a SearchConfig, got {self.search!r}")
-        kinds = [spec.kind for spec in self.planners]
-        if not kinds:
+        if not self.planners:
             raise ConfigError("need at least one planner")
-        twice = [kind.value for i, kind in enumerate(kinds) if kind in kinds[:i]]
-        if twice:  # records and summaries are keyed by kind, so the two would pool
-            raise ConfigError(f"two planners of kind {twice[0]}")
+        twice = [spec for i, spec in enumerate(self.planners) if spec in self.planners[:i]]
+        if twice:  # the two would pool their rows under one label
+            raise ConfigError(f"planner {twice[0].label} given twice")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.width < 2 or self.height < 2:
@@ -244,6 +242,7 @@ def _instance_records(
     build_s = clock() - start
     shortest = shortest_unobstructed_path(world)
 
+    kinds = [planner.kind for planner in config.planners]  # a kind given once labels its rows by its name
     records = []
     for planner in config.planners:
         start = clock()
@@ -251,7 +250,7 @@ def _instance_records(
             baseline_rng = default_rng(SeedSequence(entropy=(config.master_seed, instance_id, _BASELINE_TAG)))
             plan_set = run_random_baseline(tree, planner.k, baseline_rng)
         else:
-            plan_set = extract_plans(tree, planner.extraction_config())
+            plan_set = extract_plans(tree, ExtractionConfig(k=planner.k, q=planner.q, d=planner.d))
         extract_s = clock() - start
         best: int | None = None
         for plan in plan_set:
@@ -262,7 +261,7 @@ def _instance_records(
             ResultRecord(
                 instance_id=instance_id,
                 risk=risk,
-                planner=planner.label,
+                planner=planner.kind.value if kinds.count(planner.kind) == 1 else planner.label,
                 success=best is not None,
                 plans_emitted=len(plan_set),
                 best_path_len=best,

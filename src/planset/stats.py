@@ -94,19 +94,19 @@ def summarize(records: Sequence[ResultRecord]) -> list[dict]:
 
 
 def render_summary(rows: Sequence[dict]) -> str:
-    lines = [f"{'planner':<12} {'band':<12} {'n':>5}  metric"]
+    width = max([12, *(len(row["planner"]) for row in rows)])  # the planner column fits its longest label
+    lines = [f"{'planner':<{width}} {'band':<12} {'n':>5}  metric"]
     for row in rows:
+        head = f"{row['planner']:<{width}} {row['band']:<12}"
         if "warning" in row:
-            lines.append(f"{row['planner']:<12} {row['band']:<12}        {row['warning']}")
+            lines.append(f"{head}        {row['warning']}")
         elif row["band"] == "timing":
             ratio = "n/a" if row["path_cost_ratio"] is None else f"{row['path_cost_ratio']:.3f}"
             lines.append(
-                f"{row['planner']:<12} {row['band']:<12} {row['n']:>5}  "
+                f"{head} {row['n']:>5}  "
                 f"path-ratio {ratio}  build {row['build_s']:.3f}s  extract {row['extract_s'] * 1000:.2f}ms"
             )
         else:
-            lines.append(
-                f"{row['planner']:<12} {row['band']:<12} {row['n']:>5}  "
-                f"success {row['success_rate']:.3f} [{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]"
-            )
+            ci = f"[{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]"
+            lines.append(f"{head} {row['n']:>5}  success {row['success_rate']:.3f} {ci}")
     return "\n".join(lines)

@@ -4,7 +4,8 @@ import pytest
 from conftest import random_backprop_tree
 from planset.cli import _build_parser, _key_flags, main
 from planset.extraction import ExtractionConfig, brute_force_enumerate, extract_plans
-from planset.gridworld import generate_instance, render_map
+from planset.gridworld import generate_instance, parse_map, render_map
+from planset.tree import SearchTree
 
 
 @pytest.fixture()
@@ -96,6 +97,50 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert "single" in shown and "top_k" in shown
 
 
+# Editors on some platforms save UTF-8 with a leading byte-order mark; each
+# of the CLI's three readers drops it, while the parsers behind them stay
+# strict about the text they are given.
+BOM = "\ufeff"
+
+
+def test_config_file_may_open_with_a_byte_order_mark(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    out_csv = tmp_path / "records.csv"
+    conf.write_text(
+        BOM + "risk_levels = 0.1\nreplications_per_level = 1\nwidth = 4\nheight = 4\niterations = 20\n"
+        "planners = top_k:1,top_k:3\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", "--config", str(conf), "--out", str(out_csv)]) == 0
+    rows = out_csv.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["top_k:1:0.0:0.0", "top_k:3:0.0:0.0"]
+    assert "top_k:3:0.0:0.0" in capsys.readouterr().out
+
+
+def test_tree_file_may_open_with_a_byte_order_mark(tree_file, tmp_path, capsys):
+    tree, path = tree_file
+    assert main(["extract", "--tree", str(path), "--k", "3"]) == 0
+    plain = capsys.readouterr().out
+    marked = tmp_path / "marked.txt"
+    marked.write_text(BOM + tree.to_text(), encoding="utf-8")
+    assert main(["extract", "--tree", str(marked), "--k", "3"]) == 0
+    assert capsys.readouterr().out == plain
+    with pytest.raises(ValueError, match="^expected a '# planset-tree v1 mode=<mode>' header"):
+        SearchTree.from_text(BOM + tree.to_text())
+
+
+def test_map_file_may_open_with_a_byte_order_mark(tmp_path, capsys):
+    world_text = render_map(generate_instance(6, 6, 0.0, rng=5))
+    outputs = []
+    for name, text in (("plain.txt", world_text), ("marked.txt", BOM + world_text)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["plan", "--world", str(tmp_path / name), "--iterations", "100"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("plan: ")
+    with pytest.raises(ValueError, match="^map rows must be non-empty and equal length$"):
+        parse_map(BOM + world_text)
+
+
 def test_flag_overrides_config(tmp_path):
     conf = tmp_path / "exp.conf"
     out_csv = tmp_path / "records.csv"
@@ -158,7 +203,7 @@ def test_bad_usage_returns_one(tree_file, tmp_path, capsys):
         ["--planners", "diverse:5:0.8"],
         ["--planners", "top_k:x"],
         ["--planners", ","],
-        ["--planners", "top_k:5,top_k:10"],
+        ["--planners", "top_k:5,top_k:5.0"],
         ["--profile", "bogus"],
         ["--config", str(no_equals)],
         ["--config", str(twice)],

@@ -3,7 +3,8 @@
 The demos exercise every extraction mode, diverse included, through the
 public API only, and each checks the outcome it describes, exiting non-zero
 when it differs; the test asserts that each one exits 0.  The README's
-library quickstart is run the same way.
+library quickstart and bound study are run the same way, the study at a
+reduced size.
 ``demos/risk_sweep_quickstart.py`` runs a 60-instance risk sweep and takes
 about 10 s.
 """
@@ -42,6 +43,18 @@ def test_readme_library_quickstart_runs():
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     done = _run("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_bound_study_runs():
+    # The README's "## Bound study" block at one replication per risk level
+    # (4 instances, not 60); its own assert checks each bound's rows
+    # against that bound's sweep.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Bound study\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert code.count("replications_per_level=15") == 1
+    done = _run("-c", code.replace("replications_per_level=15", "replications_per_level=1"))
+    assert done.returncode == 0, done.stderr
+    assert "top_k:10:0.0:0.0" in done.stdout and "seven sweeps:" in done.stdout
 
 
 def test_readme_lists_every_config_key_and_the_csv_header():

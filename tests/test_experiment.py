@@ -30,7 +30,7 @@ from planset.experiment import (
     spaced_risk_levels,
 )
 from planset.mcts import BanditConfig, Policy, SearchConfig
-from planset.stats import proportion_ci, summarize, two_proportion_z_test
+from planset.stats import proportion_ci, render_summary, summarize, two_proportion_z_test
 from planset.tree import SearchTree, ValueMode
 
 
@@ -82,6 +82,10 @@ def micro_config(tmp_path=None, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _untimed(records):
+    return [replace(r, tree_build_seconds=0.0, extraction_seconds=0.0) for r in records]
 
 
 # -- random baseline -------------------------------------------------------
@@ -582,30 +586,101 @@ def test_worker_pool_is_capped_at_the_instance_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", pool)
     config = micro_config(risk_levels=(0.1,))
-    untimed = lambda records: [replace(r, tree_build_seconds=0.0, extraction_seconds=0.0) for r in records]
     fanned = run_experiment(replace(config, workers=3))
     assert sizes == [2]
-    assert untimed(fanned) == untimed(run_experiment(config))
+    assert _untimed(fanned) == _untimed(run_experiment(config))
 
 
 @pytest.mark.parametrize(
     "planners, message",
     [
         ((), "need at least one planner"),
-        ((PlannerSpec(PlannerKind.TOP_K, k=5), PlannerSpec(PlannerKind.TOP_K, k=10)), "two planners of kind top_k"),
+        ((PlannerSpec(PlannerKind.TOP_K, k=5), PlannerSpec(PlannerKind.TOP_K, k=5.0)), "planner top_k:5:0.0:0.0 given twice"),
         (
             (PlannerSpec(PlannerKind.SINGLE), PlannerSpec(PlannerKind.DIVERSE, k=5, q=0.8, d=0.5),
-             PlannerSpec(PlannerKind.DIVERSE, k=10, q=0.8, d=0.3)),
-            "two planners of kind diverse",
+             PlannerSpec(PlannerKind.DIVERSE, k=10, q=0.8, d=0.3),
+             PlannerSpec(PlannerKind.DIVERSE, k=np.int64(5), q=np.float64(0.8), d=0.5)),
+            "planner diverse:5:0.8:0.5 given twice",
         ),
     ],
-    ids=["none", "top_k twice", "diverse twice"],
+    ids=["none", "top_k:5 twice", "diverse:5:0.8:0.5 twice"],
 )
-def test_planners_must_be_one_of_each_kind(planners, message):
-    # Records and summaries are keyed by kind, so two planners of one kind
-    # would pool into one row.
-    with pytest.raises(ConfigError, match=f"^{message}$"):
+def test_planners_must_be_distinct_specs(planners, message):
+    # Records and summaries are keyed by a spec's label, so the same spec
+    # given twice would pool into one row.  Two planners of one kind with
+    # other bounds are a bound study, and run.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         micro_config(planners=planners)
+
+
+def test_repeated_kind_labels_round_trip_through_parse_planners():
+    # A kind given once keeps its bare name, so the default planners' CSV
+    # bytes do not move; a repeated kind's rows carry the exact spelling,
+    # printed from int and float so that no numpy repr leaks into the CSV.
+    specs = (
+        PlannerSpec(PlannerKind.SINGLE),
+        PlannerSpec(PlannerKind.TOP_QUALITY, k=math.inf, q=0.8),
+        PlannerSpec(PlannerKind.TOP_QUALITY, k=np.int64(5), q=np.float64(0.8)),
+        PlannerSpec(PlannerKind.TOP_QUALITY, k=5, q=0.80000001),
+        PlannerSpec(PlannerKind.DIVERSE, k=np.float64(10.0), q=np.float32(0.8), d=np.float64(0.25)),
+        PlannerSpec(PlannerKind.DIVERSE, k=10, q=0.8, d=0.5),
+        PlannerSpec(PlannerKind.RANDOM, k=5),
+    )
+    config = micro_config(planners=specs, risk_levels=(0.1,), replications_per_level=1, width=4, height=4)
+    labels = [record.planner for record in run_experiment(config)]
+    assert labels == [
+        "single",
+        "top_quality:inf:0.8:0.0",
+        "top_quality:5:0.8:0.0",
+        "top_quality:5:0.80000001:0.0",
+        "diverse:10:0.800000011920929:0.25",
+        "diverse:10:0.8:0.5",
+        "random",
+    ]
+    for spec, label in zip(specs, labels):
+        if label != spec.kind.value:
+            assert parse_planners(label) == (spec,), label
+            assert label == spec.label
+
+
+BOUND_STUDY = "top_k:1 top_k:5 diverse:5:0.8:0.25 diverse:5:0.8:0.5"
+
+
+def test_a_bound_study_searches_each_instance_once(monkeypatch):
+    # Bounds are applied again to a finished tree, so one sweep serves every
+    # bound: one search per instance, and each bound's rows are the ones its
+    # own one-planner sweep gives.
+    searches = []
+    real_search = planset.experiment.run_search
+
+    def counting_search(sim, config):
+        searches.append(config.seed)
+        return real_search(sim, config)
+
+    monkeypatch.setattr(planset.experiment, "run_search", counting_search)
+    config = ExperimentConfig(
+        risk_levels=(0.1, 0.3),
+        replications_per_level=2,
+        width=6,
+        height=6,
+        search=SearchConfig(
+            iterations=600, max_rollout_steps=24, value_mode=ValueMode.MAX, bandit=BanditConfig(exploration_c=0.1)
+        ),
+        planners=parse_planners(BOUND_STUDY),
+        master_seed=2024,
+    )
+    records = run_experiment(config)
+    assert len(searches) == len(set(searches)) == config.instances
+    assert [r.planner for r in records[: len(config.planners)]] == [
+        "top_k:1:0.0:0.0", "top_k:5:0.0:0.0", "diverse:5:0.8:0.25", "diverse:5:0.8:0.5",
+    ]
+    rows = lambda recs: [(r.instance_id, r.success, r.plans_emitted, r.best_path_len) for r in recs]
+    for spec in config.planners:
+        alone = run_experiment(replace(config, planners=(spec,)))
+        assert {r.planner for r in alone} == {spec.kind.value}
+        assert rows(alone) == rows(r for r in records if r.planner == spec.label), spec.label
+    assert len(searches) == config.instances * (1 + len(config.planners))
+    assert _untimed(run_experiment(replace(config, workers=2))) == _untimed(records)
 
 
 def test_search_seed_is_refused_since_master_seed_sets_it():
@@ -631,7 +706,7 @@ def test_summarize_micro(micro_run):
     _, records, _ = micro_run
     rows = summarize(records)
     planners = {row["planner"] for row in rows}
-    assert planners == {p.label for p in micro_run[0].planners}
+    assert planners == {p.kind.value for p in micro_run[0].planners}
     all_band = [r for r in rows if r.get("band") == "all"]
     for row in all_band:
         assert 0.0 <= row["ci_lo"] <= row["success_rate"] <= row["ci_hi"] <= 1.0
@@ -640,7 +715,7 @@ def test_summarize_micro(micro_run):
 
 
 def test_extraction_never_mutates_the_shared_tree():
-    from planset.extraction import extract_plans
+    from planset.extraction import ExtractionConfig, extract_plans
     from planset.gridworld import PlanningSimulator, generate_instance
     from planset.mcts import run_search
 
@@ -654,7 +729,7 @@ def test_extraction_never_mutates_the_shared_tree():
         if planner.kind is PlannerKind.RANDOM:
             run_random_baseline(tree, planner.k, np.random.default_rng(0))
         else:
-            extract_plans(tree, planner.extraction_config())
+            extract_plans(tree, ExtractionConfig(k=planner.k, q=planner.q, d=planner.d))
     assert tree.to_text() == before
 
 
@@ -706,3 +781,19 @@ def test_summarize_small_groups_excluded():
     assert low[0]["success_rate"] == 0.5
     medium = [r for r in rows if r.get("band") == "medium_high"]
     assert medium == []  # no records at risk >= 0.3 at all
+
+
+def test_summary_columns_line_up_under_long_labels():
+    # The planner column is as wide as the longest label, so a bound
+    # study's spelled-out labels do not push their rows' columns right.
+    records = [
+        ResultRecord(i, risk, planner, i % 2 == 0, 1, 7 if i % 2 == 0 else None, 7, 0.1, 0.001)
+        for i, (risk, planner) in enumerate(
+            [(0.1, "top_k"), (0.1, "top_k"), (0.5, "top_k"), (0.1, "top_quality:inf:0.8:0.0"),
+             (0.1, "top_quality:inf:0.8:0.0"), (0.5, "top_quality:inf:0.8:0.0"), (0.5, "top_quality:inf:0.8:0.0")]
+        )
+    ]
+    lines = render_summary(summarize(records)).splitlines()
+    assert any("excluded" in line for line in lines) and any("timing" in line for line in lines)
+    assert {line.split()[0] for line in lines[1:]} == {"top_k", "top_quality:inf:0.8:0.0"}
+    assert {re.match(r"\S+ +", line).end() for line in lines} == {len("top_quality:inf:0.8:0.0") + 1}
