@@ -2,19 +2,22 @@
 
 One heap loop, in :func:`extract_plans`, grows *plan stems* (root-anchored
 partial paths, each named by its last node, since tree paths are unique) in
-a max-priority queue keyed on relative quality.  A stem none of whose
-children reaches the quality floor q is a complete plan.  A stem's quality
-never increases as it grows, so complete plans leave in non-increasing
-quality order, and each pop reads its stem's children's values once, from
-the tree as it stands.  ``PlanSet.pops`` counts every pop the loop makes.
+a max-priority queue keyed on relative quality.  A heap entry also carries
+the node ids, actions and state keys, as root-first tuples, of the stem one
+step shorter; its pop extends them by its last node (three tuple
+concatenations per pop, none per push), and a complete plan is built from
+them, with no walk up its parents.  A stem none of whose children reaches
+the quality floor q is a complete plan.  A stem's quality never increases as
+it grows, so complete plans leave in non-increasing quality order, and each
+pop reads its stem's children's values once, from the tree as it stands.
+``PlanSet.pops`` counts every pop the loop makes.
 Every bound runs the same loop:
 
 - top-k and top-quality (d = 0) take its first k complete plans, or all of
   them at k = inf, and build one Plan each; there is no diversity work.
-- diverse (d > 0) filters them.  Each candidate's state keys, read by a walk
-  up its parents, get one test against the at most k incumbents (the
-  candidate that ends a full set gets none), and a Plan is built only for a
-  candidate that enters the set.
+- diverse (d > 0) filters them.  Each candidate's carried state keys get one
+  test against the at most k incumbents (the candidate that ends a full set
+  gets none), and a Plan is built only for a candidate that enters the set.
 
 A diverse set keeps one contract: its plans are in acceptance order, their
 quality never increases, and each plan is at least d, one way, from every
@@ -59,7 +62,6 @@ from .metrics import (
     child_log_ratios,
     materialize_plan,
     min_pairwise_diversity,
-    stem_keys,
 )
 from .tree import SearchTree, acyclic
 
@@ -111,37 +113,45 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
     accepted: list[Plan] = []
     margins: list[float] = []  # each plan's distance to the set it joined
     heights: list[int] = []  # per node, its visited subtree's height; built on first need
-    # Heap entries: (-log quality, insertion seq, last node of the stem, its
-    # depth).  The seq pops ties FIFO, which fixes who wins exact ties and
-    # the pop count.
-    heap: list[tuple[float, int, int, int]] = [(-0.0, 0, tree.root, 0)]
+    # Heap entries: (-log quality, insertion seq, last node of the stem, then
+    # the node ids, actions and state keys, root first, of the stem above it,
+    # which its pop extends by the last node: under a small k many pushed
+    # stems are never popped).  The seq pops ties FIFO, which fixes who wins
+    # exact ties and the pop count, and keeps the tuples out of every
+    # comparison.
+    heap: list[tuple] = [(-0.0, 0, tree.root, (), (), ())]
     seq = 1
     pops = 0
     exp = math.exp
     heappush, heappop = heapq.heappush, heapq.heappop
     full = False  # whether k plans are held
     while heap:
-        neg_logq, _, last, depth = heappop(heap)
+        neg_logq, _, last, stem_nodes, stem_actions, stem_keys = heappop(heap)
         logq = -neg_logq
         pops += 1
         if full and exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
             break  # below a full set: so is every later stem
-        if nodes[last].children:
-            if d and accepted and _refused(tree, heights, accepted, full, d, last, exp(logq), depth):
+        rec = nodes[last]
+        if stem_nodes:
+            stem_actions, stem_keys = stem_actions + (rec.action,), stem_keys + (rec.state_key,)
+        stem_nodes += (last,)  # the root stem has no action, and its key is in no plan
+        if rec.children:
+            if d and accepted and _refused(tree, heights, accepted, full, d, last, exp(logq), stem_keys):
                 continue
             expanded = False
             for cid, ratio in child_log_ratios(tree, last).items():
                 child_logq = logq + ratio
                 if exp(child_logq) >= floor:
-                    heappush(heap, (-child_logq, seq, cid, depth + 1))
+                    heappush(heap, (-child_logq, seq, cid, stem_nodes, stem_actions, stem_keys))
                     seq += 1
                     expanded = True
             if expanded:
                 continue
+        keys = frozenset(stem_keys)
         if d:
             # A complete plan's state keys are tested against the incumbents
             # before any Plan is built for it.
-            diversity = min_pairwise_diversity(stem_keys(tree, last), accepted)
+            diversity = min_pairwise_diversity(keys, accepted)
             if diversity < d:
                 continue
             if full:
@@ -155,7 +165,7 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
                     continue
                 del accepted[weakest], margins[weakest]
             margins.append(diversity)
-        accepted.append(materialize_plan(tree, last, logq))
+        accepted.append(materialize_plan(tree, last, logq, (stem_nodes, stem_actions, keys)))
         full = len(accepted) >= k
         if full and not d:
             break  # top-k and top-quality take the first k complete plans
@@ -163,11 +173,13 @@ def extract_plans(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
 
 
 def _refused(
-    tree: SearchTree, heights: list[int], accepted: list[Plan], full: bool, d: float, last: int, quality: float, depth: int
+    tree: SearchTree, heights: list[int], accepted: list[Plan], full: bool, d: float, last: int, quality: float, keys: tuple
 ) -> bool:
     """Whether an incumbent no tie swap can evict is within d of every plan
-    below the stem that ends at ``last`` (the module docstring's bound).
-    ``full`` says k plans are held; ``heights`` is filled on first need."""
+    below the stem that ends at ``last``, whose state keys, root first, are
+    ``keys`` (the module docstring's bound).  ``full`` says k plans are held;
+    ``heights`` is filled on first need."""
+    depth = len(keys)
     if (depth + 1) * d <= 1.0 or accepted[0].relative_quality - quality <= QUALITY_TOL:
         return False
     if not heights:
@@ -177,7 +189,7 @@ def _refused(
     # bound is at least h / (depth + h) for every incumbent.
     if not h or h / (depth + h) >= d:
         return False
-    keys = stem_keys(tree, last)
+    keys = frozenset(keys)
     size = len(keys) + h
     q_min = accepted[-1].relative_quality if full else -math.inf
     # Incumbents are in non-increasing quality order, so the ones a swap can

@@ -243,6 +243,13 @@ def run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         raise SimulatorError(f"search aborted by simulator fault: {exc}") from exc
 
 
+# 2 ln n for visit counts n below _TWO_LOG_SIZE, the floats ``2.0 * log(n)``
+# gives, read by the selection scan and by _repeat_count's check, with the log
+# itself above that.  Entry 0 is never read: a node scored from has been visited.
+_TWO_LOG_SIZE = 1024
+_TWO_LOG = (0.0, *(2.0 * math.log(n) for n in range(1, _TWO_LOG_SIZE)))
+
+
 def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     root_state = sim.initial_state()
     root_actions = list(sim.legal_actions(root_state))
@@ -255,6 +262,7 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
     nodes = tree.nodes
     c = config.bandit.exploration_c
     sqrt, log, inf = math.sqrt, math.log, math.inf
+    two_log, table_size = _TWO_LOG, _TWO_LOG_SIZE
     # The entropy (seed, 0) is part of every pinned tree: keep it.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     draw = _index_draw(rng)
@@ -277,7 +285,8 @@ def _run_search(sim: Simulator, config: SearchConfig) -> SearchTree:
         # Selection: descend through visited children while the node is
         # fully expanded; any untried action makes it expandable first.
         while not rec.untried_actions and rec.children:
-            two_log_n = 2.0 * log(rec.visits)
+            n = rec.visits
+            two_log_n = two_log[n] if n < table_size else 2.0 * log(n)
             best_score = -inf
             for cid in rec.children:
                 child = nodes[cid]
@@ -372,7 +381,7 @@ def _repeat_count(tree, leaf, reward, c, cap) -> int:
     """
     nodes = tree.nodes
     floor = tree._value_floors(reward)
-    sqrt, log = math.sqrt, math.log
+    sqrt, log, two_log = math.sqrt, math.log, _TWO_LOG
     count = cap
     nid = leaf
     parent_id = nodes[leaf].parent
@@ -383,7 +392,8 @@ def _repeat_count(tree, leaf, reward, c, cap) -> int:
 
         def repeats(t: int) -> bool:
             x = t - 1  # playouts added before the t-th descent
-            two_log_n = 2.0 * log(n_parent + x)
+            m = n_parent + x
+            two_log_n = two_log[m] if m < _TWO_LOG_SIZE else 2.0 * log(m)
             score = floor(nid, x) + c * sqrt(two_log_n / (n + x))
             bar = score - _SLACK * (1.0 + score)
             for rival_value, rival_n in rivals:

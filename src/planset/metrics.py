@@ -1,18 +1,18 @@
 """Relative/absolute path quality and state-set diversity measures.
 
-A plan is a root-anchored path through a search tree, built from its last
-node (tree paths are unique) by :func:`materialize_plan`, the one walk up a
-plan's parents.  Its *relative quality* is the product, over every step, of
-the chosen child's value divided by the best sibling's value -- 1.0 exactly
-when the path picks the best child everywhere, and shrinking with every
-regretful choice.
+A plan is a root-anchored path through a search tree, built by
+:func:`materialize_plan` from its last node (tree paths are unique) and, when
+the caller holds them, the path's node ids, actions and state keys; without
+them it reads them by one walk up the plan's parents.  Its *relative quality*
+is the product, over every step, of the chosen child's value divided by the
+best sibling's value -- 1.0 exactly when the path picks the best child
+everywhere, and shrinking with every regretful choice.
 A :class:`Plan` also holds its *absolute* quality, the relative quality
 times the root value: the plan's expected return.
 One read of a parent's children gives all their ratios (:func:`child_log_ratios`).
 Diversity between plans is the fraction of one plan's visited states that
 the other plan never touches (one-way, and deliberately asymmetric);
-:func:`min_pairwise_diversity` is the one place that distance is computed,
-and :func:`stem_keys` reads the state keys of a stem it is measured from.
+:func:`min_pairwise_diversity` is the one place that distance is computed.
 """
 
 from __future__ import annotations
@@ -105,29 +105,36 @@ def child_log_ratios(tree: SearchTree, parent_id: int) -> dict[int, float]:
     return ratios
 
 
-def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = None) -> Plan:
-    """Build the :class:`Plan` that ends at node ``last`` in one walk up its
-    parents; ``log_quality`` is its log relative quality, when the caller
-    holds it, and else the sum of its step log-ratios, root first (a product
-    of many sub-1 ratios underflows; the root alone is the empty product).
-    A step to an unvisited child is at ratio 1 when every visited sibling is
-    worthless, and raises :class:`UndefinedValueError` otherwise, as does an
-    unvisited root.  Raises :class:`InvalidNodeError` for an id outside the
-    tree."""
+def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = None, stem: tuple | None = None) -> Plan:
+    """Build the :class:`Plan` that ends at node ``last``.
+
+    ``stem``, when the caller holds it, is the path's node ids, actions and
+    state keys, root first (the root's key left out), as ``extract_plans``
+    carries them, and the plan is built from it as given; without it they
+    are read by one walk up ``last``'s parents.  ``log_quality`` is the
+    plan's log relative quality, when the caller holds it, and else the sum
+    of its step log-ratios, root first (a product of many sub-1 ratios
+    underflows; the root alone is the empty product).  A step to an
+    unvisited child is at ratio 1 when every visited sibling is worthless,
+    and raises :class:`UndefinedValueError` otherwise, as does an unvisited
+    root.  Raises :class:`InvalidNodeError` for an id outside the tree."""
     records = tree.nodes
     if not 0 <= last < len(records):
         tree.node(last)  # raises InvalidNodeError; a negative id must not index from the end
     root = records[tree.root]
     if not root.visits:
         raise UndefinedValueError(f"node {tree.root} has no visits")
-    nodes, actions, keys = [last], [], []
-    rec = records[last]
-    while rec.parent is not None:
-        nodes.append(rec.parent)
-        actions.append(rec.action)
-        keys.append(rec.state_key)
-        rec = records[rec.parent]
-    nodes.reverse()
+    if stem is None:
+        nodes, actions, keys = [last], [], []
+        rec = records[last]
+        while rec.parent is not None:
+            nodes.append(rec.parent)
+            actions.append(rec.action)
+            keys.append(rec.state_key)
+            rec = records[rec.parent]
+        nodes.reverse()
+        stem = tuple(nodes), tuple(reversed(actions)), keys
+    nodes, actions, keys = stem
     if log_quality is None:
         log_quality = 0.0
         for parent, child in zip(nodes, nodes[1:]):
@@ -136,20 +143,7 @@ def materialize_plan(tree: SearchTree, last: int, log_quality: float | None = No
                 raise UndefinedValueError(f"node {child} has no visits")
             log_quality += ratios.get(child, 0.0)
     relative = math.exp(log_quality)
-    return _new_plan(tuple(nodes), tuple(reversed(actions)), frozenset(keys), relative, relative * root.value)
-
-
-def stem_keys(tree: SearchTree, last: int) -> frozenset[bytes]:
-    """State keys of the stem that ends at node ``last``, root excluded: the
-    ``state_keys`` of a plan ending there, read by one walk up its parents.
-    The diverse filter tests each candidate by them before building its Plan."""
-    nodes = tree.nodes
-    keys = []
-    rec = nodes[last]
-    while rec.parent is not None:
-        keys.append(rec.state_key)
-        rec = nodes[rec.parent]
-    return frozenset(keys)
+    return _new_plan(nodes, actions, frozenset(keys), relative, relative * root.value)
 
 
 def min_pairwise_diversity(plan: "Plan | frozenset[bytes]", plans: Iterable[Plan]) -> float:

@@ -47,13 +47,26 @@ def proportion_ci(successes: int, n: int) -> tuple[float, float, float]:
 RISK_BANDS = (("low", 0.0, 0.3), ("medium_high", 0.3, 1.0 + 1e-9), ("all", 0.0, 1.0 + 1e-9))
 
 
+def _planner_order(label: str) -> tuple:
+    """A planner label's place in the summary: by kind, then by k, q and d
+    as numbers, inf last, so ``top_k:3:0.0:0.0`` comes before
+    ``top_k:10:0.0:0.0``.  A label whose bounds are not numbers follows its
+    kind's spec labels, and the label string breaks any tie."""
+    kind, *bounds = label.split(":")
+    try:
+        return kind, 0, [float(bound) for bound in bounds], label
+    except ValueError:
+        return kind, 1, [], label
+
+
 def summarize(records: Sequence[ResultRecord]) -> list[dict]:
     """Per (planner, risk band): success rate with CI; per planner: mean
     path-cost ratio over successes and mean build/extract times.
 
+    Planners are in kind order, and a kind's bounds in numeric order.
     Groups with fewer than 2 records are dropped with a warning row.
     """
-    planners = sorted({r.planner for r in records})
+    planners = sorted({r.planner for r in records}, key=_planner_order)
     rows: list[dict] = []
     for planner in planners:
         mine = [r for r in records if r.planner == planner]

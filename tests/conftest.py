@@ -16,7 +16,6 @@ from planset.metrics import (
     child_log_ratios,
     materialize_plan,
     min_pairwise_diversity,
-    stem_keys,
 )
 from planset.tree import SearchTree, UndefinedValueError, ValueMode
 
@@ -297,7 +296,9 @@ def ucb1_reference(tree: SearchTree, node_id: int, exploration_c: float) -> floa
 
 
 def stem_state_keys(tree: SearchTree, node_id: int) -> frozenset[bytes]:
-    """State keys along the root-to-node stem, root excluded."""
+    """State keys along the root-to-node stem, root excluded, by a parent
+    walk through ``SearchTree.node``: the oracle for the keys extraction
+    carries with each stem."""
     keys = []
     rec = tree.node(node_id)
     while rec.parent is not None:
@@ -435,7 +436,7 @@ def reference_diverse(tree: SearchTree, config: ExtractionConfig) -> PlanSet:
         full = len(accepted) >= k
         if full and math.exp(logq) < accepted[-1].relative_quality - QUALITY_TOL:
             break
-        diversity = min_pairwise_diversity(stem_keys(tree, last), accepted)
+        diversity = min_pairwise_diversity(stem_state_keys(tree, last), accepted)
         if diversity < d:
             continue
         if full:

@@ -19,6 +19,7 @@ from planset.cli import config_from_mapping, parse_config_file, parse_planners
 from planset.experiment import (
     CSV_HEADER,
     ConfigError,
+    DEFAULT_PLANNERS,
     ExperimentConfig,
     PlannerKind,
     PlannerSpec,
@@ -781,6 +782,23 @@ def test_summarize_small_groups_excluded():
     assert low[0]["success_rate"] == 0.5
     medium = [r for r in rows if r.get("band") == "medium_high"]
     assert medium == []  # no records at risk >= 0.3 at all
+
+
+def test_summary_orders_a_kinds_bounds_as_numbers():
+    # Label strings would put top_k:10 before top_k:1 and top_k:3 ("0" sorts
+    # before ":"); the summary orders each kind's bounds by k, q and d as
+    # numbers, inf last, and the kinds themselves by name.
+    # A hand-made label whose bounds are not numbers follows its kind's specs.
+    labels = ["top_k:inf:0.0:0.0", "top_k:10:0.0:0.0", "single", "top_k:3:0.0:0.0", "top_k:1:0.0:0.0",
+              "diverse:5:0.8:0.75", "diverse:5:0.8:0.25", "diverse:10:0.8:0.5", "top_k:ten"]
+    records = [ResultRecord(i, 0.1, label, True, 1, 7, 7, 0.1, 0.001) for label in labels for i in range(2)]
+    order = list(dict.fromkeys(row["planner"] for row in summarize(records)))
+    assert order == ["diverse:5:0.8:0.25", "diverse:5:0.8:0.75", "diverse:10:0.8:0.5", "single",
+                     "top_k:1:0.0:0.0", "top_k:3:0.0:0.0", "top_k:10:0.0:0.0", "top_k:inf:0.0:0.0", "top_k:ten"]
+    # The default planners, one of each kind, keep their order by name.
+    kinds = [spec.kind.value for spec in DEFAULT_PLANNERS]
+    records = [ResultRecord(i, 0.1, kind, True, 1, 7, 7, 0.1, 0.001) for kind in kinds for i in range(2)]
+    assert list(dict.fromkeys(row["planner"] for row in summarize(records))) == sorted(kinds)
 
 
 def test_summary_columns_line_up_under_long_labels():

@@ -191,7 +191,8 @@ def _tie_equal(got, oracle):
 
 @pytest.fixture
 def popped(monkeypatch):
-    """Record each heap entry extraction pops: (-log quality, seq, last node, depth)."""
+    """Record each heap entry extraction pops: (-log quality, seq, last node,
+    then the node ids, actions and state keys of the stem above it)."""
     entries = []
 
     def heappop(heap):
@@ -583,13 +584,28 @@ def test_diverse_mode_tests_each_candidate_once_on_tie_heavy_trees(counted, popp
         assert [args[1] for args in counted["materialize_plan"].calls] == entered
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["searched", "loaded"])
 @pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))
-def test_every_streamed_plan_has_the_quality_its_walk_gives(key):
-    # One quality rule: the stream and materialize_plan's own walk add the
-    # same step log-ratios root first, so they agree to the bit.
+def test_every_extracted_plan_is_the_plan_its_walk_builds(key, loaded):
+    # Extraction builds each plan from the tuples its heap entries carried;
+    # materialize_plan's walk up the parents must give the same plan, field
+    # for field.  One quality rule: the stream and the walk add the same step
+    # log-ratios root first, so they agree to the bit.  The bounds: the whole
+    # stream (k = inf, q = 0) and the re-planning grid, which holds the
+    # default planners' bounds.
     tree = cached_golden_tree(key)
-    for plan in extract_plans(tree, ExtractionConfig()):
-        assert materialize_plan(tree, plan.nodes[-1]).relative_quality == plan.relative_quality
+    if loaded:
+        tree = SearchTree.from_text(tree.to_text())
+    for bounds in (ExtractionConfig(), *GOLDEN_BOUNDS):
+        if bounds is None:
+            plans = run_random_baseline(tree, 5, np.random.default_rng(key[2])).plans
+        else:
+            plans = extract_plans(tree, bounds).plans
+        assert plans
+        for plan in plans:
+            walked = materialize_plan(tree, plan.nodes[-1])
+            assert (plan.nodes, plan.actions, plan.state_keys) == (walked.nodes, walked.actions, walked.state_keys)
+            assert (plan.relative_quality, plan.absolute_quality) == (walked.relative_quality, walked.absolute_quality)
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_PLAN_SETS), ids=lambda key: "-".join(map(str, key)))

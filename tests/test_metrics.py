@@ -27,7 +27,6 @@ from planset.metrics import (
     child_log_ratios,
     materialize_plan,
     min_pairwise_diversity,
-    stem_keys,
 )
 from planset.tree import InvalidNodeError, SearchTree, UndefinedValueError, ValueMode
 
@@ -248,13 +247,16 @@ def test_materialize_plan_matches_the_parent_walk_oracle(seed):
             absolute_quality=relative * tree.node(tree.root).value,
         )
         assert materialize_plan(tree, last) == expected
+        # Given the path's tuples, root first, it builds the same plan with no walk.
+        keys = tuple(tree.node(nid).state_key for nid in path[1:])
+        assert materialize_plan(tree, last, None, (tuple(path), expected.actions, keys)) == expected
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_stem_keys_are_the_state_keys_of_the_plan_ending_there(seed):
     tree = random_backprop_tree(np.random.default_rng(seed))
     for last in range(len(tree)):
-        assert stem_keys(tree, last) == stem_state_keys(tree, last) == materialize_plan(tree, last).state_keys
+        assert stem_state_keys(tree, last) == materialize_plan(tree, last).state_keys
 
 
 @pytest.mark.parametrize("seed", range(30))
